@@ -10,7 +10,7 @@ through an independent route and checked that way (see
 :mod:`umbral.verify` and the ``umbral verify`` command).
 """
 
-from .rationals import Rational, binomial, falling_factorial, format_rational, parse_rational
+from .rationals import binomial, falling_factorial, format_rational, parse_rational
 from .polynomials import Polynomial, binomial_poly, falling_factorial_poly
 from .series import TruncatedSeries, compose, exp, log, multiply, power, revert
 from .umbra import (

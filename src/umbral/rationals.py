@@ -5,16 +5,16 @@ Every computation in this package runs over arbitrary-precision rationals
 values is structural equality.  The binomial coefficient accepts any
 rational top argument: tops like ``n - k + t + k*q - 1`` with fractional
 ``t`` and negative integers both occur in the polynomial-family formulas.
+Integer tops, by far the common case, take an exact integer fast path.
+``factorial`` is :func:`math.factorial`, re-exported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
+from math import comb, factorial
 
 __all__ = [
-    "Rational",
     "binomial",
     "falling_factorial",
     "factorial",
@@ -34,24 +34,23 @@ def falling_factorial(top, k: int) -> Fraction:
     return result
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial undefined for n = {n} < 0")
-    result = 1
-    for i in range(2, n + 1):
-        result *= i
-    return result
-
-
 def binomial(top, k: int) -> Fraction:
     """Generalized binomial coefficient with an arbitrary rational top.
 
-    Computed as falling_factorial(top, k) / k!, so binomial(-1, 3) = -1
-    and binomial(1/2, 2) = -1/8.  Total for k >= 0.
+    Equal to falling_factorial(top, k) / k!, so binomial(-1, 3) = -1 and
+    binomial(1/2, 2) = -1/8.  Total for k >= 0.  An integer top (including
+    a Fraction with denominator 1) uses math.comb, a negative one through
+    C(top, k) = (-1)^k C(k - top - 1, k); other tops use the falling factorial.
     """
     if k < 0:
         raise ValueError(f"binomial undefined for k = {k} < 0")
-    return falling_factorial(top, k) / factorial(k)
+    top = Fraction(top)
+    if top.denominator != 1:
+        return falling_factorial(top, k) / factorial(k)
+    n = top.numerator
+    if n >= 0:
+        return Fraction(comb(n, k))
+    return Fraction((-1) ** k * comb(k - n - 1, k))
 
 
 def format_rational(value) -> str:

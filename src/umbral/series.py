@@ -11,9 +11,16 @@ here only ever divides by an integer, so series whose coefficients are
 what the polynomial-family oracles use to expand generating functions such
 as (1 - 2xz + z^2)^(-1) with x carried along exactly.
 
-``revert`` (compositional inverse) is a plain triangular solve on
-coefficients and depends on nothing outside this module, so it can serve
-as the independent reference for the moment-side inversion formulas.
+``power`` raises a series with constant term 1 to any rational (or
+polynomial) exponent in one pass, by J.C.P. Miller's recurrence; it never
+goes through ``exp`` and ``log``.
+
+``revert`` (compositional inverse) is a plain triangular solve of
+f(g) = z on coefficients, not a Lagrange-type formula, and depends on
+nothing outside this module, so it can serve as the independent reference
+for the moment-side inversion formulas.  It keeps the powers of the
+partial inverse in a table, one column per new coefficient, in O(N^3)
+coefficient operations.
 """
 
 from __future__ import annotations
@@ -199,14 +206,27 @@ def log(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def power(f: TruncatedSeries, a) -> TruncatedSeries:
-    """f^a = exp(a * log f) for any rational (or polynomial) exponent a."""
+    """f^a for any rational (or polynomial) exponent a; needs f_0 = 1.
+
+    J.C.P. Miller's recurrence, from f g' = a f' g with g = f^a:
+    n*g_n = sum_{k=1..n} ((a+1)k - n) * f_k * g_{n-k}, dividing only by n.
+    A rational a = p/q runs it scaled by q, so every weight is an integer.
+    """
     if f[0] != 1:
         raise ValueError("power needs a series with constant term 1")
-    if isinstance(a, int):
-        a = Fraction(a)
-    if a == 0:
-        return TruncatedSeries.one(f.order)
-    return exp(log(f) * a)
+    if isinstance(a, Polynomial):
+        num, den = a, 1
+    else:
+        num, den = a.numerator, a.denominator
+    g = [Fraction(1)]
+    for m in range(1, f.order + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if f[k] == 0:
+                continue
+            acc = acc + ((num + den) * k - den * m) * f[k] * g[m - k]
+        g.append(acc * Fraction(1, den * m))
+    return TruncatedSeries(g)
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -224,8 +244,10 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def revert(f: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse: the g with f(g(z)) = z up to the order.
 
-    Solved coefficient by coefficient: once g_1..g_{n-1} are known, the
-    z^n coefficient of f(g) is linear in g_n with slope f_1.
+    Solved coefficient by coefficient: [z^m] f(g) = sum_j f_j [z^m] g^j,
+    and only the j = 1 term involves g_m, with slope f_1.  The table
+    powers[j][m] = [z^m] g^j gains one column per solved coefficient,
+    from powers[j][m] = sum_i g_i * powers[j-1][m-i].
     """
     if f[0] != 0:
         raise ValueError("revert needs a series with zero constant term")
@@ -234,8 +256,21 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
     n = f.order
     g = [Fraction(0)] * (n + 1)
     g[1] = Fraction(1) / f[1]
+    # zero for m < j
+    powers = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    powers[1][1] = g[1]
     for m in range(2, n + 1):
-        partial = TruncatedSeries(g[: m + 1])
-        residue = compose(f.truncate(m), partial)[m]
+        residue = Fraction(0)
+        for j in range(2, m + 1):
+            # [z^m] g^j only needs g_1..g_{m-j+1}, all known
+            acc = Fraction(0)
+            for i in range(1, m - j + 2):
+                prev = powers[j - 1][m - i]
+                if prev != 0:
+                    acc += g[i] * prev
+            powers[j][m] = acc
+            if f[j] != 0:
+                residue += f[j] * acc
         g[m] = -residue / f[1]
+        powers[1][m] = g[m]
     return TruncatedSeries(g)

@@ -15,17 +15,20 @@ keeps as the independent oracle.  Pair composition
 (with .bell.alpha' the composition umbra) mirrors matrix multiplication,
 and the inverse pair is (-1.K(gamma, alpha), -1.K(alpha, alpha)).  Arrays
 carry their defining pair so every group operation can be verified on both
-the matrix side and the umbra side.
+the matrix side and the umbra side.  A product's pair (the composed pair)
+and a flavor conversion's pair are computed on first access, so matrix
+arithmetic that only reads entries never pays for pair composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import binomial, factorial
+from .rationals import factorial
 from .symbolic import UmbralSymbol, X, atom
 from .umbra import (
     Umbra,
@@ -81,17 +84,26 @@ class ShefferSequence:
     polys: tuple
 
 
-@dataclass(frozen=True)
 class RiordanArray:
     """Exact lower-triangular matrix with its defining pair.
 
     The exponential flavor has unit diagonal; the ordinary flavor rescales
-    entry (n, k) by k!/n!.
+    entry (n, k) by k!/n!.  ``pair`` may be given as a zero-argument
+    callable; it is then called on the first access of ``.pair``.
     """
 
-    pair: UmbraPair
-    entries: tuple
-    flavor: str
+    __slots__ = ("_pair", "entries", "flavor")
+
+    def __init__(self, pair, entries: tuple, flavor: str):
+        self._pair = pair
+        self.entries = entries
+        self.flavor = flavor
+
+    @property
+    def pair(self) -> UmbraPair:
+        if not isinstance(self._pair, UmbraPair):
+            self._pair = self._pair()
+        return self._pair
 
     @property
     def order(self) -> int:
@@ -107,8 +119,14 @@ def identity_pair(order: int) -> UmbraPair:
 
 
 def _shifted_moments(pair: UmbraPair):
-    """E[(gamma + k.alpha)^m] for k = 0..N, as a list of umbrae."""
-    return [add(pair.gamma, dot_scalar(k, pair.alpha)) for k in range(pair.order + 1)]
+    """E[(gamma + k.alpha)^m] for k = 0..N, as a list of umbrae.
+
+    Each entry adds one more uncorrelated copy of alpha to the previous one.
+    """
+    shifted = [pair.gamma]
+    for _ in range(pair.order):
+        shifted.append(add(shifted[-1], pair.alpha))
+    return shifted
 
 
 def _coefficient_table(pair: UmbraPair):
@@ -118,7 +136,7 @@ def _coefficient_table(pair: UmbraPair):
     rows = []
     for n in range(n_max + 1):
         row = [
-            binomial(n, k) * shifted[k].moment(n - k) for k in range(n + 1)
+            comb(n, k) * shifted[k].moment(n - k) for k in range(n + 1)
         ] + [Fraction(0)] * (n_max - n)
         rows.append(tuple(row))
     return tuple(rows)
@@ -209,13 +227,13 @@ def _matrix_product(a, b, size):
 
 
 def riordan_multiply(a: RiordanArray, b: RiordanArray) -> RiordanArray:
-    """Matrix product; the pair of the result is the composed pair."""
+    """Matrix product; the pair of the result is the composed pair, on demand."""
     if a.flavor != b.flavor:
         raise ValueError(f"Riordan flavor mismatch: {a.flavor} vs {b.flavor}")
     if a.order != b.order:
         raise ValueError(f"Riordan order mismatch: {a.order} vs {b.order}")
     entries = _matrix_product(a.entries, b.entries, a.order + 1)
-    return RiordanArray(umbral_compose(a.pair, b.pair), entries, a.flavor)
+    return RiordanArray(lambda: umbral_compose(a.pair, b.pair), entries, a.flavor)
 
 
 def riordan_inverse(a: RiordanArray) -> RiordanArray:
@@ -265,4 +283,4 @@ def flavor_convert(a: RiordanArray) -> RiordanArray:
         tuple(a.entry(n, k) * scale(n, k) for k in range(a.order + 1))
         for n in range(a.order + 1)
     )
-    return RiordanArray(a.pair, entries, new_flavor)
+    return RiordanArray(lambda: a.pair, entries, new_flavor)

@@ -18,14 +18,20 @@ generating-function route kept alongside as an independent cross-check:
 The two arguments of ``add`` are always treated as distinct (uncorrelated)
 umbrae, even when the same object is passed twice; correlated powers of a
 single umbra live in :mod:`umbral.symbolic`, never here.
+
+The moment routes that need a whole table of integer dot powers k.u
+(``composition_umbra`` for k = 0..N, ``k_umbra`` for k = -1..-N) build it
+by iterated uncorrelated sums, k.u = (k-1).u + u, so they stay purely
+combinatorial against their series oracles and pay one ``add`` per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 
 from . import series as ps
-from .rationals import binomial, factorial
+from .rationals import factorial
 from .series import TruncatedSeries
 
 __all__ = [
@@ -106,16 +112,24 @@ def gf(u: Umbra) -> TruncatedSeries:
     return TruncatedSeries(tuple(m / factorial(n) for n, m in enumerate(u.moments)))
 
 
+def _over_common_denominator(u: Umbra):
+    """Integers c_n and one denominator d with m_n = c_n / d."""
+    den = lcm(*(m.denominator for m in u.moments))
+    return [m.numerator * (den // m.denominator) for m in u.moments], den
+
+
 def add(u: Umbra, v: Umbra) -> Umbra:
-    """Sum of two uncorrelated umbrae: binomial convolution of moments."""
+    """Sum of two uncorrelated umbrae: binomial convolution of moments.
+
+    The convolution runs on integer numerators over one common denominator.
+    """
     u._check_order(v)
-    out = []
-    for n in range(u.order + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += binomial(n, k) * u.moment(k) * v.moment(n - k)
-        out.append(acc)
-    return Umbra(out)
+    a, da = _over_common_denominator(u)
+    b, db = _over_common_denominator(v)
+    return Umbra(
+        Fraction(sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), da * db)
+        for n in range(u.order + 1)
+    )
 
 
 def dot_scalar(a, u: Umbra) -> Umbra:
@@ -145,7 +159,9 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     """
     g._check_order(u)
     n_max = u.order
-    dotted = [dot_scalar(k, u) for k in range(n_max + 1)]
+    dotted = [augmentation(n_max)]
+    for _ in range(n_max):
+        dotted.append(add(dotted[-1], u))
     out = []
     for n in range(n_max + 1):
         acc = Fraction(0)
@@ -153,7 +169,7 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
             mg = g.moment(k)
             if mg == 0:
                 continue
-            acc += binomial(n, k) * mg * dotted[k].moment(n - k)
+            acc += comb(n, k) * mg * dotted[k].moment(n - k)
         out.append(acc)
     return Umbra(out)
 
@@ -182,15 +198,17 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
     """
     g._check_order(u)
     n_max = u.order
+    minus_u = dot_scalar(-1, u)
+    dotted = augmentation(n_max)
     out = [Fraction(1)]
     for n in range(1, n_max + 1):
-        dotted = dot_scalar(-n, u)
+        dotted = add(dotted, minus_u)
         acc = Fraction(0)
         for j in range(n):
             mg = g.moment(j + 1)
             if mg == 0:
                 continue
-            acc += binomial(n - 1, j) * mg * dotted.moment(n - 1 - j)
+            acc += comb(n - 1, j) * mg * dotted.moment(n - 1 - j)
         out.append(acc)
     return Umbra(out)
 

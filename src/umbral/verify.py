@@ -382,10 +382,6 @@ def suite_sheffer(order: int = 12, seed: int = 0, trials: int = 10) -> list[Chec
     return rec.results
 
 
-def _entries_equal(a, b) -> bool:
-    return a == b
-
-
 def suite_riordan_group(order: int = 12, seed: int = 0, trials: int = 10) -> list[CheckResult]:
     """The array group: composition, inverses, named arrays, conversions."""
     rng = Random(seed)

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import umbral
 from umbral import cli
 from umbral.rationals import parse_rational
 from umbral.umbra import bell, dot, singleton
@@ -286,10 +288,14 @@ def test_determinism_byte_identical(capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same package as this test run
+    src = os.path.dirname(os.path.dirname(umbral.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "umbral", "umbra", "chi", "--order", "3", "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["moments"] == ["1", "1", "0", "0"]

@@ -43,6 +43,29 @@ def test_binomial_small_integer_top_vanishes():
     assert binomial(0, 1) == 0
 
 
+def test_binomial_integer_tops_match_falling_factorial():
+    for top in range(-20, 21):
+        for k in range(0, 21):
+            expected = falling_factorial(top, k) / factorial(k)
+            assert binomial(top, k) == expected
+            assert binomial(Fraction(top, 1), k) == expected
+            assert type(binomial(top, k)) is Fraction
+            if 0 <= top < k:
+                assert binomial(top, k) == 0
+
+
+def test_binomial_fractional_tops_unchanged():
+    assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
+    assert binomial(Fraction(-1, 2), 3) == Fraction(-5, 16)
+    for num in range(-9, 10):
+        for den in (2, 3, 7):
+            top = Fraction(num, den)
+            if top.denominator == 1:
+                continue
+            for k in range(0, 8):
+                assert binomial(top, k) == product_oracle(top, k) / factorial(k)
+
+
 def test_falling_factorial_values():
     assert falling_factorial(4, 4) == 24
     assert falling_factorial(Fraction(7, 3), 0) == 1

@@ -181,6 +181,46 @@ def test_revert_preconditions():
         revert(S(1, 1))
     with pytest.raises(ValueError):
         revert(S(0, 0, 1))
+    with pytest.raises(ValueError):
+        revert(S(0))
+
+
+def random_reversible(rng, order):
+    coeffs = [F(0), F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))]
+    coeffs += [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(order - 1)]
+    return TruncatedSeries(coeffs)
+
+
+def test_revert_matches_sympy_reversion():
+    # third oracle: sympy's own series reversion over QQ
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.rings import ring
+    from sympy.polys.ring_series import rs_series_reversion
+
+    ring_, x, y = ring("x, y", QQ)
+    rng = Random(31)
+    for order in range(1, 11):
+        f = random_reversible(rng, order)
+        p = ring_.zero
+        for i, c in enumerate(f.coeffs):
+            p += QQ(c.numerator, c.denominator) * x**i
+        expected = [F(0)] * (order + 1)
+        for (ex, ey), c in rs_series_reversion(p, x, order + 1, y).terms():
+            assert ex == 0
+            expected[ey] = F(int(c.numerator), int(c.denominator))
+        assert revert(f) == TruncatedSeries(expected)
+
+
+@pytest.mark.parametrize("order", [1, 2, 32])
+def test_revert_is_two_sided_inverse(order):
+    rng = Random(32 + order)
+    z = TruncatedSeries.z(order)
+    for _ in range(3):
+        f = random_reversible(rng, order)
+        g = revert(f)
+        assert compose(f, g) == z
+        assert compose(g, f) == z
 
 
 # --- randomized invariants ----------------------------------------------------
