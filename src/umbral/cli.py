@@ -12,9 +12,10 @@ Umbrae are written in a small prefix grammar:
     eps | chi | bell | ubar | scalar(a) | egf(c0,c1,...)
     add(u,v) | dot(g,u) | dotscalar(a,u) | deriv(u) | inv(u) | k(g,u)
 
-with rationals as ``p`` or ``p/q``.  Exit codes: 0 success, 2 parse or
-usage errors, 3 precondition violations, 4 failed verification.  Output is
-exact in every format; identical command lines (and seeds) produce
+with rationals as ``p`` or ``p/q``, nested at most ``SPEC_DEPTH_LIMIT``
+forms deep.  Exit codes: 0 success, 2 parse or usage errors, 3
+precondition violations, 4 failed verification.  Output is exact in
+every format; identical command lines (and seeds) produce
 byte-identical output.
 """
 
@@ -27,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from . import families as fam
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .sheffer import (
     UmbraPair,
     ftra_apply,
@@ -62,6 +63,9 @@ EXIT_VERIFY = 4
 
 DEFAULT_ORDER = 12
 VERIFY_ORDER_CEILING = 12
+# far below the interpreter's recursion limit, which parsing and building
+# a spec both recurse into once per level
+SPEC_DEPTH_LIMIT = 100
 
 
 class SpecParseError(ValueError):
@@ -148,7 +152,7 @@ class _Parser:
             raise SpecParseError(f"unexpected trailing input {end[1]!r}", end[2] + 1)
         return expr
 
-    def expr(self):
+    def expr(self, depth=1):
         kind, value, at = self.take()
         if kind != "name":
             raise SpecParseError(f"expected an umbra expression, found {value!r}", at + 1)
@@ -156,6 +160,8 @@ class _Parser:
             return (value,)
         if value not in _FORMS:
             raise SpecParseError(f"unknown umbra constructor {value!r}", at + 1)
+        if depth > SPEC_DEPTH_LIMIT:
+            raise SpecParseError(f"nested more than {SPEC_DEPTH_LIMIT} forms deep", at + 1)
         self.take("(")
         if value == "egf":
             args = [self.take("rational")[1]]
@@ -171,7 +177,7 @@ class _Parser:
             if slot == "rational":
                 args.append(self.take("rational")[1])
             else:
-                args.append(self.expr())
+                args.append(self.expr(depth + 1))
         self.take(")")
         return (value, *args)
 
@@ -403,17 +409,27 @@ def cmd_sheffer(args) -> int:
     return EXIT_OK
 
 
+def _rational_option(name: str, text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise SpecParseError(f"--{name}: {exc}", 1) from exc
+
+
 def cmd_family(args) -> int:
     kind = args.kind
     nmax = args.nmax if args.nmax is not None else args.order
+    if nmax < 0:
+        raise PreconditionError("--nmax must be nonnegative")
+    lam, b, c = (_rational_option(name, getattr(args, name)) for name in ("lam", "b", "c"))
     binomial_rows = None
     if kind == "chebyshev-u":
         polys = [fam.chebyshev_u(n) for n in range(nmax + 1)]
     elif kind == "gegenbauer":
-        polys = [fam.gegenbauer(n, args.lam) for n in range(nmax + 1)]
+        polys = [fam.gegenbauer(n, lam) for n in range(nmax + 1)]
     elif kind == "meixner1":
-        polys = [fam.meixner1(n, args.b, args.c) for n in range(nmax + 1)]
-        params = fam.meixner_params(Fraction(args.b), Fraction(args.c))
+        polys = [fam.meixner1(n, b, c) for n in range(nmax + 1)]
+        params = fam.meixner_params(b, c)
         binomial_rows = [fam.binomial_basis_row(n, params) for n in range(nmax + 1)]
     elif kind == "mittag-leffler":
         polys = [fam.mittag_leffler(n) for n in range(nmax + 1)]

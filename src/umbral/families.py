@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series as ps
-from .polynomials import Polynomial, binomial_poly
+from .polynomials import Polynomial
 from .rationals import binomial, factorial
 from .series import TruncatedSeries
 
@@ -81,14 +81,16 @@ def master_polynomial(n: int, p: MasterParams) -> Polynomial:
         raise ValueError("master polynomial needs n >= 0")
     total = Polynomial()
     xpow = Polynomial.constant(1)
+    # binomial(y, k), carried along: binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
+    ybin = Polynomial.constant(1)
     for k in range(n + 1):
         top = Fraction(n - k) + p.t + k * p.q - 1
         weight = binomial(top, n - k)
         if p.y is None:
-            ybin = binomial_poly(k)
+            total = total + weight * ybin * xpow
+            ybin = ybin * Polynomial((-k, 1)) / (k + 1)
         else:
-            ybin = binomial(p.y, k)
-        total = total + weight * ybin * xpow
+            total = total + weight * binomial(p.y, k) * xpow
         xpow = xpow * p.xval
     return total * factorial(n)
 

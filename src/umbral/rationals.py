@@ -7,18 +7,22 @@ rational top argument: tops like ``n - k + t + k*q - 1`` with fractional
 ``t`` and negative integers both occur in the polynomial-family formulas.
 Integer tops, by far the common case, take an exact integer fast path.
 ``factorial`` is :func:`math.factorial`, re-exported.
+``over_common_denominator`` writes a sequence of rationals as integer
+numerators over one denominator, so sums of products (convolutions,
+matrix products) can run on Python integers with one division at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 __all__ = [
     "binomial",
     "falling_factorial",
     "factorial",
     "format_rational",
+    "over_common_denominator",
     "parse_rational",
 ]
 
@@ -51,6 +55,15 @@ def binomial(top, k: int) -> Fraction:
     if n >= 0:
         return Fraction(comb(n, k))
     return Fraction((-1) ** k * comb(k - n - 1, k))
+
+
+def over_common_denominator(values):
+    """Integers c_i and one denominator d with values[i] = c_i / d.
+
+    d is the least common multiple of the denominators of the sequence.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_rational(value) -> str:

@@ -18,6 +18,8 @@ carry their defining pair so every group operation can be verified on both
 the matrix side and the umbra side.  A product's pair (the composed pair)
 and a flavor conversion's pair are computed on first access, so matrix
 arithmetic that only reads entries never pays for pair composition.
+Matrix products multiply integer numerators over one common denominator
+per matrix, with a single division per entry.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import comb
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial
+from .rationals import factorial, over_common_denominator
 from .symbolic import UmbralSymbol, X, atom
 from .umbra import (
     Umbra,
@@ -214,16 +216,21 @@ def umbral_compose(p: UmbraPair, q: UmbraPair) -> UmbraPair:
 
 
 def _matrix_product(a, b, size):
-    rows = []
-    for n in range(size):
-        row = []
-        for k in range(size):
-            acc = Fraction(0)
-            for i in range(k, n + 1):
-                acc += a[n][i] * b[i][k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Product of two lower-triangular matrices, on integer numerators.
+
+    Each matrix is written over its own common denominator, so every
+    entry is one integer dot product and one division.
+    """
+    an, ad = over_common_denominator([v for row in a for v in row])
+    bn, bd = over_common_denominator([v for row in b for v in row])
+    den = ad * bd
+    return tuple(
+        tuple(
+            Fraction(sum(an[n * size + i] * bn[i * size + k] for i in range(k, n + 1)), den)
+            for k in range(size)
+        )
+        for n in range(size)
+    )
 
 
 def riordan_multiply(a: RiordanArray, b: RiordanArray) -> RiordanArray:

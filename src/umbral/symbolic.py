@@ -14,6 +14,13 @@ Expressions are sparse polynomials over the atoms {x, y} and any number of
 umbral symbols, with exact rational coefficients.  A second variable y is
 supported so two-variable identities can be checked as exact polynomial
 equalities rather than at sampled points.
+
+Powers are built by repeated multiplication, p^n = p^(n-1) * p, not by
+repeated squaring.  The bases here are sparse (two or three atoms, such as
+x + K + s), and for sparse polynomials each squaring multiplies two dense
+intermediate powers, so squaring costs more monomial products than the
+plain loop (R. J. Fateman, "On the computation of powers of sparse
+polynomials", Stud. Appl. Math. 53, 1974).
 """
 
 from __future__ import annotations
@@ -132,7 +139,7 @@ class UmbralPolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _merge_monomials(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return UmbralPolynomial(out)
 
     __rmul__ = __mul__
@@ -141,12 +148,8 @@ class UmbralPolynomial:
         if n < 0:
             raise ValueError("negative powers of umbral polynomials are not defined")
         result = constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):

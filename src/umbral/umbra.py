@@ -7,7 +7,8 @@ combinatorial rule on the sequences) wherever one exists, with the
 generating-function route kept alongside as an independent cross-check:
 
     add                 binomial convolution      <->  f * g
-    dot_scalar(a, u)    a-fold sum for integer a  <->  f^a
+    dot_scalar(a, u)    Miller's power recurrence on
+                        integer moment numerators <->  f^a
     dot(g, u)           --                        <->  f_g(log f_u)
     derivative_umbra    m_n -> n * m_{n-1}        <->  1 + z f(z)
     composition_umbra   double binomial sum       <->  f_g(z f_u(z))
@@ -28,10 +29,10 @@ combinatorial against their series oracles and pay one ``add`` per entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import series as ps
-from .rationals import factorial
+from .rationals import factorial, over_common_denominator
 from .series import TruncatedSeries
 
 __all__ = [
@@ -112,20 +113,14 @@ def gf(u: Umbra) -> TruncatedSeries:
     return TruncatedSeries(tuple(m / factorial(n) for n, m in enumerate(u.moments)))
 
 
-def _over_common_denominator(u: Umbra):
-    """Integers c_n and one denominator d with m_n = c_n / d."""
-    den = lcm(*(m.denominator for m in u.moments))
-    return [m.numerator * (den // m.denominator) for m in u.moments], den
-
-
 def add(u: Umbra, v: Umbra) -> Umbra:
     """Sum of two uncorrelated umbrae: binomial convolution of moments.
 
     The convolution runs on integer numerators over one common denominator.
     """
     u._check_order(v)
-    a, da = _over_common_denominator(u)
-    b, db = _over_common_denominator(v)
+    a, da = over_common_denominator(u.moments)
+    b, db = over_common_denominator(v.moments)
     return Umbra(
         Fraction(sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), da * db)
         for n in range(u.order + 1)
@@ -133,8 +128,28 @@ def add(u: Umbra, v: Umbra) -> Umbra:
 
 
 def dot_scalar(a, u: Umbra) -> Umbra:
-    """The umbra a.u with generating function f_u(z)^a, any rational a."""
-    return from_series(ps.power(gf(u), Fraction(a)))
+    """The umbra a.u with generating function f_u(z)^a, any rational a.
+
+    J.C.P. Miller's power recurrence, written on moments:
+    n*mu_n = sum_{k=1..n} ((a+1)k - n) * C(n,k) * m_k * mu_{n-k}.
+    With a = p/q and m_k = c_k/d over one common denominator d, the
+    scaled moments M_n = mu_n * (q d)^n are integers and satisfy
+    n*q*M_n = sum_k ((p+q)k - q n) * C(n,k) * c_k * q^k * d^(k-1) * M_{n-k},
+    so the whole recurrence runs on integers with exact divisions.
+    """
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    c, d = over_common_denominator(u.moments)
+    weights = [0] + [c[k] * q**k * d ** (k - 1) for k in range(1, u.order + 1)]
+    scaled = [1]
+    for n in range(1, u.order + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            if weights[k]:
+                acc += ((p + q) * k - q * n) * comb(n, k) * weights[k] * scaled[n - k]
+        scaled.append(acc // (n * q))
+    scale = q * d
+    return Umbra(Fraction(m, scale**n) for n, m in enumerate(scaled))
 
 
 def dot(g: Umbra, u: Umbra) -> Umbra:

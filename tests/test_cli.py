@@ -56,6 +56,16 @@ def test_parse_errors_carry_position():
         cli.parse_umbra_spec("chi extra")
 
 
+def test_parse_rejects_deep_nesting(capsys):
+    depth = cli.SPEC_DEPTH_LIMIT
+    deepest = "deriv(" * depth + "eps" + ")" * depth
+    assert cli.spec_to_text(cli.parse_umbra_spec(deepest)) == deepest
+    code, out, err = run_cli(["umbra", "deriv(" * 3000 + "eps" + ")" * 3000], capsys)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err == f"error: parse error at position {6 * depth + 1}: nested more than {depth} forms deep\n"
+
+
 def test_build_umbra_matches_library():
     ast = cli.parse_umbra_spec("dot(chi,bell)")
     assert cli.build_umbra(ast, 4) == dot(singleton(4), bell(4))
@@ -224,6 +234,31 @@ def test_family_meixner_invalid_c(capsys):
     code, _, err = run_cli(["family", "meixner1", "--b", "1", "--c", "1"], capsys)
     assert code == cli.EXIT_PRECONDITION
     assert "c" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["meixner1", "--b", "1/0"],
+        ["meixner1", "--c", "1/0"],
+        ["meixner1", "--b", "half"],
+        ["gegenbauer", "--lam", "1/0"],
+        ["chebyshev-u", "--lam", "1/0"],
+    ],
+)
+def test_family_bad_rational_option(capsys, argv):
+    code, out, err = run_cli(["family", *argv, "--nmax", "2"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: parse error at position 1: {argv[1]}: ")
+    assert err.count("\n") == 1
+
+
+def test_family_negative_nmax(capsys):
+    code, out, err = run_cli(["family", "chebyshev-u", "--nmax", "-3"], capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == "error: --nmax must be nonnegative\n"
 
 
 # --- verify command ---------------------------------------------------------------

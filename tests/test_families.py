@@ -221,3 +221,45 @@ def test_binomial_basis_row_requires_indeterminate_slot():
 def test_gf_oracle_unknown_family():
     with pytest.raises(ValueError):
         gf_oracle("hermite", 3)
+
+
+# --- third oracle: sympy ----------------------------------------------------------------
+
+
+def _sympy_rows(x, rows):
+    """Exact Polynomial coefficients of sympy polynomials in x, one per row."""
+    import sympy
+
+    out = []
+    for row in rows:
+        coeffs = sympy.Poly(sympy.expand(row), x).all_coeffs()[::-1]
+        out.append(Polynomial(F(int(c.p), int(c.q)) for c in coeffs))
+    return out
+
+
+def test_orthogonal_families_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    degrees = range(11)
+    assert [chebyshev_u(n) for n in degrees] == _sympy_rows(
+        x, [sympy.chebyshevu(n, x) for n in degrees]
+    )
+    assert [gegenbauer(n, F(3, 2)) for n in degrees] == _sympy_rows(
+        x, [sympy.gegenbauer(n, sympy.Rational(3, 2), x) for n in degrees]
+    )
+
+
+def test_egf_families_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+    top = 10
+    ratio = ((1 + z) / (1 - z)) ** x
+    meixner_gf = (1 - z) ** sympy.Rational(-1, 2) * ((1 - z / 3) / (1 - z)) ** x
+    for egf, family in (
+        (ratio, mittag_leffler),
+        (ratio / (1 - z), pidduck),
+        (meixner_gf, lambda n: meixner1(n, F(1, 2), 3)),
+    ):
+        expansion = sympy.series(egf, z, 0, top + 1).removeO()
+        rows = [expansion.coeff(z, n) * sympy.factorial(n) for n in range(top + 1)]
+        assert [family(n) for n in range(top + 1)] == _sympy_rows(x, rows)

@@ -1,7 +1,9 @@
 """Property-based laws on generated umbrae and series, orders 0 and up."""
 
 from fractions import Fraction
+from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,8 @@ from umbral.sheffer import (
     riordan_multiply,
     umbral_compose,
 )
-from umbral.umbra import Umbra, add, augmentation, dot_scalar
+from umbral.symbolic import UmbralPolynomial, UmbralSymbol, X, Y, atom
+from umbral.umbra import Umbra, add, augmentation, dot_scalar, from_series, gf
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 exponents = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -60,6 +63,27 @@ def test_integer_dot_is_iterated_sum(us, k):
 def test_dot_scalar_multiplicative(us, a, b):
     (u,) = us
     assert dot_scalar(a, dot_scalar(b, u)) == dot_scalar(a * b, u)
+
+
+@laws
+@given(umbra_lists(1, 8), exponents)
+def test_dot_scalar_matches_exp_log(us, a):
+    # the series exp/log route shares nothing with the moment recurrence
+    (u,) = us
+    assert dot_scalar(a, u) == from_series(exp(log(gf(u)) * a))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_sparse_power_is_multinomial_sum(n):
+    # the sum is built term by term, with no polynomial product
+    s = UmbralSymbol(augmentation(0))
+    terms = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            k = n - i - j
+            monomial = tuple((a, e) for a, e in ((X, i), (Y, j), (s, k)) if e)
+            terms[monomial] = Fraction(factorial(n), factorial(i) * factorial(j) * factorial(k))
+    assert (atom(X) + atom(Y) + atom(s)) ** n == UmbralPolynomial(terms)
 
 
 @laws
