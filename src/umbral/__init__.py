@@ -41,8 +41,6 @@ from .symbolic import (
     abel_expression,
     atom,
     constant,
-    evaluate,
-    formal_derivative,
 )
 from .sheffer import (
     RiordanArray,

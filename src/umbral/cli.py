@@ -319,29 +319,28 @@ def render_matrix(array, fmt: str, note: str = ""):
             print(note)
 
 
-def render_polys(polys, fmt: str, label: str, extra_rows=None, extra_label: str = ""):
+def render_polys(polys, fmt: str, label: str, basis_rows=None):
     rows = [[format_rational(c) for c in p.coeffs] if not p.is_zero() else ["0"] for p in polys]
+    basis = None if basis_rows is None else _rows_to_strings(basis_rows)
     if fmt == "json":
         payload = {"label": label, "polys": rows}
-        if extra_rows is not None:
-            payload[extra_label] = [[format_rational(c) for c in row] for row in extra_rows]
+        if basis is not None:
+            payload["binomial-basis"] = basis
         _print_json(payload)
     elif fmt == "csv":
-        if extra_rows is None:
+        if basis is None:
             _emit_csv(rows)
         else:
             _emit_csv([["monomial"] + row for row in rows])
-            _emit_csv(
-                [["binomial-basis"] + [format_rational(c) for c in row] for row in extra_rows]
-            )
+            _emit_csv([["binomial-basis"] + row for row in basis])
     else:
         print(label)
         for n, p in enumerate(polys):
             print(f"  n={n}:  {p.pretty()}")
-        if extra_rows is not None:
-            print(f"{extra_label} rows (coefficient of binomial(x,k), k = 0..n)")
-            for n, row in enumerate(extra_rows):
-                print(f"  n={n}:  " + ", ".join(format_rational(c) for c in row))
+        if basis is not None:
+            print("binomial-basis rows (coefficient of binomial(x,k), k = 0..n)")
+            for n, row in enumerate(basis):
+                print(f"  n={n}:  " + ", ".join(row))
 
 
 # ---------------------------------------------------------------------------
@@ -417,39 +416,12 @@ def _rational_option(name: str, text: str) -> Fraction:
 
 
 def cmd_family(args) -> int:
-    kind = args.kind
     nmax = args.nmax if args.nmax is not None else args.order
     if nmax < 0:
         raise PreconditionError("--nmax must be nonnegative")
-    lam, b, c = (_rational_option(name, getattr(args, name)) for name in ("lam", "b", "c"))
-    binomial_rows = None
-    if kind == "chebyshev-u":
-        polys = [fam.chebyshev_u(n) for n in range(nmax + 1)]
-    elif kind == "gegenbauer":
-        polys = [fam.gegenbauer(n, lam) for n in range(nmax + 1)]
-    elif kind == "meixner1":
-        polys = [fam.meixner1(n, b, c) for n in range(nmax + 1)]
-        params = fam.meixner_params(b, c)
-        binomial_rows = [fam.binomial_basis_row(n, params) for n in range(nmax + 1)]
-    elif kind == "mittag-leffler":
-        polys = [fam.mittag_leffler(n) for n in range(nmax + 1)]
-        binomial_rows = [
-            fam.binomial_basis_row(n, fam.mittag_leffler_params()) for n in range(nmax + 1)
-        ]
-    elif kind == "pidduck":
-        polys = [fam.pidduck(n) for n in range(nmax + 1)]
-        binomial_rows = [
-            fam.binomial_basis_row(n, fam.pidduck_params()) for n in range(nmax + 1)
-        ]
-    else:
-        raise SpecParseError(f"unknown family {kind!r}", 1)
-    render_polys(
-        polys,
-        args.format,
-        f"{kind} polynomials",
-        extra_rows=binomial_rows,
-        extra_label="binomial-basis",
-    )
+    options = {name: _rational_option(name, getattr(args, name)) for name in ("lam", "b", "c")}
+    polys, basis_rows = fam.family_table(args.kind, nmax, **options)
+    render_polys(polys, args.format, f"{args.kind} polynomials", basis_rows)
     return EXIT_OK
 
 
@@ -537,7 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # riordan's action may follow an option: "riordan G A --order 3 inverse"
+    args, extra = parser.parse_known_args(argv)
+    if extra and args.command == "riordan" and not any(a.startswith("-") for a in extra):
+        args.action = args.action + extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.order < 0:
         print("error: --order must be nonnegative", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -13,6 +13,11 @@ classical families are specializations of the slots (x, y; q, t):
     Mittag-Leffler  (2, x;       1, 0)       egf ((1+z)/(1-z))^x
     Pidduck         (2, x;       1, 1)       egf (1-z)^(-1) ((1+z)/(1-z))^x
 
+``FAMILIES`` is the one place that knows them: name -> validated slot
+builder, the family's own generating function (to the given order), and
+whether it is ordinary-normalized (rows drop the n! of P_n).  The CLI,
+the verify suite and the named functions all go through it.
+
 Every family is validated two ways: the explicit sum above, and an
 independent expansion of its own generating function as a series in z
 whose coefficients are exact polynomials in x.  Where y sits in the second
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import series as ps
 from .polynomials import Polynomial
@@ -40,16 +46,17 @@ __all__ = [
     "master_polynomial",
     "master_gf_polynomial",
     "binomial_basis_row",
+    "FAMILIES",
+    "FAMILY_NAMES",
+    "family_polynomial",
+    "family_table",
+    "gf_oracle",
     "chebyshev_u",
     "gegenbauer",
     "meixner1",
     "mittag_leffler",
     "pidduck",
-    "gf_oracle",
-    "FAMILY_NAMES",
 ]
-
-FAMILY_NAMES = ("chebyshev-u", "gegenbauer", "meixner1", "mittag-leffler", "pidduck")
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,11 @@ class MasterParams:
         return cls(xval, y, Fraction(q), Fraction(t))
 
 
+def _master_weight(n: int, k: int, p: MasterParams) -> Fraction:
+    """n! binomial(n-k+t+kq-1, n-k), the weight of binomial(y, k) x^k in P_n."""
+    return factorial(n) * binomial(Fraction(n - k) + p.t + k * p.q - 1, n - k)
+
+
 def master_polynomial(n: int, p: MasterParams) -> Polynomial:
     """The explicit sum, exact, including the n! normalization."""
     if n < 0:
@@ -84,32 +96,23 @@ def master_polynomial(n: int, p: MasterParams) -> Polynomial:
     # binomial(y, k), carried along: binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
     ybin = Polynomial.constant(1)
     for k in range(n + 1):
-        top = Fraction(n - k) + p.t + k * p.q - 1
-        weight = binomial(top, n - k)
+        weight = _master_weight(n, k, p)
         if p.y is None:
             total = total + weight * ybin * xpow
             ybin = ybin * Polynomial((-k, 1)) / (k + 1)
         else:
             total = total + weight * binomial(p.y, k) * xpow
         xpow = xpow * p.xval
-    return total * factorial(n)
-
-
-def master_gf_series(p: MasterParams, order: int) -> TruncatedSeries:
-    """(1-z)^(-t) (1 + xval*z/(1-z)^q)^y expanded with x carried exactly."""
-    one_minus_z = _linear(1, -1, order)
-    front = ps.power(one_minus_z, -p.t)
-    inner = ps.power(one_minus_z, -p.q).shift_up() * p.xval + 1
-    exponent = Polynomial.x() if p.y is None else p.y
-    return ps.multiply(front, ps.power(inner, exponent))
+    return total
 
 
 def master_gf_polynomial(n: int, p: MasterParams) -> Polynomial:
-    """Generating-function route for the master polynomial: n! [z^n]."""
-    coeff = master_gf_series(p, n)[n]
-    if not isinstance(coeff, Polynomial):
-        coeff = Polynomial.constant(coeff)
-    return coeff * factorial(n)
+    """Generating-function route for the master polynomial: n! [z^n] of
+    (1-z)^(-t) (1 + xval*z/(1-z)^q)^y, expanded with x carried exactly."""
+    inner = _pole(n, p.q).shift_up() * p.xval + 1
+    exponent = Polynomial.x() if p.y is None else p.y
+    series = ps.multiply(_pole(n, p.t), ps.power(inner, exponent))
+    return _as_polynomial(series[n]) * factorial(n)
 
 
 def binomial_basis_row(n: int, p: MasterParams) -> list:
@@ -119,10 +122,7 @@ def binomial_basis_row(n: int, p: MasterParams) -> list:
     if p.xval.degree > 0:
         raise ValueError("binomial-basis coefficients need a constant first slot")
     xconst = p.xval.coeff(0)
-    return [
-        factorial(n) * binomial(Fraction(n - k) + p.t + k * p.q - 1, n - k) * xconst**k
-        for k in range(n + 1)
-    ]
+    return [_master_weight(n, k, p) * xconst**k for k in range(n + 1)]
 
 
 def chebyshev_params() -> MasterParams:
@@ -147,39 +147,13 @@ def pidduck_params() -> MasterParams:
     return MasterParams.of(2, None, 1, 1)
 
 
-def chebyshev_u(n: int) -> Polynomial:
-    """Tchebychev polynomial of the second kind, ordinary normalization."""
-    return master_polynomial(n, chebyshev_params()) / factorial(n)
-
-
-def gegenbauer(n: int, lam) -> Polynomial:
-    """Gegenbauer polynomial with parameter lam, ordinary normalization."""
-    return master_polynomial(n, gegenbauer_params(lam)) / factorial(n)
-
-
-def _check_meixner_parameters(b, c):
+def _check_meixner(b, c):
     b, c = Fraction(b), Fraction(c)
     if c in (0, 1):
         raise ValueError(f"Meixner parameter c must avoid 0 and 1, got {c}")
     if b.denominator == 1 and b <= 0:
         raise ValueError(f"Meixner parameter b must avoid 0, -1, -2, ..., got {b}")
     return b, c
-
-
-def meixner1(n: int, b, c) -> Polynomial:
-    """Meixner polynomial of the first kind, egf normalization."""
-    b, c = _check_meixner_parameters(b, c)
-    return master_polynomial(n, meixner_params(b, c))
-
-
-def mittag_leffler(n: int) -> Polynomial:
-    """Mittag-Leffler polynomial, egf normalization."""
-    return master_polynomial(n, mittag_leffler_params())
-
-
-def pidduck(n: int) -> Polynomial:
-    """Pidduck polynomial, egf normalization."""
-    return master_polynomial(n, pidduck_params())
 
 
 def _linear(c0, c1, order: int) -> TruncatedSeries:
@@ -189,16 +163,83 @@ def _linear(c0, c1, order: int) -> TruncatedSeries:
     return TruncatedSeries((c0, c1) + (0,) * (order - 1))
 
 
+def _pole(order: int, t) -> TruncatedSeries:
+    """(1-z)^(-t)."""
+    return ps.power(_linear(1, -1, order), -t)
+
+
 def _chebyshev_kernel(order: int, lam) -> TruncatedSeries:
+    """(1 - 2xz + z^2)^(-lam)."""
     coeffs = [Polynomial((1,)), Polynomial((0, -2)), Polynomial((1,))][: order + 1]
     coeffs += [Polynomial()] * (order + 1 - len(coeffs))
     return ps.power(TruncatedSeries(coeffs), -Fraction(lam))
 
 
-def _ratio_power_x(order: int, top: TruncatedSeries) -> TruncatedSeries:
-    """(top/(1-z))^x as a polynomial-coefficient series."""
-    ratio = ps.multiply(top, ps.power(_linear(1, -1, order), -1))
+def _ratio_power_x(order: int, c1) -> TruncatedSeries:
+    """((1 + c1*z)/(1-z))^x as a polynomial-coefficient series."""
+    ratio = ps.multiply(_linear(1, c1, order), _pole(order, 1))
     return ps.exp(ps.log(ratio) * Polynomial.x())
+
+
+def _meixner_gf(order: int, b, c) -> TruncatedSeries:
+    b, c = _check_meixner(b, c)
+    return ps.multiply(_pole(order, b), _ratio_power_x(order, -1 / c))
+
+
+def _as_polynomial(coeff) -> Polynomial:
+    return coeff if isinstance(coeff, Polynomial) else Polynomial.constant(coeff)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A registry entry; ``options`` names the keywords ``params`` and ``gf`` take."""
+
+    params: Callable[..., MasterParams]
+    gf: Callable[..., TruncatedSeries]
+    ordinary: bool
+    options: tuple[str, ...] = ()
+
+
+FAMILIES = {
+    "chebyshev-u": Family(chebyshev_params, lambda order: _chebyshev_kernel(order, 1), True),
+    "gegenbauer": Family(gegenbauer_params, _chebyshev_kernel, True, ("lam",)),
+    "meixner1": Family(
+        lambda b, c: meixner_params(*_check_meixner(b, c)), _meixner_gf, False, ("b", "c")
+    ),
+    "mittag-leffler": Family(mittag_leffler_params, lambda order: _ratio_power_x(order, 1), False),
+    "pidduck": Family(
+        pidduck_params, lambda order: ps.multiply(_pole(order, 1), _ratio_power_x(order, 1)), False
+    ),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def _lookup(kind: str, supplied: dict) -> tuple[Family, dict]:
+    """The registered family and the options it takes, picked from ``supplied``."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family: {kind!r}")
+    family = FAMILIES[kind]
+    options = {name: supplied.get(name) for name in family.options}
+    if None in options.values():
+        raise ValueError(f"{kind} needs the parameters {', '.join(family.options)}")
+    return family, options
+
+
+def family_polynomial(kind: str, n: int, **options) -> Polynomial:
+    """Explicit route: the master sum at the family's slots, normalized."""
+    family, options = _lookup(kind, options)
+    total = master_polynomial(n, family.params(**options))
+    return total / factorial(n) if family.ordinary else total
+
+
+def family_table(kind: str, nmax: int, **options):
+    """Rows 0..nmax by the explicit route, and their coefficients on
+    binomial(x, k) when the second slot is the indeterminate (else None)."""
+    family, options = _lookup(kind, options)
+    p = family.params(**options)
+    polys = [family_polynomial(kind, n, **options) for n in range(nmax + 1)]
+    return polys, [binomial_basis_row(n, p) for n in range(nmax + 1)] if p.y is None else None
 
 
 def gf_oracle(kind: str, n: int, lam=None, b=None, c=None) -> Polynomial:
@@ -208,28 +249,31 @@ def gf_oracle(kind: str, n: int, lam=None, b=None, c=None) -> Polynomial:
     for the egf-normalized families).  Shares nothing with the explicit
     sums above except the series engine.
     """
-    if kind == "chebyshev-u":
-        coeff = _chebyshev_kernel(n, 1)[n]
-        scale = 1
-    elif kind == "gegenbauer":
-        if lam is None:
-            raise ValueError("gegenbauer needs the lam parameter")
-        coeff = _chebyshev_kernel(n, lam)[n]
-        scale = 1
-    elif kind == "meixner1":
-        b, c = _check_meixner_parameters(b, c)
-        ratio_x = _ratio_power_x(n, _linear(1, -Fraction(1, c), n))
-        coeff = ps.multiply(ps.power(_linear(1, -1, n), -b), ratio_x)[n]
-        scale = factorial(n)
-    elif kind == "mittag-leffler":
-        coeff = _ratio_power_x(n, _linear(1, 1, n))[n]
-        scale = factorial(n)
-    elif kind == "pidduck":
-        series = ps.multiply(ps.power(_linear(1, -1, n), -1), _ratio_power_x(n, _linear(1, 1, n)))
-        coeff = series[n]
-        scale = factorial(n)
-    else:
-        raise ValueError(f"unknown family: {kind!r}")
-    if not isinstance(coeff, Polynomial):
-        coeff = Polynomial.constant(coeff)
-    return coeff * scale
+    family, options = _lookup(kind, {"lam": lam, "b": b, "c": c})
+    coeff = _as_polynomial(family.gf(n, **options)[n])
+    return coeff if family.ordinary else coeff * factorial(n)
+
+
+def chebyshev_u(n: int) -> Polynomial:
+    """Tchebychev polynomial of the second kind, ordinary normalization."""
+    return family_polynomial("chebyshev-u", n)
+
+
+def gegenbauer(n: int, lam) -> Polynomial:
+    """Gegenbauer polynomial with parameter lam, ordinary normalization."""
+    return family_polynomial("gegenbauer", n, lam=lam)
+
+
+def meixner1(n: int, b, c) -> Polynomial:
+    """Meixner polynomial of the first kind, egf normalization."""
+    return family_polynomial("meixner1", n, b=b, c=c)
+
+
+def mittag_leffler(n: int) -> Polynomial:
+    """Mittag-Leffler polynomial, egf normalization."""
+    return family_polynomial("mittag-leffler", n)
+
+
+def pidduck(n: int) -> Polynomial:
+    """Pidduck polynomial, egf normalization."""
+    return family_polynomial("pidduck", n)

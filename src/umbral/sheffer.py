@@ -31,7 +31,7 @@ from math import comb
 from . import series as ps
 from .polynomials import Polynomial
 from .rationals import factorial, over_common_denominator
-from .symbolic import UmbralSymbol, X, atom
+from .symbolic import UmbralSymbol, X, abel_expression, atom
 from .umbra import (
     Umbra,
     add,
@@ -166,12 +166,10 @@ def abel_representation(pair: UmbraPair) -> ShefferSequence:
     """
     kga = k_umbra(pair.gamma, pair.alpha)
     kaa = k_umbra(pair.alpha, pair.alpha)
-    polys = [Polynomial((1,))]
-    for n in range(1, pair.order + 1):
+    polys = []
+    for n in range(pair.order + 1):
         base = atom(X) + atom(UmbralSymbol(kga, label="K"))
-        shift = atom(UmbralSymbol(dot_scalar(n, kaa), label=f"{n}.Ka"))
-        expr = (base * (base + shift) ** (n - 1)).evaluate()
-        polys.append(expr.to_univariate(X))
+        polys.append(abel_expression(n, base, kaa).evaluate().to_univariate(X))
     return ShefferSequence(pair, tuple(polys))
 
 

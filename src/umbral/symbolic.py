@@ -39,8 +39,7 @@ __all__ = [
     "UmbralPolynomial",
     "atom",
     "constant",
-    "evaluate",
-    "formal_derivative",
+    "substitute",
     "abel",
     "abel_expression",
 ]
@@ -205,12 +204,6 @@ class UmbralPolynomial:
                     break
         return UmbralPolynomial(out)
 
-    def is_pure(self) -> bool:
-        """True when no umbral symbols remain (a plain polynomial in x, y)."""
-        return all(
-            isinstance(a, FormalVariable) for m in self.terms for a, _ in m
-        )
-
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -255,12 +248,20 @@ def constant(c) -> UmbralPolynomial:
     return UmbralPolynomial({(): Fraction(c)})
 
 
-def evaluate(p: UmbralPolynomial) -> UmbralPolynomial:
-    return p.evaluate()
+def substitute(poly: Polynomial, arg) -> UmbralPolynomial:
+    """poly(arg) for an umbral polynomial, variable or symbol ``arg``.
 
-
-def formal_derivative(p: UmbralPolynomial, wrt) -> UmbralPolynomial:
-    return p.formal_derivative(wrt)
+    Sums c_k arg^k rather than nesting Horner-style: for arg = x + y the
+    power has k + 1 monomials, a Horner partial sum (k+1)(k+2)/2.
+    """
+    result = constant(0)
+    power = constant(1)
+    for k, c in enumerate(poly.coeffs):
+        if k:
+            power = power * arg
+        if c != 0:
+            result = result + power * c
+    return result
 
 
 def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomial:

@@ -33,7 +33,7 @@ from .sheffer import (
     sheffer_sequence,
     umbral_compose,
 )
-from .symbolic import UmbralPolynomial, UmbralSymbol, X, Y, abel_expression, atom, constant
+from .symbolic import UmbralSymbol, X, Y, abel, abel_expression, atom, constant, substitute
 from .umbra import (
     Umbra,
     add,
@@ -52,7 +52,14 @@ from .umbra import (
     singleton,
 )
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_suites", "random_umbra"]
+__all__ = [
+    "CheckResult",
+    "SUITE_NAMES",
+    "run_suite",
+    "run_suites",
+    "random_umbra",
+    "sheffer_identity_failure",
+]
 
 SUITE_NAMES = ("abel", "lif", "duality", "sheffer", "riordan-group", "families")
 
@@ -95,28 +102,18 @@ def _fmt(u: Umbra) -> str:
     return "[" + ", ".join(str(m) for m in u.moments) + "]"
 
 
-def _abel_factor(g: Umbra, u: Umbra, k: int) -> Fraction:
-    """E[g (g - k.u)^(k-1)], the Abel-type weight; 1 when k = 0."""
-    if k == 0:
-        return Fraction(1)
-    gs = atom(UmbralSymbol(g))
-    shift = atom(UmbralSymbol(dot_scalar(-k, u)))
-    return (gs * (gs + shift) ** (k - 1)).evaluate().constant_value()
-
-
-def _subst(poly: Polynomial, arg: UmbralPolynomial) -> UmbralPolynomial:
-    """poly evaluated at an umbral-polynomial argument."""
-    result = constant(0)
-    power = constant(1)
-    for c in poly.coeffs:
-        if c != 0:
-            result = result + power * c
-        power = power * arg
-    return result
-
-
-def _lift(poly: Polynomial, var) -> UmbralPolynomial:
-    return _subst(poly, atom(var))
+def sheffer_identity_failure(polys, assoc, n_max: int):
+    """First n <= n_max where s_n(x + y) != sum_k C(n,k) p_k(x) s_{n-k}(y), else None,
+    for a Sheffer sequence ``polys`` (s_n) and its associated sequence ``assoc`` (p_k)."""
+    px = [substitute(p, X) for p in assoc[: n_max + 1]]
+    sy = [substitute(p, Y) for p in polys[: n_max + 1]]
+    for n in range(n_max + 1):
+        rhs = constant(0)
+        for k in range(n + 1):
+            rhs = rhs + binomial(n, k) * px[k] * sy[n - k]
+        if substitute(polys[n], atom(X) + atom(Y)) != rhs:
+            return n
+    return None
 
 
 def suite_abel(order: int = 10, seed: int = 0, trials: int = 25) -> list[CheckResult]:
@@ -129,7 +126,9 @@ def suite_abel(order: int = 10, seed: int = 0, trials: int = 25) -> list[CheckRe
         g = random_umbra(rng, order)
         d = random_umbra(rng, order)
         shifted = [add(d, dot_scalar(k, a)) for k in range(order + 1)]
-        factors = [_abel_factor(g, a, k) for k in range(order + 1)]
+        # Abel weights E[g (g - k.a)^(k-1)], the Abel polynomials of -1.a at g
+        neg_a = dot_scalar(-1, a)
+        factors = [abel(k, UmbralSymbol(g), neg_a) for k in range(order + 1)]
         lhs_umbra = add(d, g)
         for n in range(order + 1):
             lhs = lhs_umbra.moment(n)
@@ -155,15 +154,17 @@ def suite_abel(order: int = 10, seed: int = 0, trials: int = 25) -> list[CheckRe
     a = random_umbra(rng_q, order)
     g = random_umbra(rng_q, order)
     d = random_umbra(rng_q, order)
-    factors = [_abel_factor(g, a, k) for k in range(order + 1)]
+    neg_a = dot_scalar(-1, a)
+    factors = [abel(k, UmbralSymbol(g), neg_a) for k in range(order + 1)]
     for qi, q in enumerate(polys):
         deg = q.degree
-        lhs = _subst(q, atom(UmbralSymbol(d)) + atom(UmbralSymbol(g))).evaluate().constant_value()
+        d_plus_g = atom(UmbralSymbol(d)) + atom(UmbralSymbol(g))
+        lhs = substitute(q, d_plus_g).evaluate().constant_value()
         rhs = Fraction(0)
         deriv = q
         for k in range(deg + 1):
             arg = atom(UmbralSymbol(d)) + atom(UmbralSymbol(dot_scalar(k, a)))
-            value = _subst(deriv, arg).evaluate().constant_value()
+            value = substitute(deriv, arg).evaluate().constant_value()
             rhs += value * factors[k] / factorial(k)
             deriv = deriv.derivative()
         rec.check(
@@ -354,30 +355,20 @@ def suite_sheffer(order: int = 12, seed: int = 0, trials: int = 10) -> list[Chec
 
         # Sheffer identity: s_n(x+y) = sum C(n,k) p_k(x) s_{n-k}(y), with
         # (p_k) the associated sequence of the same alpha
-        assoc = sheffer_sequence(UmbraPair(augmentation(order), pair.alpha))
-        for n in range(min(order, 8) + 1):
-            lhs = _subst(seq.polys[n], atom(X) + atom(Y))
-            rhs = constant(0)
-            for k in range(n + 1):
-                rhs = rhs + binomial(n, k) * _lift(assoc.polys[k], X) * _lift(
-                    seq.polys[n - k], Y
-                )
-            rec.check(
-                "sheffer-identity",
-                lhs == rhs,
-                f"trial={trial} n={n} gamma={_fmt(pair.gamma)} alpha={_fmt(pair.alpha)}",
-            )
-            lhs_b = _subst(assoc.polys[n], atom(X) + atom(Y))
-            rhs_b = constant(0)
-            for k in range(n + 1):
-                rhs_b = rhs_b + binomial(n, k) * _lift(assoc.polys[k], X) * _lift(
-                    assoc.polys[n - k], Y
-                )
-            rec.check(
-                "binomial-identity",
-                lhs_b == rhs_b,
-                f"trial={trial} n={n} alpha={_fmt(pair.alpha)}",
-            )
+        assoc = sheffer_sequence(UmbraPair(augmentation(order), pair.alpha)).polys
+        n_max = min(order, 8)
+        bad = sheffer_identity_failure(seq.polys, assoc, n_max)
+        rec.check(
+            "sheffer-identity",
+            bad is None,
+            f"trial={trial} n={bad} gamma={_fmt(pair.gamma)} alpha={_fmt(pair.alpha)}",
+        )
+        bad = sheffer_identity_failure(assoc, assoc, n_max)
+        rec.check(
+            "binomial-identity",
+            bad is None,
+            f"trial={trial} n={bad} alpha={_fmt(pair.alpha)}",
+        )
 
     return rec.results
 
@@ -505,24 +496,12 @@ def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[Chec
     rec = _Recorder()
     n_max = order
 
-    oracles = {
-        "chebyshev-u": lambda n: fam.gf_oracle("chebyshev-u", n),
-        "gegenbauer": lambda n: fam.gf_oracle("gegenbauer", n, lam=Fraction(3, 2)),
-        "meixner1": lambda n: fam.gf_oracle("meixner1", n, b=Fraction(1, 2), c=3),
-        "mittag-leffler": lambda n: fam.gf_oracle("mittag-leffler", n),
-        "pidduck": lambda n: fam.gf_oracle("pidduck", n),
-    }
-    explicit = {
-        "chebyshev-u": lambda n: fam.chebyshev_u(n),
-        "gegenbauer": lambda n: fam.gegenbauer(n, Fraction(3, 2)),
-        "meixner1": lambda n: fam.meixner1(n, Fraction(1, 2), 3),
-        "mittag-leffler": lambda n: fam.mittag_leffler(n),
-        "pidduck": lambda n: fam.pidduck(n),
-    }
+    # each family takes the options it names and ignores the rest
+    options = {"lam": Fraction(3, 2), "b": Fraction(1, 2), "c": Fraction(3)}
     for kind in fam.FAMILY_NAMES:
         for n in range(n_max + 1):
-            lhs = explicit[kind](n)
-            rhs = oracles[kind](n)
+            lhs = fam.family_polynomial(kind, n, **options)
+            rhs = fam.gf_oracle(kind, n, **options)
             rec.check(
                 f"explicit-vs-gf:{kind}",
                 lhs == rhs,

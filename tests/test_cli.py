@@ -182,6 +182,34 @@ def test_riordan_multiply(capsys):
     assert entries[3] == ["8", "12", "6", "1"]
 
 
+@pytest.mark.parametrize(
+    "action",
+    [["inverse"], ["multiply", "chi", "bell"], ["apply", "bell"]],
+)
+def test_riordan_action_after_options(capsys, action):
+    options = ["--order", "3", "--format", "json"]
+    code, before, _ = run_cli(["riordan", "scalar(1)", "eps", *action, *options], capsys)
+    assert code == 0
+    assert run_cli(["riordan", "scalar(1)", "eps", *options, *action], capsys) == (0, before, "")
+    split = [action[0], "--order", "3", *action[1:], "--format", "json"]
+    assert run_cli(["riordan", "scalar(1)", "eps", *split], capsys) == (0, before, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["riordan", "chi", "chi", "--order", "3", "--bogus"],
+        ["riordan", "chi", "chi", "--order", "3", "inverse", "--bogus"],
+        ["umbra", "chi", "--order", "3", "extra"],
+    ],
+)
+def test_leftover_arguments_still_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_riordan_bad_action(capsys):
     code, _, err = run_cli(["riordan", "eps", "eps", "transpose"], capsys)
     assert code == cli.EXIT_PARSE

@@ -1,12 +1,15 @@
-"""Property-based laws on generated umbrae and series, orders 0 and up."""
+"""Property-based laws on generated umbrae and series, orders 0 and up, on
+the umbra-spec parser, and on every registered polynomial family."""
 
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from umbral import cli
+from umbral.families import FAMILY_NAMES, family_polynomial, gf_oracle
 from umbral.polynomials import Polynomial
 from umbral.series import TruncatedSeries, exp, log, power
 from umbral.sheffer import (
@@ -17,8 +20,8 @@ from umbral.sheffer import (
     riordan_multiply,
     umbral_compose,
 )
-from umbral.symbolic import UmbralPolynomial, UmbralSymbol, X, Y, atom
-from umbral.umbra import Umbra, add, augmentation, dot_scalar, from_series, gf
+from umbral.symbolic import UmbralPolynomial, UmbralSymbol, X, Y, abel, atom
+from umbral.umbra import Umbra, add, augmentation, dot_scalar, from_series, gf, k_umbra
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 exponents = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -73,6 +76,16 @@ def test_dot_scalar_matches_exp_log(us, a):
     assert dot_scalar(a, u) == from_series(exp(log(gf(u)) * a))
 
 
+@laws
+@given(umbra_lists(2, 6))
+def test_abel_weights_are_k_umbra_moments(us):
+    # E[g (g - n.u)^(n-1)] by symbolic evaluation against the moment expansion
+    g, u = us
+    neg_u = dot_scalar(-1, u)
+    weights = tuple(abel(n, UmbralSymbol(g), neg_u) for n in range(u.order + 1))
+    assert weights == k_umbra(g, u).moments
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_sparse_power_is_multinomial_sum(n):
     # the sum is built term by term, with no polynomial product
@@ -118,3 +131,60 @@ def test_product_pair_is_composed_pair(us):
     inverse = riordan_inverse(product)
     assert riordan_multiply(product, inverse).entries == identity.entries
     assert riordan_multiply(inverse, product).entries == identity.entries
+
+
+# --- the umbra-spec parser -----------------------------------------------------
+
+spec_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+spec_trees = st.recursive(
+    st.sampled_from(("eps", "chi", "bell", "ubar")).map(lambda name: (name,))
+    | spec_rationals.map(lambda a: ("scalar", a))
+    | st.lists(spec_rationals, min_size=1, max_size=4).map(lambda cs: ("egf", tuple(cs))),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("add", "dot", "k")), inner, inner),
+        st.tuples(st.just("dotscalar"), spec_rationals, inner),
+        st.tuples(st.sampled_from(("deriv", "inv")), inner),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mangled_specs(draw):
+    """A valid spec with a few short spans replaced, so parses fail deep inside."""
+    text = cli.spec_to_text(draw(spec_trees))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        j = draw(st.integers(min_value=i, max_value=min(len(text), i + 3)))
+        text = text[:i] + draw(st.text(alphabet="(),/-019 adegk", max_size=2)) + text[j:]
+    return text
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(mangled_specs() | st.text(max_size=30))
+def test_parser_is_total(text):
+    try:
+        tree = cli.parse_umbra_spec(text)
+    except cli.SpecParseError:
+        return
+    assert cli.parse_umbra_spec(cli.spec_to_text(tree)) == tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_trees)
+def test_parser_round_trips_generated_trees(tree):
+    assert cli.parse_umbra_spec(cli.spec_to_text(tree)) == tree
+
+
+# --- the family registry ---------------------------------------------------------
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_rationals, small_rationals, small_rationals)
+def test_every_family_explicit_row_matches_its_gf(lam, b, c):
+    assume(c not in (0, 1) and not (b.denominator == 1 and b <= 0))
+    options = {"lam": lam, "b": b, "c": c}
+    for kind in FAMILY_NAMES:
+        for n in range(9):
+            assert family_polynomial(kind, n, **options) == gf_oracle(kind, n, **options)

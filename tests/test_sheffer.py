@@ -28,7 +28,7 @@ from umbral.umbra import (
     singleton,
     ubar,
 )
-from umbral.verify import random_umbra
+from umbral.verify import random_umbra, sheffer_identity_failure
 
 F = Fraction
 
@@ -291,29 +291,17 @@ def test_conversion_is_involutive_and_multiplicative():
 
 
 def test_sheffer_identity_bivariate():
-    from umbral.symbolic import X, Y, atom, constant
-
-    def lift(poly, var):
-        result = constant(0)
-        power = constant(1)
-        for c in poly.coeffs:
-            result = result + power * c
-            power = power * atom(var)
-        return result
-
     rng = Random(31)
     for _ in range(4):
         pair = random_pair(rng, 8)
         seq = sheffer_sequence(pair).polys
         assoc = sheffer_sequence(UmbraPair(augmentation(8), pair.alpha)).polys
-        for n in range(9):
-            # substitute x -> x + y by expanding each monomial
-            shifted = constant(0)
-            power = constant(1)
-            for c in seq[n].coeffs:
-                shifted = shifted + power * c
-                power = power * (atom(X) + atom(Y))
-            rhs = constant(0)
-            for k in range(n + 1):
-                rhs = rhs + binomial(n, k) * lift(assoc[k], X) * lift(seq[n - k], Y)
-            assert shifted == rhs
+        assert sheffer_identity_failure(seq, assoc, 8) is None
+
+
+def test_sheffer_identity_fails_with_another_alpha():
+    # the associated sequence of a different alpha breaks the identity
+    rng = Random(32)
+    pair = random_pair(rng, 6)
+    other = sheffer_sequence(UmbraPair(augmentation(6), singleton(6))).polys
+    assert sheffer_identity_failure(sheffer_sequence(pair).polys, other, 6) is not None

@@ -13,8 +13,7 @@ from umbral.symbolic import (
     abel_expression,
     atom,
     constant,
-    evaluate,
-    formal_derivative,
+    substitute,
 )
 from umbral.umbra import add, augmentation, dot_scalar, scalar_umbra, singleton, ubar
 from umbral.verify import random_umbra
@@ -28,26 +27,26 @@ F = Fraction
 def test_evaluate_kills_high_singleton_powers():
     s = UmbralSymbol(singleton(4))
     expr = atom(X) ** 2 * atom(s) ** 3
-    assert evaluate(expr) == constant(0)
+    assert expr.evaluate() == constant(0)
 
 
 def test_evaluate_binomial_expansion():
     s = UmbralSymbol(ubar(4))
     expr = (atom(X) + atom(s)) ** 2
-    assert evaluate(expr).to_univariate() == Polynomial((2, 2, 1))
+    assert expr.evaluate().to_univariate() == Polynomial((2, 2, 1))
 
 
 def test_evaluate_uncorrelated_versus_correlated():
     s1 = UmbralSymbol(singleton(3))
     s2 = UmbralSymbol(singleton(3))
-    assert evaluate(atom(s1) * atom(s2)).constant_value() == 1
-    assert evaluate(atom(s1) * atom(s1)).constant_value() == 0
+    assert (atom(s1) * atom(s2)).evaluate().constant_value() == 1
+    assert (atom(s1) * atom(s1)).evaluate().constant_value() == 0
 
 
 def test_evaluate_exponent_over_order_raises():
     s = UmbralSymbol(singleton(2))
     with pytest.raises(ValueError):
-        evaluate(atom(s) ** 3)
+        (atom(s) ** 3).evaluate()
 
 
 def test_evaluate_is_linear_over_coefficients():
@@ -55,7 +54,7 @@ def test_evaluate_is_linear_over_coefficients():
     u = random_umbra(rng, 6)
     s = UmbralSymbol(u)
     expr = constant(3) * atom(s) ** 2 - atom(s) * F(1, 2) + 7
-    got = evaluate(expr).constant_value()
+    got = expr.evaluate().constant_value()
     assert got == 3 * u.moment(2) - F(1, 2) * u.moment(1) + 7
 
 
@@ -64,7 +63,7 @@ def test_evaluate_is_linear_over_coefficients():
 
 def test_derivative_power_rule():
     expr = atom(X) ** 3
-    assert formal_derivative(expr, X) == constant(3) * atom(X) ** 2
+    assert expr.formal_derivative(X) == constant(3) * atom(X) ** 2
 
 
 def test_derivative_product_rule_two_atoms():
@@ -72,13 +71,13 @@ def test_derivative_product_rule_two_atoms():
     s = UmbralSymbol(ubar(3))
     expr = atom(g) * (atom(g) + atom(s))
     expected = constant(2) * atom(g) + atom(s)
-    assert formal_derivative(expr, g) == expected
+    assert expr.formal_derivative(g) == expected
 
 
 def test_derivative_of_constant_is_zero():
-    assert formal_derivative(constant(5), X) == constant(0)
+    assert constant(5).formal_derivative(X) == constant(0)
     expr = atom(Y) ** 2
-    assert formal_derivative(expr, X) == constant(0)
+    assert expr.formal_derivative(X) == constant(0)
 
 
 # --- Abel polynomials -----------------------------------------------------------
@@ -130,14 +129,6 @@ def test_abel_derivative_rule():
 # --- the Abel identity ----------------------------------------------------------------
 
 
-def abel_weight(g, u, k):
-    if k == 0:
-        return F(1)
-    gs = atom(UmbralSymbol(g))
-    shift = atom(UmbralSymbol(dot_scalar(-k, u)))
-    return (gs * (gs + shift) ** (k - 1)).evaluate().constant_value()
-
-
 def test_abel_identity_exact():
     rng = Random(4)
     for _ in range(10):
@@ -146,9 +137,11 @@ def test_abel_identity_exact():
         g = random_umbra(rng, order)
         d = random_umbra(rng, order)
         lhs_umbra = add(d, g)
+        neg_a = dot_scalar(-1, a)
+        weights = [abel(k, UmbralSymbol(g), neg_a) for k in range(order + 1)]
         for n in range(order + 1):
             rhs = sum(
-                binomial(n, k) * add(d, dot_scalar(k, a)).moment(n - k) * abel_weight(g, a, k)
+                binomial(n, k) * add(d, dot_scalar(k, a)).moment(n - k) * weights[k]
                 for k in range(n + 1)
             )
             assert lhs_umbra.moment(n) == rhs
@@ -161,25 +154,20 @@ def test_abel_identity_polynomial_form():
     a = random_umbra(rng, order)
     g = random_umbra(rng, order)
     d = random_umbra(rng, order)
-
-    def subst(poly, arg):
-        result = constant(0)
-        p = constant(1)
-        for c in poly.coeffs:
-            result = result + p * c
-            p = p * arg
-        return result
+    neg_a = dot_scalar(-1, a)
 
     qs = [Polynomial((0,) * j + (1,)) for j in range(7)]
     qs.append(Polynomial((3, -1, 0, 2, F(1, 2), 0, 1)))
     for q in qs:
-        lhs = subst(q, atom(UmbralSymbol(d)) + atom(UmbralSymbol(g))).evaluate().constant_value()
+        d_plus_g = atom(UmbralSymbol(d)) + atom(UmbralSymbol(g))
+        lhs = substitute(q, d_plus_g).evaluate().constant_value()
         rhs = F(0)
         deriv = q
         fact = 1
         for k in range(q.degree + 1):
             arg = atom(UmbralSymbol(d)) + atom(UmbralSymbol(dot_scalar(k, a)))
-            rhs += subst(deriv, arg).evaluate().constant_value() * abel_weight(g, a, k) / fact
+            weight = abel(k, UmbralSymbol(g), neg_a)
+            rhs += substitute(deriv, arg).evaluate().constant_value() * weight / fact
             deriv = deriv.derivative()
             fact *= k + 1
         assert lhs == rhs

@@ -253,6 +253,36 @@ def test_k_umbra_matches_series_reversion():
         assert k_umbra(g, u) == k_umbra_series(g, u)
 
 
+def test_k_umbra_matches_sympy_reversion():
+    # third oracle: f_g composed with sympy's reversion of z f_u(z), over QQ
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.rings import ring
+    from sympy.polys.ring_series import rs_series_reversion, rs_trunc
+
+    ring_, x, y = ring("x, y", QQ)
+
+    def qq(c):
+        return QQ(c.numerator, c.denominator)
+
+    rng = Random(37)
+    for order in range(1, 9):
+        g, u = random_umbra(rng, order), random_umbra(rng, order)
+        z_fu = ring_.zero
+        for i, c in enumerate(gf(u).coeffs[:order]):
+            z_fu += qq(c) * x ** (i + 1)
+        reverted = rs_series_reversion(z_fu, x, order + 1, y)
+        composed, term = ring_.zero, ring_.one
+        for c in gf(g).coeffs:
+            composed += qq(c) * term
+            term = rs_trunc(term * reverted, y, order + 1)
+        moments = [F(0)] * (order + 1)
+        for (ex, ey), c in composed.terms():
+            assert ex == 0
+            moments[ey] = F(int(c.numerator), int(c.denominator)) * factorial(ey)
+        assert k_umbra(g, u).moments == tuple(moments)
+
+
 def test_derivative_inverse_relation():
     # the derivative umbra of u is the compositional inverse of the
     # derivative umbra of -1.K(u)
