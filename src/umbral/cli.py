@@ -14,8 +14,10 @@ Umbrae are written in a small prefix grammar:
 
 with rationals as ``p`` or ``p/q``, nested at most ``SPEC_DEPTH_LIMIT``
 forms deep.  Exit codes: 0 success, 2 parse or usage errors, 3
-precondition violations, 4 failed verification.  Output is exact in
-every format; identical command lines (and seeds) produce
+precondition violations (also ``--order`` or ``--nmax`` above
+``ORDER_CEILING``, or a verify order above ``VERIFY_ORDER_CEILING``), 4
+failed verification, with a repro command per counterexample.  Output is
+exact in every format; identical command lines (and seeds) produce
 byte-identical output.
 """
 
@@ -62,6 +64,9 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
 DEFAULT_ORDER = 12
+# bounds --order on every command and --nmax on family; the slowest command
+# at this order, family meixner1, takes 13-17 s on a 2-core VM
+ORDER_CEILING = 128
 VERIFY_ORDER_CEILING = 12
 # far below the interpreter's recursion limit, which parsing and building
 # a spec both recurse into once per level
@@ -116,16 +121,28 @@ def _tokenize(text: str):
     return tokens
 
 
-_ATOMS = ("eps", "chi", "bell", "ubar")
-_FORMS = {
-    "scalar": ("rational",),
-    "egf": None,  # variadic rationals
-    "add": ("expr", "expr"),
-    "dot": ("expr", "expr"),
-    "dotscalar": ("rational", "expr"),
-    "deriv": ("expr",),
-    "inv": ("expr",),
-    "k": ("expr", "expr"),
+def _egf_umbra(order: int, coeffs) -> Umbra:
+    if len(coeffs) > order + 1:
+        raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
+    return from_series(TruncatedSeries(list(coeffs) + [Fraction(0)] * (order + 1 - len(coeffs))))
+
+
+# the one table of the spec grammar: name -> (argument kinds, builder(order,
+# *arguments)); atoms have no arguments and no parentheses, and "rationals"
+# is a nonempty comma-separated list
+_GRAMMAR = {
+    "eps": ((), augmentation),
+    "chi": ((), singleton),
+    "bell": ((), bell),
+    "ubar": ((), ubar),
+    "scalar": (("rational",), lambda order, a: scalar_umbra(a, order)),
+    "egf": (("rationals",), _egf_umbra),
+    "add": (("expr", "expr"), lambda order, u, v: add(u, v)),
+    "dot": (("expr", "expr"), lambda order, g, u: dot(g, u)),
+    "dotscalar": (("rational", "expr"), lambda order, a, u: dot_scalar(a, u)),
+    "deriv": (("expr",), lambda order, u: derivative_umbra(u)),
+    "inv": (("expr",), lambda order, u: inverse_umbra(u)),
+    "k": (("expr", "expr"), lambda order, g, u: k_umbra(g, u)),
 }
 
 
@@ -156,28 +173,28 @@ class _Parser:
         kind, value, at = self.take()
         if kind != "name":
             raise SpecParseError(f"expected an umbra expression, found {value!r}", at + 1)
-        if value in _ATOMS:
-            return (value,)
-        if value not in _FORMS:
+        if value not in _GRAMMAR:
             raise SpecParseError(f"unknown umbra constructor {value!r}", at + 1)
+        kinds = _GRAMMAR[value][0]
+        if not kinds:
+            return (value,)
         if depth > SPEC_DEPTH_LIMIT:
             raise SpecParseError(f"nested more than {SPEC_DEPTH_LIMIT} forms deep", at + 1)
         self.take("(")
-        if value == "egf":
-            args = [self.take("rational")[1]]
-            while self.peek()[0] == ",":
-                self.take(",")
-                args.append(self.take("rational")[1])
-            self.take(")")
-            return ("egf", tuple(args))
         args = []
-        for i, slot in enumerate(_FORMS[value]):
+        for i, slot in enumerate(kinds):
             if i:
                 self.take(",")
-            if slot == "rational":
+            if slot == "expr":
+                args.append(self.expr(depth + 1))
+            elif slot == "rational":
                 args.append(self.take("rational")[1])
             else:
-                args.append(self.expr(depth + 1))
+                values = [self.take("rational")[1]]
+                while self.peek()[0] == ",":
+                    self.take(",")
+                    values.append(self.take("rational")[1])
+                args.append(tuple(values))
         self.take(")")
         return (value, *args)
 
@@ -187,55 +204,28 @@ def parse_umbra_spec(text: str):
     return _Parser(text).parse()
 
 
+def _argument_text(slot, arg) -> str:
+    if slot == "expr":
+        return spec_to_text(arg)
+    if slot == "rational":
+        return format_rational(arg)
+    return ",".join(format_rational(c) for c in arg)
+
+
 def spec_to_text(ast) -> str:
     """Canonical text of a parsed expression; parses back to the same tree."""
-    head = ast[0]
-    if head in _ATOMS:
-        return head
-    if head == "scalar":
-        return f"scalar({format_rational(ast[1])})"
-    if head == "egf":
-        return "egf(" + ",".join(format_rational(c) for c in ast[1]) + ")"
-    if head == "dotscalar":
-        return f"dotscalar({format_rational(ast[1])},{spec_to_text(ast[2])})"
-    return head + "(" + ",".join(spec_to_text(a) for a in ast[1:]) + ")"
+    kinds = _GRAMMAR[ast[0]][0]
+    if not kinds:
+        return ast[0]
+    return ast[0] + "(" + ",".join(map(_argument_text, kinds, ast[1:])) + ")"
 
 
 def build_umbra(ast, order: int) -> Umbra:
     """Evaluate a parsed expression at the requested truncation order."""
-    head = ast[0]
+    kinds, builder = _GRAMMAR[ast[0]]
     try:
-        if head == "eps":
-            return augmentation(order)
-        if head == "chi":
-            return singleton(order)
-        if head == "bell":
-            return bell(order)
-        if head == "ubar":
-            return ubar(order)
-        if head == "scalar":
-            return scalar_umbra(ast[1], order)
-        if head == "egf":
-            coeffs = list(ast[1])
-            if len(coeffs) > order + 1:
-                raise ValueError(
-                    f"{len(coeffs)} coefficients exceed order {order}"
-                )
-            coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-            return from_series(TruncatedSeries(coeffs))
-        if head == "add":
-            return add(build_umbra(ast[1], order), build_umbra(ast[2], order))
-        if head == "dot":
-            return dot(build_umbra(ast[1], order), build_umbra(ast[2], order))
-        if head == "dotscalar":
-            return dot_scalar(ast[1], build_umbra(ast[2], order))
-        if head == "deriv":
-            return derivative_umbra(build_umbra(ast[1], order))
-        if head == "inv":
-            return inverse_umbra(build_umbra(ast[1], order))
-        if head == "k":
-            return k_umbra(build_umbra(ast[1], order), build_umbra(ast[2], order))
-        raise ValueError(f"unknown constructor {head!r}")
+        args = [build_umbra(a, order) if k == "expr" else a for k, a in zip(kinds, ast[1:])]
+        return builder(order, *args)
     except ValueError as exc:
         if isinstance(exc, PreconditionError):
             raise
@@ -426,10 +416,6 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.order > VERIFY_ORDER_CEILING:
-        raise PreconditionError(
-            f"verification order {args.order} above the ceiling {VERIFY_ORDER_CEILING}"
-        )
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, order=args.order, seed=args.seed)
     if args.format == "json":
@@ -518,6 +504,12 @@ def main(argv=None) -> int:
     if args.order < 0:
         print("error: --order must be nonnegative", file=sys.stderr)
         return EXIT_PRECONDITION
+    ceiling = VERIFY_ORDER_CEILING if args.command == "verify" else ORDER_CEILING
+    for option, value in (("order", args.order), ("nmax", getattr(args, "nmax", None))):
+        if value is not None and value > ceiling:
+            what = "verification order" if args.command == "verify" else f"--{option}"
+            print(f"error: {what} {value} above the ceiling {ceiling}", file=sys.stderr)
+            return EXIT_PRECONDITION
     try:
         return args.func(args)
     except SpecParseError as exc:

@@ -7,7 +7,10 @@ reproducible counterexample.  All equalities are exact rational (or exact
 polynomial) equalities; there are no tolerances anywhere.
 
 The suites are shared by the test suite and the ``umbral verify``
-command.
+command.  Each identity that takes more than one statement to check is
+written once, as an ``<identity>_failure`` function that returns the first
+counterexample (as ``n=… lhs=… rhs=…`` text) or None; the suites and the
+tests call the same functions on their own draws.
 """
 
 from __future__ import annotations
@@ -58,7 +61,15 @@ __all__ = [
     "run_suite",
     "run_suites",
     "random_umbra",
+    "abel_identity_failure",
+    "abel_polynomial_form_failure",
+    "abel_derivative_rule_failure",
+    "abel_binomial_identity_failure",
     "sheffer_identity_failure",
+    "chebyshev_recurrence_failure",
+    "chebyshev_shifted_basis_failure",
+    "pidduck_quotient_failure",
+    "master_degenerate_slots_failure",
 ]
 
 SUITE_NAMES = ("abel", "lif", "duality", "sheffer", "riordan-group", "families")
@@ -116,94 +127,112 @@ def sheffer_identity_failure(polys, assoc, n_max: int):
     return None
 
 
+def abel_identity_failure(alpha: Umbra, gamma: Umbra, delta: Umbra):
+    """First ``n=… lhs=… rhs=…`` up to the order where E[(delta+gamma)^n] !=
+    sum_k C(n,k) E[(delta+k.alpha)^(n-k)] E[gamma(gamma-k.alpha)^(k-1)], else None."""
+    order = delta.order
+    shifted = [add(delta, dot_scalar(k, alpha)) for k in range(order + 1)]
+    # Abel weights E[g (g - k.a)^(k-1)], the Abel polynomials of -1.a at g
+    neg_alpha = dot_scalar(-1, alpha)
+    weights = [abel(k, UmbralSymbol(gamma), neg_alpha) for k in range(order + 1)]
+    lhs_umbra = add(delta, gamma)
+    for n in range(order + 1):
+        lhs = lhs_umbra.moment(n)
+        rhs = sum(
+            (binomial(n, k) * shifted[k].moment(n - k) * weights[k] for k in range(n + 1)),
+            Fraction(0),
+        )
+        if lhs != rhs:
+            return f"n={n} lhs={lhs} rhs={rhs}"
+    return None
+
+
+def abel_polynomial_form_failure(alpha: Umbra, gamma: Umbra, delta: Umbra, qs):
+    """First ``q#i=… lhs=… rhs=…`` where E[q(delta+gamma)] != sum_k
+    E[q^(k)(delta+k.alpha)] E[gamma(gamma-k.alpha)^(k-1)] / k!, else None."""
+    neg_alpha = dot_scalar(-1, alpha)
+    top = max(q.degree for q in qs)
+    weights = [abel(k, UmbralSymbol(gamma), neg_alpha) for k in range(top + 1)]
+    d_plus_g = atom(UmbralSymbol(delta)) + atom(UmbralSymbol(gamma))
+    for qi, q in enumerate(qs):
+        lhs = substitute(q, d_plus_g).evaluate().constant_value()
+        rhs = Fraction(0)
+        deriv = q
+        for k in range(q.degree + 1):
+            arg = atom(UmbralSymbol(delta)) + atom(UmbralSymbol(dot_scalar(k, alpha)))
+            value = substitute(deriv, arg).evaluate().constant_value()
+            rhs += value * weights[k] / factorial(k)
+            deriv = deriv.derivative()
+        if lhs != rhs:
+            return f"q#{qi}={q} lhs={lhs} rhs={rhs}"
+    return None
+
+
+def abel_derivative_rule_failure(u: Umbra, n_max: int):
+    """First ``n=… lhs=… rhs=…`` in 1..n_max where d/dx A_n(x) != n A_{n-1}(x + u'),
+    u' a fresh copy of ``u``, else None."""
+    for n in range(1, n_max + 1):
+        lhs = abel_expression(n, atom(X), u).formal_derivative(X).evaluate().to_univariate()
+        base = atom(X) + atom(UmbralSymbol(u))
+        rhs = (abel_expression(n - 1, base, u) * n).evaluate().to_univariate()
+        if lhs != rhs:
+            return f"n={n} lhs={lhs} rhs={rhs}"
+    return None
+
+
+def abel_binomial_identity_failure(u: Umbra, n_max: int):
+    """First ``n=…`` up to n_max where A_n(x+y) != sum_k C(n,k) A_k(x) A_{n-k}(y)
+    for the Abel polynomials A_n of ``u``, else None."""
+    for n in range(n_max + 1):
+        lhs = abel_expression(n, atom(X) + atom(Y), u).evaluate()
+        rhs = constant(0)
+        for k in range(n + 1):
+            left = abel_expression(k, atom(X), u)
+            right = abel_expression(n - k, atom(Y), u)
+            rhs = rhs + binomial(n, k) * (left * right).evaluate()
+        if lhs != rhs:
+            return f"n={n}"
+    return None
+
+
 def suite_abel(order: int = 10, seed: int = 0, trials: int = 25) -> list[CheckResult]:
     """The Abel expansion of binomial moments and its polynomial corollaries."""
     rng = Random(seed)
     rec = _Recorder()
 
     for trial in range(trials):
-        a = random_umbra(rng, order)
-        g = random_umbra(rng, order)
-        d = random_umbra(rng, order)
-        shifted = [add(d, dot_scalar(k, a)) for k in range(order + 1)]
-        # Abel weights E[g (g - k.a)^(k-1)], the Abel polynomials of -1.a at g
-        neg_a = dot_scalar(-1, a)
-        factors = [abel(k, UmbralSymbol(g), neg_a) for k in range(order + 1)]
-        lhs_umbra = add(d, g)
-        for n in range(order + 1):
-            lhs = lhs_umbra.moment(n)
-            rhs = sum(
-                (binomial(n, k) * shifted[k].moment(n - k) * factors[k] for k in range(n + 1)),
-                Fraction(0),
-            )
-            rec.check(
-                "abel-identity",
-                lhs == rhs,
-                f"trial={trial} n={n} lhs={lhs} rhs={rhs} "
-                f"alpha={_fmt(a)} gamma={_fmt(g)} delta={_fmt(d)}",
-            )
+        a, g, d = (random_umbra(rng, order) for _ in range(3))
+        bad = abel_identity_failure(a, g, d)
+        rec.check(
+            "abel-identity",
+            bad is None,
+            f"trial={trial} {bad} alpha={_fmt(a)} gamma={_fmt(g)} delta={_fmt(d)}",
+        )
 
-    # polynomial form: q(delta + gamma) expanded along Abel weights, for
-    # monomials q = x^j and for random polynomials (linearity makes them
-    # equivalent; both are exercised); deg q cannot exceed the moment order
+    # polynomial form for monomials q = x^j and for random polynomials
+    # (linearity makes them equivalent; both are exercised); deg q cannot
+    # exceed the moment order
     rng_q = Random(seed + 1)
     max_deg = min(6, order)
     polys = [Polynomial((0,) * j + (1,)) for j in range(max_deg + 1)]
     if max_deg >= 1:
         polys += [_random_polynomial(rng_q, rng_q.randint(1, max_deg)) for _ in range(4)]
-    a = random_umbra(rng_q, order)
-    g = random_umbra(rng_q, order)
-    d = random_umbra(rng_q, order)
-    neg_a = dot_scalar(-1, a)
-    factors = [abel(k, UmbralSymbol(g), neg_a) for k in range(order + 1)]
-    for qi, q in enumerate(polys):
-        deg = q.degree
-        d_plus_g = atom(UmbralSymbol(d)) + atom(UmbralSymbol(g))
-        lhs = substitute(q, d_plus_g).evaluate().constant_value()
-        rhs = Fraction(0)
-        deriv = q
-        for k in range(deg + 1):
-            arg = atom(UmbralSymbol(d)) + atom(UmbralSymbol(dot_scalar(k, a)))
-            value = substitute(deriv, arg).evaluate().constant_value()
-            rhs += value * factors[k] / factorial(k)
-            deriv = deriv.derivative()
-        rec.check(
-            "abel-identity-polynomial-form",
-            lhs == rhs,
-            f"q#{qi}={q} lhs={lhs} rhs={rhs} alpha={_fmt(a)}",
-        )
+    a, g, d = (random_umbra(rng_q, order) for _ in range(3))
+    bad = abel_polynomial_form_failure(a, g, d, polys)
+    rec.check("abel-identity-polynomial-form", bad is None, f"{bad} alpha={_fmt(a)}")
 
-    # derivative rule: d/dx of the degree-n Abel polynomial is n times the
-    # degree-(n-1) one shifted by a fresh copy of the umbra
-    rng_d = Random(seed + 2)
-    for trial in range(10):
-        u = random_umbra(rng_d, order)
-        for n in range(1, min(order, 10) + 1):
-            lhs = abel_expression(n, atom(X), u).formal_derivative(X).evaluate().to_univariate()
-            base = atom(X) + atom(UmbralSymbol(u))
-            rhs = (abel_expression(n - 1, base, u) * n).evaluate().to_univariate()
-            rec.check(
-                "abel-derivative-rule",
-                lhs == rhs,
-                f"trial={trial} n={n} lhs={lhs} rhs={rhs} u={_fmt(u)}",
-            )
+    if order >= 1:  # the rule starts at degree 1; order 0 does not list it
+        rng_d = Random(seed + 2)
+        for trial in range(10):
+            u = random_umbra(rng_d, order)
+            bad = abel_derivative_rule_failure(u, min(order, 10))
+            rec.check("abel-derivative-rule", bad is None, f"trial={trial} {bad} u={_fmt(u)}")
 
-    # binomial identity of Abel polynomials, as exact two-variable polynomials
     rng_b = Random(seed + 3)
     for trial in range(10):
         u = random_umbra(rng_b, order)
-        for n in range(min(order, 8) + 1):
-            lhs = abel_expression(n, atom(X) + atom(Y), u).evaluate()
-            rhs = constant(0)
-            for k in range(n + 1):
-                left = abel_expression(k, atom(X), u)
-                right = abel_expression(n - k, atom(Y), u)
-                rhs = rhs + binomial(n, k) * (left * right).evaluate()
-            rec.check(
-                "abel-binomial-identity",
-                lhs == rhs,
-                f"trial={trial} n={n} u={_fmt(u)}",
-            )
+        bad = abel_binomial_identity_failure(u, min(order, 8))
+        rec.check("abel-binomial-identity", bad is None, f"trial={trial} {bad} u={_fmt(u)}")
 
     return rec.results
 
@@ -491,6 +520,55 @@ def suite_riordan_group(order: int = 12, seed: int = 0, trials: int = 10) -> lis
     return rec.results
 
 
+def chebyshev_recurrence_failure(n_max: int):
+    """First ``n=… got=… expected=…`` in 2..n_max where U_n != 2x U_{n-1} - U_{n-2},
+    else None."""
+    u_prev, u_curr = fam.chebyshev_u(0), fam.chebyshev_u(1)
+    two_x = Polynomial((0, 2))
+    for n in range(2, n_max + 1):
+        u_next = fam.chebyshev_u(n)
+        if u_next != two_x * u_curr - u_prev:
+            return f"n={n} got={u_next} expected={two_x * u_curr - u_prev}"
+        u_prev, u_curr = u_curr, u_next
+    return None
+
+
+def chebyshev_shifted_basis_failure():
+    """``got …`` unless sum_k C(n+k+1, n-k) 2^k (x-1)^k at n = 2 is 4x^2 - 1, else None."""
+    xm1 = Polynomial((-1, 1))
+    display = Polynomial()
+    for k in range(3):
+        display = display + binomial(2 + k + 1, 2 - k) * 2**k * xm1**k
+    return None if display == Polynomial((-1, 0, 4)) else f"got {display}"
+
+
+def pidduck_quotient_failure(n_max: int):
+    """First ``n=…`` up to n_max where P_n != sum_j n!/j! M_j (the egf ratio
+    1/(1-z) of Pidduck to Mittag-Leffler), else None."""
+    for n in range(n_max + 1):
+        quotient_sum = Polynomial()
+        for j in range(n + 1):
+            quotient_sum = quotient_sum + fam.mittag_leffler(j) * Fraction(
+                factorial(n), factorial(j)
+            )
+        if fam.pidduck(n) != quotient_sum:
+            return f"n={n}"
+    return None
+
+
+def master_degenerate_slots_failure(n_max: int, ys):
+    """First ``n=… y=…`` up to n_max where the master slots q = t = 0 do not collapse
+    to n! C(y, n) x^n, else None; y = None is the indeterminate slot (``n=…``)."""
+    for n in range(n_max + 1):
+        monomial = Polynomial((0,) * n + (1,)) * factorial(n)
+        for y in ys:
+            p = fam.MasterParams.of(Polynomial.x(), y, 0, 0)
+            expected = monomial * (binomial_poly(n) if y is None else binomial(y, n))
+            if fam.master_polynomial(n, p) != expected:
+                return f"n={n}" if y is None else f"n={n} y={y}"
+    return None
+
+
 def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[CheckResult]:
     """Explicit sums vs generating functions for the five families."""
     rec = _Recorder()
@@ -508,17 +586,9 @@ def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[Chec
                 f"n={n} explicit={lhs} gf={rhs}",
             )
 
-    # Tchebychev three-term recurrence
-    u_prev, u_curr = fam.chebyshev_u(0), fam.chebyshev_u(1)
-    two_x = Polynomial((0, 2))
-    for n in range(2, n_max + 1):
-        u_next = fam.chebyshev_u(n)
-        rec.check(
-            "chebyshev-recurrence",
-            u_next == two_x * u_curr - u_prev,
-            f"n={n} got={u_next} expected={two_x * u_curr - u_prev}",
-        )
-        u_prev, u_curr = u_curr, u_next
+    if n_max >= 2:  # the recurrence starts at n = 2; lower orders do not list it
+        bad = chebyshev_recurrence_failure(n_max)
+        rec.check("chebyshev-recurrence", bad is None, bad)
 
     for n in range(n_max + 1):
         rec.check(
@@ -537,49 +607,15 @@ def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[Chec
             f"n={n}",
         )
 
-    # Pidduck/Mittag-Leffler quotient: the extra 1/(1-z) factor means
-    # P_n = sum_j n!/j! M_j
-    for n in range(min(n_max, 8) + 1):
-        quotient_sum = Polynomial()
-        for j in range(n + 1):
-            quotient_sum = quotient_sum + fam.mittag_leffler(j) * Fraction(
-                factorial(n), factorial(j)
-            )
-        rec.check(
-            "pidduck-mittag-leffler-quotient",
-            fam.pidduck(n) == quotient_sum,
-            f"n={n}",
-        )
-
-    # shifted-basis value of the second Tchebychev polynomial:
-    # sum_k binom(n+k+1, n-k) 2^k (x-1)^k at n = 2 equals 4x^2 - 1
-    xm1 = Polynomial((-1, 1))
-    display = Polynomial()
-    for k in range(3):
-        display = display + binomial(2 + k + 1, 2 - k) * 2**k * xm1**k
-    rec.check(
-        "chebyshev-shifted-basis-display",
-        display == Polynomial((-1, 0, 4)),
-        f"got {display}",
-    )
-
-    # degenerate master slots q = t = 0 collapse to a single monomial
-    for n in range(min(n_max, 6) + 1):
-        for y in (Fraction(0), Fraction(2), Fraction(7, 2)):
-            p = fam.MasterParams.of(Polynomial.x(), y, 0, 0)
-            expected = Polynomial((0,) * n + (1,)) * (factorial(n) * binomial(y, n))
-            rec.check(
-                "master-degenerate-slots",
-                fam.master_polynomial(n, p) == expected,
-                f"n={n} y={y}",
-            )
-        p_ind = fam.MasterParams.of(Polynomial.x(), None, 0, 0)
-        expected_ind = binomial_poly(n) * Polynomial((0,) * n + (1,)) * factorial(n)
-        rec.check(
-            "master-degenerate-slots-indeterminate",
-            fam.master_polynomial(n, p_ind) == expected_ind,
-            f"n={n}",
-        )
+    bad = pidduck_quotient_failure(min(n_max, 8))
+    rec.check("pidduck-mittag-leffler-quotient", bad is None, bad)
+    bad = chebyshev_shifted_basis_failure()
+    rec.check("chebyshev-shifted-basis-display", bad is None, bad)
+    ys = (Fraction(0), Fraction(2), Fraction(7, 2))
+    bad = master_degenerate_slots_failure(min(n_max, 6), ys)
+    rec.check("master-degenerate-slots", bad is None, bad)
+    bad = master_degenerate_slots_failure(min(n_max, 6), (None,))
+    rec.check("master-degenerate-slots-indeterminate", bad is None, bad)
 
     # master explicit sum vs master generating function on generic slots
     generic = [
@@ -609,9 +645,15 @@ _SUITES = {
 
 
 def run_suite(name: str, order: int, seed: int) -> list[CheckResult]:
+    """Run one suite; each failed identity's detail ends with the command that repeats it."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite: {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
-    return _SUITES[name](order=order, seed=seed)
+    results = _SUITES[name](order=order, seed=seed)
+    repro = f"repro: umbral verify {name} --order {order} --seed {seed}"
+    for r in results:
+        if not r.passed:
+            r.detail = f"{r.detail}; {repro}" if r.detail else repro
+    return results
 
 
 def run_suites(names, order: int = 12, seed: int = 0) -> list[CheckResult]:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import umbral
-from umbral import cli
+from umbral import cli, verify
 from umbral.rationals import parse_rational
 from umbral.umbra import bell, dot, singleton
 from umbral.verify import CheckResult
@@ -310,10 +310,40 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "lhs=0 rhs=1" in out
 
 
+def test_verify_failure_carries_repro_command(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "abel_identity_failure", lambda a, g, d: "n=1 lhs=0 rhs=1")
+    repro = "; repro: umbral verify abel --order 4 --seed 7"
+    code, out, _ = run_cli(["verify", "abel", "--order", "4", "--seed", "7"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "FAIL abel-identity\n  counterexample: trial=0 n=1 lhs=0 rhs=1 alpha=" in out
+    assert out.count(repro + "\n") == 1
+    args = ["verify", "abel", "--order", "4", "--seed", "7", "--format", "json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == cli.EXIT_VERIFY
+    details = [r["detail"] for r in json.loads(out)]
+    assert details[0].endswith(repro)
+    assert details[1:] == [""] * (len(details) - 1)
+
+
 def test_verify_order_ceiling(capsys):
     code, _, err = run_cli(["verify", "duality", "--order", "13"], capsys)
     assert code == cli.EXIT_PRECONDITION
-    assert "ceiling" in err
+    assert err == "error: verification order 13 above the ceiling 12\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["umbra", "chi", "--order", "129"], "--order 129"),
+        (["riordan", "chi", "bell", "--order", "129", "inverse"], "--order 129"),
+        (["family", "chebyshev-u", "--nmax", "129"], "--nmax 129"),
+    ],
+)
+def test_order_ceiling(capsys, argv, option):
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == f"error: {option} above the ceiling {cli.ORDER_CEILING}\n"
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from umbral import families
 from umbral.families import (
     MasterParams,
     binomial_basis_row,
@@ -20,7 +21,13 @@ from umbral.families import (
     pidduck_params,
 )
 from umbral.polynomials import Polynomial, binomial_poly
-from umbral.rationals import binomial, factorial
+from umbral.rationals import factorial
+from umbral.verify import (
+    chebyshev_recurrence_failure,
+    chebyshev_shifted_basis_failure,
+    master_degenerate_slots_failure,
+    pidduck_quotient_failure,
+)
 
 F = Fraction
 X = Polynomial.x()
@@ -64,11 +71,7 @@ def test_master_explicit_matches_gf_route():
 
 def test_master_degenerate_slots():
     # q = t = 0 collapses the weight to [n = k], leaving one monomial
-    for n in range(7):
-        for y in (F(0), F(3), F(9, 4)):
-            p = MasterParams.of(X, y, 0, 0)
-            expected = Polynomial((0,) * n + (1,)) * (factorial(n) * binomial(y, n))
-            assert master_polynomial(n, p) == expected
+    assert master_degenerate_slots_failure(6, (F(0), F(3), F(9, 4))) is None
 
 
 # --- Tchebychev II ----------------------------------------------------------------
@@ -82,12 +85,7 @@ def test_chebyshev_first_values():
 
 
 def test_chebyshev_three_term_recurrence():
-    two_x = Polynomial((0, 2))
-    prev, curr = chebyshev_u(0), chebyshev_u(1)
-    for n in range(2, 11):
-        succ = chebyshev_u(n)
-        assert succ == two_x * curr - prev
-        prev, curr = curr, succ
+    assert chebyshev_recurrence_failure(10) is None
 
 
 def test_chebyshev_matches_gf():
@@ -96,13 +94,9 @@ def test_chebyshev_matches_gf():
 
 
 def test_chebyshev_shifted_basis_display():
-    # sum_k binom(n+k+1, n-k) 2^k (x-1)^k at n = 2 gives 4x^2 - 1
-    xm1 = Polynomial((-1, 1))
-    total = Polynomial()
-    for k in range(3):
-        total = total + binomial(2 + k + 1, 2 - k) * 2**k * xm1**k
-    assert total == Polynomial((-1, 0, 4))
-    assert total == chebyshev_u(2)
+    # sum_k binom(n+k+1, n-k) 2^k (x-1)^k at n = 2 gives 4x^2 - 1 = U_2
+    assert chebyshev_shifted_basis_failure() is None
+    assert chebyshev_u(2) == Polynomial((-1, 0, 4))
 
 
 # --- Gegenbauer -------------------------------------------------------------------
@@ -190,11 +184,17 @@ def test_pidduck_matches_gf():
 
 def test_pidduck_mittag_leffler_quotient():
     # egf ratio 1/(1-z) means P_n = sum_j n!/j! M_j
-    for n in range(9):
-        total = Polynomial()
-        for j in range(n + 1):
-            total = total + mittag_leffler(j) * F(factorial(n), factorial(j))
-        assert pidduck(n) == total
+    assert pidduck_quotient_failure(8) is None
+
+
+def test_family_checks_report_a_broken_row(monkeypatch):
+    # each shared check names its first counterexample once row 2 is off
+    master = families.master_polynomial
+    monkeypatch.setattr(families, "master_polynomial", lambda n, p: master(n, p) * (3 if n == 2 else 1))
+    assert chebyshev_recurrence_failure(10) == "n=2 got=12x^2 - 3 expected=4x^2 - 1"
+    assert pidduck_quotient_failure(8) == "n=2"
+    assert master_degenerate_slots_failure(6, (F(0), F(3))) == "n=2 y=3"
+    assert master_degenerate_slots_failure(6, (None,)) == "n=2"
 
 
 # --- binomial-basis rows ---------------------------------------------------------------

@@ -1,0 +1,33 @@
+"""Byte-identical CLI output: the sha256 of stdout for fixed command lines.
+
+The digests were recorded before the identity checks of ``verify`` moved
+into shared functions.  A change that alters one of these outputs on
+purpose says so and records the new digest."""
+
+import hashlib
+
+import pytest
+
+from umbral import cli
+
+GOLDEN = {
+    "verify all --order 6 --seed 42": "c64fc8b1c8eca8d66b408cdf0d1fec79da915dc80dbc3dad383f618386d86e98",
+    "verify all --order 6 --seed 42 --format json": "69ecfc2cf3bf9c4cb13900ab6c15925ed2ac5349c187e1b1069a30326d0fd890",
+    "family chebyshev-u --nmax 6": "934901d1efc32b5bdc3e901b9cc6c5ab0c96451dde035cf57a4b24a8788c88a5",
+    "family gegenbauer --nmax 6": "b909cd267a14841bd9ed956ddaba7f6a9db205b1b986037ab5c79ce80d285b25",
+    "family meixner1 --nmax 6": "c3fcb1aad3d374cf7b13ed89005f6401da0966a8ef645b527667694935c85a0f",
+    "family mittag-leffler --nmax 6": "3fc4d75cdeb831d515cff1f829198aa2327753da569576ee70c6576636911fe5",
+    "family pidduck --nmax 6": "ec5fb83151d20be036d89893909bd8bea5f86972153b8d6659a73462de80b02a",
+    "riordan ubar bell --order 6 inverse": "ada85f3b5bef67f210def59f49fb18e9a3da600c202129a5093e5c5f13dc3efe",
+    "sheffer chi bell --order 6": "16030cc5be8aecf744bd244b0e9fb038c32a0f39c555651d17deec66b9e753d6",
+    "umbra k(add(bell,chi),dotscalar(1/2,inv(ubar))) --order 8": (
+        "6b8dd800dcc9bf007f42a2cb882d7cfd52eba037d692bb2fb0f849f7f44b60a3"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_is_byte_identical(command, capsys):
+    assert cli.main(command.split()) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -15,13 +15,24 @@ from umbral.series import TruncatedSeries, exp, log, power
 from umbral.sheffer import (
     UmbraPair,
     flavor_convert,
+    identity_pair,
     riordan_array,
     riordan_inverse,
     riordan_multiply,
     umbral_compose,
 )
 from umbral.symbolic import UmbralPolynomial, UmbralSymbol, X, Y, abel, atom
-from umbral.umbra import Umbra, add, augmentation, dot_scalar, from_series, gf, k_umbra
+from umbral.umbra import (
+    Umbra,
+    add,
+    augmentation,
+    dot_scalar,
+    from_series,
+    gf,
+    inverse_umbra,
+    k_umbra,
+)
+from umbral.verify import abel_identity_failure
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 exponents = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -86,6 +97,19 @@ def test_abel_weights_are_k_umbra_moments(us):
     assert weights == k_umbra(g, u).moments
 
 
+@settings(max_examples=15, deadline=None)
+@given(umbra_lists(3, 5))
+def test_abel_identity_on_generated_triples(us):
+    assert abel_identity_failure(*us) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(umbrae))
+def test_inverse_umbra_is_an_involution(u):
+    assume(u.moment(1) != 0)
+    assert inverse_umbra(inverse_umbra(u)) == u
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_sparse_power_is_multinomial_sum(n):
     # the sum is built term by term, with no polynomial product
@@ -131,6 +155,33 @@ def test_product_pair_is_composed_pair(us):
     inverse = riordan_inverse(product)
     assert riordan_multiply(product, inverse).entries == identity.entries
     assert riordan_multiply(inverse, product).entries == identity.entries
+
+
+@settings(max_examples=15, deadline=None)
+@given(umbra_lists(6, 4))
+def test_riordan_associativity_and_identity_laws(us):
+    a, b, c = (riordan_array(UmbraPair(us[i], us[i + 1])) for i in (0, 2, 4))
+    left = riordan_multiply(riordan_multiply(a, b), c)
+    assert left.entries == riordan_multiply(a, riordan_multiply(b, c)).entries
+    identity = riordan_array(identity_pair(a.order))
+    assert riordan_multiply(a, identity).entries == a.entries
+    assert riordan_multiply(identity, a).entries == a.entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(umbra_lists(2, 6))
+def test_riordan_inverse_is_an_involution(us):
+    a = riordan_array(UmbraPair(*us))
+    assert riordan_inverse(riordan_inverse(a)).entries == a.entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(umbra_lists(4, 5))
+def test_flavor_conversion_is_involutive_and_multiplicative(us):
+    a, b = riordan_array(UmbraPair(us[0], us[1])), riordan_array(UmbraPair(us[2], us[3]))
+    assert flavor_convert(flavor_convert(a)).entries == a.entries
+    converted = riordan_multiply(flavor_convert(a), flavor_convert(b))
+    assert flavor_convert(riordan_multiply(a, b)).entries == converted.entries
 
 
 # --- the umbra-spec parser -----------------------------------------------------

@@ -3,20 +3,17 @@ from random import Random
 
 import pytest
 
+from umbral import verify
 from umbral.polynomials import Polynomial
-from umbral.rationals import binomial
-from umbral.symbolic import (
-    UmbralSymbol,
-    X,
-    Y,
-    abel,
-    abel_expression,
-    atom,
-    constant,
-    substitute,
+from umbral.symbolic import UmbralSymbol, X, Y, abel, atom, constant
+from umbral.umbra import augmentation, scalar_umbra, singleton, ubar
+from umbral.verify import (
+    abel_binomial_identity_failure,
+    abel_derivative_rule_failure,
+    abel_identity_failure,
+    abel_polynomial_form_failure,
+    random_umbra,
 )
-from umbral.umbra import add, augmentation, dot_scalar, scalar_umbra, singleton, ubar
-from umbral.verify import random_umbra
 
 F = Fraction
 
@@ -118,12 +115,7 @@ def test_abel_monic_of_degree_n():
 def test_abel_derivative_rule():
     rng = Random(3)
     for _ in range(10):
-        u = random_umbra(rng, 10)
-        for n in range(1, 11):
-            lhs = abel_expression(n, atom(X), u).formal_derivative(X).evaluate().to_univariate()
-            fresh_copy = UmbralSymbol(u)
-            rhs_expr = abel_expression(n - 1, atom(X) + atom(fresh_copy), u) * n
-            assert lhs == rhs_expr.evaluate().to_univariate()
+        assert abel_derivative_rule_failure(random_umbra(rng, 10), 10) is None
 
 
 # --- the Abel identity ----------------------------------------------------------------
@@ -132,45 +124,32 @@ def test_abel_derivative_rule():
 def test_abel_identity_exact():
     rng = Random(4)
     for _ in range(10):
-        order = 10
-        a = random_umbra(rng, order)
-        g = random_umbra(rng, order)
-        d = random_umbra(rng, order)
-        lhs_umbra = add(d, g)
-        neg_a = dot_scalar(-1, a)
-        weights = [abel(k, UmbralSymbol(g), neg_a) for k in range(order + 1)]
-        for n in range(order + 1):
-            rhs = sum(
-                binomial(n, k) * add(d, dot_scalar(k, a)).moment(n - k) * weights[k]
-                for k in range(n + 1)
-            )
-            assert lhs_umbra.moment(n) == rhs
+        a, g, d = (random_umbra(rng, 10) for _ in range(3))
+        assert abel_identity_failure(a, g, d) is None
 
 
 def test_abel_identity_polynomial_form():
     # same expansion applied to q(delta + gamma) for monomials and a dense q
     rng = Random(5)
-    order = 8
-    a = random_umbra(rng, order)
-    g = random_umbra(rng, order)
-    d = random_umbra(rng, order)
-    neg_a = dot_scalar(-1, a)
-
+    a, g, d = (random_umbra(rng, 8) for _ in range(3))
     qs = [Polynomial((0,) * j + (1,)) for j in range(7)]
     qs.append(Polynomial((3, -1, 0, 2, F(1, 2), 0, 1)))
-    for q in qs:
-        d_plus_g = atom(UmbralSymbol(d)) + atom(UmbralSymbol(g))
-        lhs = substitute(q, d_plus_g).evaluate().constant_value()
-        rhs = F(0)
-        deriv = q
-        fact = 1
-        for k in range(q.degree + 1):
-            arg = atom(UmbralSymbol(d)) + atom(UmbralSymbol(dot_scalar(k, a)))
-            weight = abel(k, UmbralSymbol(g), neg_a)
-            rhs += substitute(deriv, arg).evaluate().constant_value() * weight / fact
-            deriv = deriv.derivative()
-            fact *= k + 1
-        assert lhs == rhs
+    assert abel_polynomial_form_failure(a, g, d, qs) is None
+
+
+def test_abel_checks_report_a_broken_route(monkeypatch):
+    # each shared check names its first counterexample once one side is off
+    rng = Random(7)
+    a, g, d = (random_umbra(rng, 6) for _ in range(3))
+    weight, expression = verify.abel, verify.abel_expression
+    monkeypatch.setattr(verify, "abel", lambda n, base, u: weight(n, base, u) + (n == 2))
+    monkeypatch.setattr(
+        verify, "abel_expression", lambda n, base, u: expression(n, base, u) * (2 if n == 3 else 1)
+    )
+    assert abel_identity_failure(a, g, d).startswith("n=2 lhs=")
+    assert abel_polynomial_form_failure(a, g, d, [Polynomial((0, 0, 1))]).startswith("q#0=x^2 lhs=")
+    assert abel_derivative_rule_failure(a, 6).startswith("n=3 lhs=")
+    assert abel_binomial_identity_failure(a, 6) == "n=3"
 
 
 # --- the binomial identity of Abel polynomials -------------------------------------------
@@ -179,11 +158,4 @@ def test_abel_identity_polynomial_form():
 def test_abel_binomial_identity_bivariate():
     rng = Random(6)
     for _ in range(6):
-        u = random_umbra(rng, 8)
-        for n in range(9):
-            lhs = abel_expression(n, atom(X) + atom(Y), u).evaluate()
-            rhs = constant(0)
-            for k in range(n + 1):
-                product = abel_expression(k, atom(X), u) * abel_expression(n - k, atom(Y), u)
-                rhs = rhs + binomial(n, k) * product.evaluate()
-            assert lhs == rhs
+        assert abel_binomial_identity_failure(random_umbra(rng, 8), 8) is None
