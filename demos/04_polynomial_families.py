@@ -9,7 +9,7 @@
 from fractions import Fraction
 
 from umbral import chebyshev_u, gegenbauer, gf_oracle, meixner1, mittag_leffler, pidduck
-from umbral.families import binomial_basis_row, mittag_leffler_params, pidduck_params
+from umbral.families import family_table
 
 N = 6
 
@@ -50,6 +50,5 @@ print()
 
 # These two families live naturally in the binomial basis binomial(x, k).
 print("Pidduck in the binomial basis (coefficients of binomial(x,k)):")
-for n in range(5):
-    row = binomial_basis_row(n, pidduck_params())
+for n, row in enumerate(family_table("pidduck", 4)[1]):
     print(f"  n={n}: " + ", ".join(str(v) for v in row))

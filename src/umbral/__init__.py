@@ -60,7 +60,6 @@ from .sheffer import (
 )
 from .families import (
     MasterParams,
-    binomial_basis_row,
     chebyshev_u,
     gegenbauer,
     gf_oracle,

@@ -65,7 +65,7 @@ EXIT_VERIFY = 4
 
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; the slowest command
-# at this order, family meixner1, takes 13-17 s on a 2-core VM
+# at this order, family meixner1, takes 3-4.5 s on a 2-core Xeon VM (Python 3.11)
 ORDER_CEILING = 128
 VERIFY_ORDER_CEILING = 12
 # far below the interpreter's recursion limit, which parsing and building

@@ -18,12 +18,14 @@ builder, the family's own generating function (to the given order), and
 whether it is ordinary-normalized (rows drop the n! of P_n).  The CLI,
 the verify suite and the named functions all go through it.
 
-Every family is validated two ways: the explicit sum above, and an
-independent expansion of its own generating function as a series in z
-whose coefficients are exact polynomials in x.  Where y sits in the second
-slot the binomial(y, k) factor expands to the degree-k polynomial
-y(y-1)...(y-k+1)/k!, so Meixner, Mittag-Leffler and Pidduck come out as
-honest polynomials in x in the binomial basis.
+The weight binomial(n-k+t+kq-1, n-k) is entry (n, k) of the ordinary Riordan
+array d = ((1-z)^(-t), z(1-z)^(-q)).  ``master_table`` builds d once, down each
+column by d_{n+1,k} = d_{n,k} (n-k+t+kq)/(n-k+1), and V_k = binomial(y, k) x^k
+once for all rows: P_n = n! sum_k d_{n,k} V_k.  Where y is the indeterminate,
+V_k is a degree-k polynomial in x (Meixner, Mittag-Leffler, Pidduck) and
+n! d_{n,k} x^k are the coefficients on binomial(x, k).  The independent route
+expands each family's own generating function as a series in z whose
+coefficients are exact polynomials in x.
 
 Two slots as printed in the classical literature hide sign slips (the
 Gegenbauer first slot and the Meixner (c-1)/c power); the generating
@@ -38,14 +40,14 @@ from typing import Callable
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import binomial, factorial
+from .rationals import factorial
 from .series import TruncatedSeries
 
 __all__ = [
     "MasterParams",
+    "master_table",
     "master_polynomial",
     "master_gf_polynomial",
-    "binomial_basis_row",
     "FAMILIES",
     "FAMILY_NAMES",
     "family_polynomial",
@@ -82,28 +84,27 @@ class MasterParams:
         return cls(xval, y, Fraction(q), Fraction(t))
 
 
-def _master_weight(n: int, k: int, p: MasterParams) -> Fraction:
-    """n! binomial(n-k+t+kq-1, n-k), the weight of binomial(y, k) x^k in P_n."""
-    return factorial(n) * binomial(Fraction(n - k) + p.t + k * p.q - 1, n - k)
+def master_table(nmax: int, p: MasterParams) -> tuple[list, list]:
+    """Rows P_0..P_nmax of the explicit sum, exact, and the Riordan array d
+    (rows of d_{n,0..n}) they are read from."""
+    if nmax < 0:
+        raise ValueError("master polynomial needs n >= 0")
+    d = [[Fraction(1)]]  # d_{n,n} = 1; down each column d_{n,k} = d_{n-1,k} (n-1-k+t+kq)/(n-k)
+    for n in range(1, nmax + 1):
+        column_steps = [w * (n - 1 - k + p.t + k * p.q) / (n - k) for k, w in enumerate(d[-1])]
+        d.append(column_steps + [Fraction(1)])
+    y = Polynomial.x() if p.y is None else Polynomial.constant(p.y)
+    basis, ybin, xpow = [], Polynomial.constant(1), Polynomial.constant(1)
+    for k in range(nmax + 1):  # binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
+        basis.append(ybin * xpow)
+        ybin, xpow = ybin * (y - k) / (k + 1), xpow * p.xval
+    sums = [sum((w * v for w, v in zip(row, basis)), Polynomial()) for row in d]
+    return [total * factorial(n) for n, total in enumerate(sums)], d
 
 
 def master_polynomial(n: int, p: MasterParams) -> Polynomial:
-    """The explicit sum, exact, including the n! normalization."""
-    if n < 0:
-        raise ValueError("master polynomial needs n >= 0")
-    total = Polynomial()
-    xpow = Polynomial.constant(1)
-    # binomial(y, k), carried along: binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
-    ybin = Polynomial.constant(1)
-    for k in range(n + 1):
-        weight = _master_weight(n, k, p)
-        if p.y is None:
-            total = total + weight * ybin * xpow
-            ybin = ybin * Polynomial((-k, 1)) / (k + 1)
-        else:
-            total = total + weight * binomial(p.y, k) * xpow
-        xpow = xpow * p.xval
-    return total
+    """Row n of ``master_table``: the explicit sum, including the n! normalization."""
+    return master_table(n, p)[0][n]
 
 
 def master_gf_polynomial(n: int, p: MasterParams) -> Polynomial:
@@ -113,16 +114,6 @@ def master_gf_polynomial(n: int, p: MasterParams) -> Polynomial:
     exponent = Polynomial.x() if p.y is None else p.y
     series = ps.multiply(_pole(n, p.t), ps.power(inner, exponent))
     return _as_polynomial(series[n]) * factorial(n)
-
-
-def binomial_basis_row(n: int, p: MasterParams) -> list:
-    """Coefficients of binomial(x, k), k = 0..n, for indeterminate-y params."""
-    if p.y is not None:
-        raise ValueError("binomial-basis coefficients need the indeterminate second slot")
-    if p.xval.degree > 0:
-        raise ValueError("binomial-basis coefficients need a constant first slot")
-    xconst = p.xval.coeff(0)
-    return [_master_weight(n, k, p) * xconst**k for k in range(n + 1)]
 
 
 def chebyshev_params() -> MasterParams:
@@ -227,19 +218,23 @@ def _lookup(kind: str, supplied: dict) -> tuple[Family, dict]:
 
 
 def family_polynomial(kind: str, n: int, **options) -> Polynomial:
-    """Explicit route: the master sum at the family's slots, normalized."""
-    family, options = _lookup(kind, options)
-    total = master_polynomial(n, family.params(**options))
-    return total / factorial(n) if family.ordinary else total
+    """Row n of ``family_table``."""
+    return family_table(kind, n, **options)[0][n]
 
 
 def family_table(kind: str, nmax: int, **options):
-    """Rows 0..nmax by the explicit route, and their coefficients on
-    binomial(x, k) when the second slot is the indeterminate (else None)."""
+    """Rows 0..nmax by the explicit route, normalized, and their coefficients
+    n! d_{n,k} xval^k on binomial(x, k) when the second slot is the
+    indeterminate (else None)."""
     family, options = _lookup(kind, options)
     p = family.params(**options)
-    polys = [family_polynomial(kind, n, **options) for n in range(nmax + 1)]
-    return polys, [binomial_basis_row(n, p) for n in range(nmax + 1)] if p.y is None else None
+    rows, d = master_table(nmax, p)
+    if family.ordinary:
+        rows = [row / factorial(n) for n, row in enumerate(rows)]
+    if p.y is not None:
+        return rows, None
+    x0 = p.xval.coeff(0)
+    return rows, [[factorial(n) * w * x0**k for k, w in enumerate(dn)] for n, dn in enumerate(d)]
 
 
 def gf_oracle(kind: str, n: int, lam=None, b=None, c=None) -> Polynomial:

@@ -497,7 +497,7 @@ def suite_riordan_group(order: int = 12, seed: int = 0, trials: int = 10) -> lis
         )
 
         seq = random_umbra(rng, order)
-        transformed = ftra_apply(ap, seq)  # raises if the two routes disagree
+        transformed = ftra_apply(ap, seq)  # the matrix route
         rec.check(
             "moment-transform-two-routes",
             transformed == add(p.gamma, composition_umbra(seq, p.alpha)),
@@ -523,13 +523,12 @@ def suite_riordan_group(order: int = 12, seed: int = 0, trials: int = 10) -> lis
 def chebyshev_recurrence_failure(n_max: int):
     """First ``n=… got=… expected=…`` in 2..n_max where U_n != 2x U_{n-1} - U_{n-2},
     else None."""
-    u_prev, u_curr = fam.chebyshev_u(0), fam.chebyshev_u(1)
+    u = fam.family_table("chebyshev-u", n_max)[0]
     two_x = Polynomial((0, 2))
     for n in range(2, n_max + 1):
-        u_next = fam.chebyshev_u(n)
-        if u_next != two_x * u_curr - u_prev:
-            return f"n={n} got={u_next} expected={two_x * u_curr - u_prev}"
-        u_prev, u_curr = u_curr, u_next
+        expected = two_x * u[n - 1] - u[n - 2]
+        if u[n] != expected:
+            return f"n={n} got={u[n]} expected={expected}"
     return None
 
 
@@ -545,13 +544,11 @@ def chebyshev_shifted_basis_failure():
 def pidduck_quotient_failure(n_max: int):
     """First ``n=…`` up to n_max where P_n != sum_j n!/j! M_j (the egf ratio
     1/(1-z) of Pidduck to Mittag-Leffler), else None."""
+    pidduck = fam.family_table("pidduck", n_max)[0]
+    mittag_leffler = fam.family_table("mittag-leffler", n_max)[0]
     for n in range(n_max + 1):
-        quotient_sum = Polynomial()
-        for j in range(n + 1):
-            quotient_sum = quotient_sum + fam.mittag_leffler(j) * Fraction(
-                factorial(n), factorial(j)
-            )
-        if fam.pidduck(n) != quotient_sum:
+        scale = (Fraction(factorial(n), factorial(j)) for j in range(n + 1))
+        if pidduck[n] != sum((m * s for m, s in zip(mittag_leffler, scale)), Polynomial()):
             return f"n={n}"
     return None
 
@@ -559,12 +556,13 @@ def pidduck_quotient_failure(n_max: int):
 def master_degenerate_slots_failure(n_max: int, ys):
     """First ``n=… y=…`` up to n_max where the master slots q = t = 0 do not collapse
     to n! C(y, n) x^n, else None; y = None is the indeterminate slot (``n=…``)."""
+    slots = (fam.MasterParams.of(Polynomial.x(), y, 0, 0) for y in ys)
+    tables = [fam.master_table(n_max, p)[0] for p in slots]
     for n in range(n_max + 1):
         monomial = Polynomial((0,) * n + (1,)) * factorial(n)
-        for y in ys:
-            p = fam.MasterParams.of(Polynomial.x(), y, 0, 0)
+        for y, rows in zip(ys, tables):
             expected = monomial * (binomial_poly(n) if y is None else binomial(y, n))
-            if fam.master_polynomial(n, p) != expected:
+            if rows[n] != expected:
                 return f"n={n}" if y is None else f"n={n} y={y}"
     return None
 
@@ -576,9 +574,9 @@ def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[Chec
 
     # each family takes the options it names and ignores the rest
     options = {"lam": Fraction(3, 2), "b": Fraction(1, 2), "c": Fraction(3)}
-    for kind in fam.FAMILY_NAMES:
-        for n in range(n_max + 1):
-            lhs = fam.family_polynomial(kind, n, **options)
+    explicit = {kind: fam.family_table(kind, n_max, **options)[0] for kind in fam.FAMILY_NAMES}
+    for kind, rows in explicit.items():
+        for n, lhs in enumerate(rows):
             rhs = fam.gf_oracle(kind, n, **options)
             rec.check(
                 f"explicit-vs-gf:{kind}",
@@ -590,20 +588,21 @@ def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[Chec
         bad = chebyshev_recurrence_failure(n_max)
         rec.check("chebyshev-recurrence", bad is None, bad)
 
+    gegenbauer_one = fam.family_table("gegenbauer", n_max, lam=1)[0]
     for n in range(n_max + 1):
         rec.check(
             "gegenbauer-reduces-to-chebyshev",
-            fam.gegenbauer(n, 1) == fam.chebyshev_u(n),
+            gegenbauer_one[n] == explicit["chebyshev-u"][n],
             f"n={n}",
         )
 
     # Mittag-Leffler is the Meixner pattern at (b, c) = (0, -1); the b > 0
     # restriction is lifted for this structural identity only
+    via_meixner = fam.master_table(n_max, fam.meixner_params(0, -1))[0]
     for n in range(n_max + 1):
-        via_meixner = fam.master_polynomial(n, fam.meixner_params(0, -1))
         rec.check(
             "mittag-leffler-meixner-specialization",
-            via_meixner == fam.mittag_leffler(n),
+            via_meixner[n] == explicit["mittag-leffler"][n],
             f"n={n}",
         )
 
@@ -624,10 +623,10 @@ def suite_families(order: int = 10, seed: int = 0, trials: int = 0) -> list[Chec
         fam.MasterParams.of(Fraction(1, 3), Fraction(4), Fraction(0), Fraction(2)),
     ]
     for pi, p in enumerate(generic):
-        for n in range(min(n_max, 7) + 1):
+        for n, row in enumerate(fam.master_table(min(n_max, 7), p)[0]):
             rec.check(
                 "master-explicit-vs-gf",
-                fam.master_polynomial(n, p) == fam.master_gf_polynomial(n, p),
+                row == fam.master_gf_polynomial(n, p),
                 f"params#{pi} n={n}",
             )
 
@@ -648,7 +647,10 @@ def run_suite(name: str, order: int, seed: int) -> list[CheckResult]:
     """Run one suite; each failed identity's detail ends with the command that repeats it."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite: {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
-    results = _SUITES[name](order=order, seed=seed)
+    try:
+        results = _SUITES[name](order=order, seed=seed)
+    except Exception as exc:  # a crash inside a suite is a failed check, never a traceback
+        results = [CheckResult(f"suite-error:{name}", False, f"{type(exc).__name__}: {exc}")]
     repro = f"repro: umbral verify {name} --order {order} --seed {seed}"
     for r in results:
         if not r.passed:

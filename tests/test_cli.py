@@ -10,7 +10,7 @@ import pytest
 import umbral
 from umbral import cli, verify
 from umbral.rationals import parse_rational
-from umbral.umbra import bell, dot, singleton
+from umbral.umbra import Umbra, bell, composition_umbra, dot, singleton
 from umbral.verify import CheckResult
 
 
@@ -323,6 +323,52 @@ def test_verify_failure_carries_repro_command(capsys, monkeypatch):
     details = [r["detail"] for r in json.loads(out)]
     assert details[0].endswith(repro)
     assert details[1:] == [""] * (len(details) - 1)
+
+
+def _off_by_one_in_m3(route):
+    def broken(*args):
+        moments = list(route(*args).moments)
+        moments[3] += 1
+        return Umbra(moments)
+
+    return broken
+
+
+def test_moment_transform_compares_two_routes(capsys, monkeypatch):
+    # a broken composition umbra is a FAIL line with its repro, not an exception
+    import umbral.sheffer
+
+    monkeypatch.setattr(umbral.sheffer, "composition_umbra", _off_by_one_in_m3(composition_umbra))
+    repro = "; repro: umbral verify riordan-group --order 4 --seed 1\n"
+    code, out, _ = run_cli(["verify", "riordan-group", "--order", "4", "--seed", "1"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "FAIL pair-composition-matches-matrix-product\n" in out
+    assert out.count(repro) == 1
+    # the suite's umbra route is checked against the matrix route of ftra_apply
+    monkeypatch.setattr(verify, "composition_umbra", _off_by_one_in_m3(composition_umbra))
+    code, out, _ = run_cli(["verify", "riordan-group", "--order", "4", "--seed", "1"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert f"FAIL moment-transform-two-routes\n  counterexample: trial=0{repro}" in out
+
+
+def test_verify_reports_a_suite_exception(capsys, monkeypatch):
+    def crash(order, seed):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(verify._SUITES, "duality", crash)
+    repro = "repro: umbral verify duality --order 4 --seed 7"
+    code, out, _ = run_cli(["verify", "duality", "--order", "4", "--seed", "7"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert out == (
+        f"FAIL suite-error:duality\n  counterexample: ValueError: boom; {repro}\n"
+        "0/1 identities hold (order=4, seed=7)\n"
+    )
+    args = ["verify", "duality", "--order", "4", "--seed", "7", "--format", "json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == cli.EXIT_VERIFY
+    assert json.loads(out) == [
+        {"name": "suite-error:duality", "passed": False, "detail": f"ValueError: boom; {repro}"}
+    ]
 
 
 def test_verify_order_ceiling(capsys):

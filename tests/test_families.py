@@ -4,10 +4,12 @@ import pytest
 
 from umbral import families
 from umbral.families import (
+    FAMILIES,
+    FAMILY_NAMES,
     MasterParams,
-    binomial_basis_row,
     chebyshev_params,
     chebyshev_u,
+    family_table,
     gegenbauer,
     gegenbauer_params,
     gf_oracle,
@@ -189,8 +191,13 @@ def test_pidduck_mittag_leffler_quotient():
 
 def test_family_checks_report_a_broken_row(monkeypatch):
     # each shared check names its first counterexample once row 2 is off
-    master = families.master_polynomial
-    monkeypatch.setattr(families, "master_polynomial", lambda n, p: master(n, p) * (3 if n == 2 else 1))
+    master = families.master_table
+
+    def broken(nmax, p):
+        rows, d = master(nmax, p)
+        return [row * (3 if n == 2 else 1) for n, row in enumerate(rows)], d
+
+    monkeypatch.setattr(families, "master_table", broken)
     assert chebyshev_recurrence_failure(10) == "n=2 got=12x^2 - 3 expected=4x^2 - 1"
     assert pidduck_quotient_failure(8) == "n=2"
     assert master_degenerate_slots_failure(6, (F(0), F(3))) == "n=2 y=3"
@@ -201,12 +208,8 @@ def test_family_checks_report_a_broken_row(monkeypatch):
 
 
 def test_binomial_basis_rows_reconstruct_polynomials():
-    for params, family in (
-        (mittag_leffler_params(), mittag_leffler),
-        (pidduck_params(), pidduck),
-    ):
-        for n in range(7):
-            row = binomial_basis_row(n, params)
+    for kind, family in (("mittag-leffler", mittag_leffler), ("pidduck", pidduck)):
+        for n, row in enumerate(family_table(kind, 6)[1]):
             rebuilt = Polynomial()
             for k, coeff in enumerate(row):
                 rebuilt = rebuilt + binomial_poly(k) * coeff
@@ -214,8 +217,18 @@ def test_binomial_basis_rows_reconstruct_polynomials():
 
 
 def test_binomial_basis_row_requires_indeterminate_slot():
-    with pytest.raises(ValueError):
-        binomial_basis_row(3, chebyshev_params())
+    assert family_table("chebyshev-u", 3)[1] is None
+    assert family_table("gegenbauer", 3, lam=F(5, 2))[1] is None
+
+
+@pytest.mark.parametrize("kind", FAMILY_NAMES)
+def test_family_table_matches_one_gf_expansion_deep(kind):
+    # the column recurrence of d, carried to n = 20, against one gf expansion
+    options = {"lam": F(5, 2), "b": F(3, 2), "c": F(1, 3)}
+    rows = family_table(kind, 20, **options)[0]
+    family = FAMILIES[kind]
+    series = family.gf(20, **{name: options[name] for name in family.options})
+    assert rows == [series[n] * (1 if family.ordinary else factorial(n)) for n in range(21)]
 
 
 def test_gf_oracle_unknown_family():
