@@ -63,6 +63,7 @@ from .families import (
     chebyshev_u,
     gegenbauer,
     gf_oracle,
+    gf_rows,
     master_gf_polynomial,
     master_polynomial,
     meixner1,

@@ -23,9 +23,9 @@ array d = ((1-z)^(-t), z(1-z)^(-q)).  ``master_table`` builds d once, down each
 column by d_{n+1,k} = d_{n,k} (n-k+t+kq)/(n-k+1), and V_k = binomial(y, k) x^k
 once for all rows: P_n = n! sum_k d_{n,k} V_k.  Where y is the indeterminate,
 V_k is a degree-k polynomial in x (Meixner, Mittag-Leffler, Pidduck) and
-n! d_{n,k} x^k are the coefficients on binomial(x, k).  The independent route
-expands each family's own generating function as a series in z whose
-coefficients are exact polynomials in x.
+n! d_{n,k} x^k are the coefficients on binomial(x, k).  The independent route,
+``gf_rows``, expands each family's own generating function once, as a series
+in z whose coefficients are exact polynomials in x, and reads every row off it.
 
 Two slots as printed in the classical literature hide sign slips (the
 Gegenbauer first slot and the Meixner (c-1)/c power); the generating
@@ -52,6 +52,7 @@ __all__ = [
     "FAMILY_NAMES",
     "family_polynomial",
     "family_table",
+    "gf_rows",
     "gf_oracle",
     "chebyshev_u",
     "gegenbauer",
@@ -237,16 +238,22 @@ def family_table(kind: str, nmax: int, **options):
     return rows, [[factorial(n) * w * x0**k for k, w in enumerate(dn)] for n, dn in enumerate(d)]
 
 
-def gf_oracle(kind: str, n: int, lam=None, b=None, c=None) -> Polynomial:
-    """Independent route: expand the family's own generating function.
+def gf_rows(kind: str, nmax: int, lam=None, b=None, c=None) -> list:
+    """Independent route: rows 0..nmax read off one expansion of the family's
+    own generating function to order nmax.
 
-    Returns the degree-n polynomial read off the z^n coefficient (times n!
-    for the egf-normalized families).  Shares nothing with the explicit
-    sums above except the series engine.
+    Row n is the degree-n polynomial at z^n (times n! for the egf-normalized
+    families).  Shares nothing with the explicit sums above except the series
+    engine.
     """
     family, options = _lookup(kind, {"lam": lam, "b": b, "c": c})
-    coeff = _as_polynomial(family.gf(n, **options)[n])
-    return coeff if family.ordinary else coeff * factorial(n)
+    rows = [_as_polynomial(coeff) for coeff in family.gf(nmax, **options).coeffs]
+    return rows if family.ordinary else [row * factorial(n) for n, row in enumerate(rows)]
+
+
+def gf_oracle(kind: str, n: int, lam=None, b=None, c=None) -> Polynomial:
+    """Row n of ``gf_rows``."""
+    return gf_rows(kind, n, lam=lam, b=b, c=c)[n]
 
 
 def chebyshev_u(n: int) -> Polynomial:

@@ -4,14 +4,15 @@ These are the values the package hands back to users: Sheffer polynomials,
 rows of the classical families, evaluated umbral expressions.  The class is
 deliberately small; it only needs ring arithmetic, scalar mixing with
 ``Fraction`` (so a polynomial can sit inside a power-series coefficient),
-exact evaluation, and a readable rendering.
+exact evaluation, and a readable rendering.  A product is one convolution
+of integer numerators over the two common denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import factorial, format_rational
+from .rationals import factorial, format_rational, over_common_denominator
 
 __all__ = ["Polynomial", "binomial_poly", "falling_factorial_poly"]
 
@@ -94,13 +95,15 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, da = over_common_denominator(self._coeffs)
+        b, db = over_common_denominator(other._coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        den = da * db
+        return Polynomial(Fraction(c, den) for c in out)
 
     __rmul__ = __mul__
 

@@ -20,6 +20,12 @@ and a flavor conversion's pair are computed on first access, so matrix
 arithmetic that only reads entries never pays for pair composition.
 Matrix products multiply integer numerators over one common denominator
 per matrix, with a single division per entry.
+
+The Abel form s_n(x) = E[(x + K)(x + K + n.K(alpha, alpha))^(n-1)], with
+K = K(gamma, alpha), is expanded through the moments of the two K umbrae
+(Lagrange inversion and Miller dot powers), so this module does not need
+the symbolic engine; the tests keep the symbolic expansion of the same
+expectation as its witness.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from math import comb
 from . import series as ps
 from .polynomials import Polynomial
 from .rationals import factorial, over_common_denominator
-from .symbolic import UmbralSymbol, X, abel_expression, atom
 from .umbra import (
     Umbra,
     add,
@@ -160,16 +165,28 @@ def sheffer_sequence_series(pair: UmbraPair) -> tuple:
 def abel_representation(pair: UmbraPair) -> ShefferSequence:
     """Sheffer polynomials in their Abel form.
 
-    s_n(x) = E[(x + K)(x + K + n.K_alpha)^(n-1)] with K = K(gamma, alpha);
-    both occurrences of K are the same (correlated) symbol, the n.K_alpha
-    displacement is a fresh one.  Agrees with :func:`sheffer_sequence`.
+    s_n(x) = E[(x + K)(x + K + S)^(n-1)] with K = K(gamma, alpha) and
+    S = n.K(alpha, alpha); both occurrences of K are the same (correlated)
+    umbra, S is a fresh one.  Expanding in S, then in K:
+
+        s_n(x) = sum_j C(n-1, j) m_j(S) sum_i C(n-j, i) m_{n-j-i}(K) x^i,
+
+    on integer moment numerators, one division per coefficient.  Agrees
+    with :func:`sheffer_sequence`, with which it shares only ``add`` and
+    ``comb``.
     """
-    kga = k_umbra(pair.gamma, pair.alpha)
+    k, dk = over_common_denominator(k_umbra(pair.gamma, pair.alpha).moments)
     kaa = k_umbra(pair.alpha, pair.alpha)
-    polys = []
-    for n in range(pair.order + 1):
-        base = atom(X) + atom(UmbralSymbol(kga, label="K"))
-        polys.append(abel_expression(n, base, kaa).evaluate().to_univariate(X))
+    polys = [Polynomial((1,))]
+    for n in range(1, pair.order + 1):
+        s, ds = over_common_denominator(dot_scalar(n, kaa).moments)
+        coeffs = [0] * (n + 1)
+        for j in range(n):
+            w = comb(n - 1, j) * s[j]
+            if w:
+                for i in range(n - j + 1):
+                    coeffs[i] += w * comb(n - j, i) * k[n - j - i]
+        polys.append(Polynomial(Fraction(c, ds * dk) for c in coeffs))
     return ShefferSequence(pair, tuple(polys))
 
 

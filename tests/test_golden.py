@@ -1,8 +1,10 @@
 """Byte-identical CLI output: the sha256 of stdout for fixed command lines.
 
 The digests were recorded before the identity checks of ``verify`` moved
-into shared functions.  A change that alters one of these outputs on
-purpose says so and records the new digest."""
+into shared functions; the two order-32 ``umbra`` lines (``inv`` runs
+``revert``, ``dot`` runs ``compose`` and ``log``) were recorded while the
+series kernels still ran on ``Fraction`` arithmetic.  A change that alters
+one of these outputs on purpose says so and records the new digest."""
 
 import hashlib
 
@@ -22,6 +24,12 @@ GOLDEN = {
     "sheffer chi bell --order 6": "16030cc5be8aecf744bd244b0e9fb038c32a0f39c555651d17deec66b9e753d6",
     "umbra k(add(bell,chi),dotscalar(1/2,inv(ubar))) --order 8": (
         "6b8dd800dcc9bf007f42a2cb882d7cfd52eba037d692bb2fb0f849f7f44b60a3"
+    ),
+    "umbra inv(egf(1,2,-1/3,5/2,0,7)) --order 32 --format json": (
+        "5fd42cfb9ec4c4a6c2e1d3a9fd400619b76558c4f6b8307d93a393b34963e5d7"
+    ),
+    "umbra k(dot(egf(1,1,-1/2,2),bell),inv(egf(1,-2,1/3,0,5))) --order 32 --format json": (
+        "cf91a59927ff5830a878e9db85dd4fa977acedc6856a729c61104861e3d73ed7"
     ),
 }
 

@@ -1,10 +1,29 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbral.polynomials import Polynomial
 from umbral.rationals import binomial, factorial
 from umbral.series import TruncatedSeries, compose, exp, log, multiply, power, revert
+
+try:
+    from sympy import QQ
+    from sympy.polys.rings import ring
+    from sympy.polys.ring_series import (
+        rs_exp,
+        rs_log,
+        rs_mul,
+        rs_nth_root,
+        rs_pow,
+        rs_series_reversion,
+    )
+except ImportError:  # the sympy oracles are skipped, the other tests still run
+    QQ = None
+needs_sympy = pytest.mark.skipif(QQ is None, reason="sympy is not installed")
 
 F = Fraction
 
@@ -267,3 +286,145 @@ def test_multiply_commutative_associative_randomized():
         h = random_series(rng, order)
         assert multiply(f, g) == multiply(g, f)
         assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+
+
+# --- the integer kernels against sympy's ring series over QQ ---------------------
+# Orders 0..12, zero coefficients, negative and fractional linear coefficients,
+# and Polynomial coefficients (a polynomial in x is a polynomial in the second
+# ring generator).  Every result coefficient must be a reduced Fraction or a
+# Polynomial of reduced Fractions.
+
+kernel_laws = settings(max_examples=30, deadline=None)
+if QQ is not None:
+    RING, RZ, RX = ring("z, x", QQ)
+
+rationals = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+polynomials = st.lists(rationals, max_size=3).map(Polynomial)
+exponents = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def tails(order, elements):
+    return st.lists(elements, min_size=order, max_size=order)
+
+
+@st.composite
+def series(draw, elements=rationals, head=None, max_order=12):
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    c0 = draw(elements) if head is None else head
+    return TruncatedSeries([c0] + draw(tails(order, elements)))
+
+
+@st.composite
+def series_pairs(draw, inner_head=None):
+    """Two series of one order; the second, drawn on the exponential scale
+    (c_k / k!) half the time, has denominators that grow with k."""
+    f = draw(series(st.one_of(rationals, polynomials)))
+    elements = st.one_of(rationals, polynomials)
+    c0 = draw(elements) if inner_head is None else inner_head
+    g = [c0] + draw(tails(f.order, elements))
+    if draw(st.booleans()):
+        g = [c * F(1, factorial(k)) for k, c in enumerate(g)]
+    return f, TruncatedSeries(g)
+
+
+@st.composite
+def reversible(draw):
+    order = draw(st.integers(min_value=1, max_value=12))
+    c1 = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+    return TruncatedSeries([0, c1] + draw(tails(order - 1, rationals)))
+
+
+def to_ring(f):
+    out = RING.zero
+    for i, c in enumerate(f.coeffs):
+        poly = c if isinstance(c, Polynomial) else Polynomial((c,))
+        for j, a in enumerate(poly.coeffs):
+            out += QQ(a.numerator, a.denominator) * RZ**i * RX**j
+    return out
+
+
+def from_ring(p, order):
+    rows = [{} for _ in range(order + 1)]
+    for (i, j), c in p.terms():
+        rows[i][j] = F(int(c.numerator), int(c.denominator))
+    return [Polynomial(row.get(j, 0) for j in range(max(row, default=-1) + 1)) for row in rows]
+
+
+def assert_matches(result, expected, order):
+    assert result.order == order
+    for c in result.coeffs:
+        for a in c.coeffs if isinstance(c, Polynomial) else (c,):
+            assert isinstance(a, F) and a.denominator > 0 and gcd(a.numerator, a.denominator) == 1
+    got = [c if isinstance(c, Polynomial) else Polynomial((c,)) for c in result.coeffs]
+    assert got == from_ring(expected, order)
+
+
+@needs_sympy
+@kernel_laws
+@given(series_pairs())
+def test_multiply_matches_rs_mul(pair):
+    f, g = pair
+    n = f.order + 1
+    assert_matches(multiply(f, g), rs_mul(to_ring(f), to_ring(g), RZ, n), f.order)
+
+
+@needs_sympy
+@kernel_laws
+@given(series_pairs(inner_head=F(0)))
+def test_compose_matches_sympy_horner(pair):
+    f, g = pair
+    n = f.order + 1
+    expected, inner_power = RING.zero, RING.one
+    for c in f.coeffs:
+        expected += to_ring(TruncatedSeries([c])) * inner_power
+        inner_power = rs_mul(inner_power, to_ring(g), RZ, n)
+    assert_matches(compose(f, g), expected, f.order)
+
+
+@needs_sympy
+@kernel_laws
+@given(series(st.one_of(rationals, polynomials), head=1), exponents)
+def test_power_matches_rs_pow(f, a):
+    n = f.order + 1
+    root = rs_nth_root(to_ring(f), a.denominator, RZ, n)
+    assert_matches(power(f, a), rs_pow(root, a.numerator, RZ, n), f.order)
+
+
+@needs_sympy
+@kernel_laws
+@given(series(st.one_of(rationals, polynomials), head=1), polynomials)
+def test_polynomial_power_matches_rs_exp_log(f, a):
+    n = f.order + 1
+    expected = rs_exp(to_ring(TruncatedSeries([a])) * rs_log(to_ring(f), RZ, n), RZ, n)
+    assert_matches(power(f, a), expected, f.order)
+
+
+@needs_sympy
+@kernel_laws
+@given(reversible())
+def test_revert_matches_rs_series_reversion(f):
+    ring_, z, w = ring("z, w", QQ)
+    p = ring_.zero
+    for i, c in enumerate(f.coeffs):
+        p += QQ(c.numerator, c.denominator) * z**i
+    expected = RING.zero
+    for (i, j), c in rs_series_reversion(p, z, f.order + 1, w).terms():
+        assert i == 0
+        expected += c * RZ**j
+    assert_matches(revert(f), expected, f.order)
+
+
+@needs_sympy
+@kernel_laws
+@given(series(st.one_of(rationals, polynomials), head=F(0)))
+def test_exp_matches_rs_exp(f):
+    assert_matches(exp(f), rs_exp(to_ring(f), RZ, f.order + 1), f.order)
+
+
+@needs_sympy
+@kernel_laws
+@given(series(st.one_of(rationals, polynomials), head=1))
+def test_log_matches_rs_log(f):
+    assert_matches(log(f), rs_log(to_ring(f), RZ, f.order + 1), f.order)

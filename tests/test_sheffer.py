@@ -126,6 +126,23 @@ def test_abel_representation_matches_direct_route():
         assert abel_representation(pair).polys == sheffer_sequence(pair).polys
 
 
+def test_abel_representation_matches_symbolic_witness():
+    # the paper's E[(x + K)(x + K + n.K_alpha)^(n-1)], expanded by the symbolic
+    # engine, against the moment expansion of the same expectation
+    from umbral.symbolic import X, UmbralSymbol, abel_expression, atom
+    from umbral.umbra import k_umbra
+
+    rng = Random(41)
+    for order in range(7):
+        pair = random_pair(rng, order)
+        base = atom(X) + atom(UmbralSymbol(k_umbra(pair.gamma, pair.alpha), label="K"))
+        kaa = k_umbra(pair.alpha, pair.alpha)
+        witness = tuple(
+            abel_expression(n, base, kaa).evaluate().to_univariate() for n in range(order + 1)
+        )
+        assert abel_representation(pair).polys == witness
+
+
 # --- Riordan arrays ----------------------------------------------------------------
 
 
