@@ -15,6 +15,23 @@ umbral symbols, with exact rational coefficients.  A second variable y is
 supported so two-variable identities can be checked as exact polynomial
 equalities rather than at sampled points.
 
+Representation.  Every atom has an integer id: x is -2, y is -1, and each
+umbral symbol takes the next value of a counter (0, 1, ...), so sorting by
+id gives the canonical order x, y, then symbols by age.  A polynomial keeps
+its atoms as one tuple sorted by id, and its terms as a dict from a packed
+monomial to a coefficient.  A packed monomial is one Python int holding the
+exponent of the i-th atom in bits [15i, 15i + 15), so the product of two
+monomials over the same atoms is one integer addition (M. Monagan and
+R. Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Operands over different atoms are first
+re-encoded onto the sorted union of their atoms.  An exponent above the
+slot bound 2^15 - 1 = 32767 would carry into the next slot, so each
+polynomial carries a bound on its exponents, and the constructor and any
+product whose operands' bounds sum past the slot raise ``ValueError``.
+Coefficients stay exact: a Python int while integral, a ``Fraction``
+otherwise.  ``constant_value`` and ``to_univariate`` hand back
+``Fraction``s, as everywhere else in the package.
+
 Powers are built by repeated multiplication, p^n = p^(n-1) * p, not by
 repeated squaring.  The bases here are sparse (two or three atoms, such as
 x + K + s), and for sparse polynomials each squaring multiplies two dense
@@ -27,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import attrgetter
 
 from .polynomials import Polynomial
 from .umbra import Umbra, dot_scalar
@@ -44,21 +62,28 @@ __all__ = [
     "abel_expression",
 ]
 
+_SLOT_BITS = 15
+_SLOT_MAX = (1 << _SLOT_BITS) - 1
+
 
 class FormalVariable:
-    """A commuting variable (x or y) surviving evaluation untouched."""
+    """A commuting variable (x or y) surviving evaluation untouched.
 
-    __slots__ = ("name",)
+    Its atom id is negative, below every symbol's.
+    """
 
-    def __init__(self, name: str):
+    __slots__ = ("name", "_id")
+
+    def __init__(self, name: str, atom_id: int):
         self.name = name
+        self._id = atom_id
 
     def __repr__(self):
         return self.name
 
 
-X = FormalVariable("x")
-Y = FormalVariable("y")
+X = FormalVariable("x", -2)
+Y = FormalVariable("y", -1)
 
 _ids = itertools.count()
 
@@ -77,10 +102,57 @@ class UmbralSymbol:
         return self.label
 
 
-def _sort_key(a):
-    if isinstance(a, FormalVariable):
-        return (0, a.name, 0)
-    return (1, "", a._id)
+_atom_id = attrgetter("_id")
+
+
+def _exact(c):
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        if isinstance(c, int):
+            return int(c)
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _nonzero(terms: dict) -> dict:
+    """Drop zero coefficients and write integral Fractions as ints."""
+    return {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items()
+        if c
+    }
+
+
+def _make(atoms: tuple, terms: dict, top: int) -> "UmbralPolynomial":
+    p = object.__new__(UmbralPolynomial)
+    p._atoms = atoms
+    p._terms = terms
+    p._top = top
+    return p
+
+
+def _onto(p: "UmbralPolynomial", atoms: tuple) -> dict:
+    """The terms of ``p`` packed over ``atoms``, a sorted superset of its atoms."""
+    old = p._atoms
+    if atoms[: len(old)] == old:
+        return p._terms
+    slot = {a: i for i, a in enumerate(atoms)}
+    moves = [(i * _SLOT_BITS, slot[a] * _SLOT_BITS) for i, a in enumerate(old)]
+    out = {}
+    for m, c in p._terms.items():
+        packed = 0
+        for src, dst in moves:
+            packed |= ((m >> src) & _SLOT_MAX) << dst
+        out[packed] = c
+    return out
+
+
+def _aligned(p: "UmbralPolynomial", q: "UmbralPolynomial"):
+    """One atom tuple for both operands, and both term dicts packed over it."""
+    if p._atoms == q._atoms:
+        return p._atoms, p._terms, q._terms
+    atoms = tuple(sorted(set(p._atoms).union(q._atoms), key=_atom_id))
+    return atoms, _onto(p, atoms), _onto(q, atoms)
 
 
 def _coerce_operand(value):
@@ -96,23 +168,49 @@ def _coerce_operand(value):
 class UmbralPolynomial:
     """Sparse polynomial over {x, y} and umbral symbols, rationals as scalars.
 
-    Monomial keys are canonically sorted tuples of (atom, exponent); zero
+    Built from ``{((atom, exponent), ...): coefficient}``; held as packed
+    monomials over a sorted atom tuple (see the module docstring).  Zero
     coefficients are never stored.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_atoms", "_terms", "_top")
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        terms = terms or {}
+        atoms = tuple(sorted({a for mono in terms for a, _ in mono}, key=_atom_id))
+        slot = {a: i * _SLOT_BITS for i, a in enumerate(atoms)}
+        out: dict = {}
+        top = 0
+        for mono, c in terms.items():
+            exps: dict = {}
+            for a, e in mono:
+                exps[a] = exps.get(a, 0) + e
+            packed = 0
+            for a, e in exps.items():
+                if not 0 <= e <= _SLOT_MAX:
+                    raise ValueError(f"exponent {e} of {a!r} outside 0..{_SLOT_MAX}")
+                packed += e << slot[a]
+                top = max(top, e)
+            out[packed] = out.get(packed, 0) + _exact(c)
+        self._atoms = atoms
+        self._terms = _nonzero(out)
+        self._top = top
 
     def __add__(self, other):
         other = _coerce_operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return UmbralPolynomial(out)
+        atoms, a, b = _aligned(self, other)
+        out = dict(a)
+        get = out.get
+        # touch only b's terms: sums grow by small pieces (substitute, verify)
+        for m, c in b.items():
+            s = get(m, 0) + c
+            if s:
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+            else:
+                del out[m]
+        return _make(atoms, out, max(self._top, other._top))
 
     __radd__ = __add__
 
@@ -126,20 +224,26 @@ class UmbralPolynomial:
         return (-self) + other
 
     def __neg__(self):
-        return UmbralPolynomial({m: -c for m, c in self.terms.items()})
+        return _make(self._atoms, {m: -c for m, c in self._terms.items()}, self._top)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UmbralPolynomial({m: c * other for m, c in self.terms.items()})
+            scaled = {m: c * other for m, c in self._terms.items()}
+            return _make(self._atoms, _nonzero(scaled), self._top)
         other = _coerce_operand(other)
         if other is None:
             return NotImplemented
+        top = self._top + other._top
+        if top > _SLOT_MAX:
+            raise ValueError(f"a product exponent may reach {top}, past the slot bound {_SLOT_MAX}")
+        atoms, a, b = _aligned(self, other)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
-                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        return UmbralPolynomial(out)
+        get = out.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return _make(atoms, _nonzero(out), top)
 
     __rmul__ = __mul__
 
@@ -155,97 +259,102 @@ class UmbralPolynomial:
         other = _coerce_operand(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        _, a, b = _aligned(self, other)
+        return a == b
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._decoded().items()))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=lambda m: tuple(_sort_key(a) + (e,) for a, e in m)):
-            c = self.terms[m]
+        terms = self._decoded()
+        for m in sorted(terms, key=lambda m: tuple((a._id, e) for a, e in m)):
             factors = [f"{a!r}^{e}" if e > 1 else f"{a!r}" for a, e in m]
-            bits.append(f"{c}*{'*'.join(factors)}" if factors else str(c))
+            bits.append(f"{terms[m]}*{'*'.join(factors)}" if factors else str(terms[m]))
         return " + ".join(bits)
+
+    def _decoded(self) -> dict:
+        """The terms in the constructor's form, {((atom, exponent), ...): coeff}."""
+        out = {}
+        for m, c in self._terms.items():
+            mono = []
+            for i, a in enumerate(self._atoms):
+                e = (m >> (i * _SLOT_BITS)) & _SLOT_MAX
+                if e:
+                    mono.append((a, e))
+            out[tuple(mono)] = c
+        return out
 
     def evaluate(self) -> "UmbralPolynomial":
         """Apply E: replace each symbol power by its moment, keep x and y."""
+        atoms = self._atoms
+        nvars = sum(a._id < 0 for a in atoms)  # the variables sort first
+        symbols = [
+            (i * _SLOT_BITS, a, [_exact(m) for m in a.binding.moments])
+            for i, a in enumerate(atoms[nvars:], nvars)
+        ]
+        keep = (1 << (nvars * _SLOT_BITS)) - 1
         out: dict = {}
-        for m, c in self.terms.items():
+        get = out.get
+        for m, c in self._terms.items():
             value = c
-            rest = []
-            for a, e in m:
-                if isinstance(a, FormalVariable):
-                    rest.append((a, e))
-                else:
-                    if e > a.binding.order:
+            for shift, a, moments in symbols:
+                e = (m >> shift) & _SLOT_MAX
+                if e:
+                    if e >= len(moments):
                         raise ValueError(
                             f"symbol {a.label} raised to {e} exceeds its moment order {a.binding.order}"
                         )
-                    value *= a.binding.moment(e)
-            if value != 0:
-                key = tuple(rest)
-                out[key] = out.get(key, Fraction(0)) + value
-        return UmbralPolynomial(out)
+                    value *= moments[e]
+            if value:
+                key = m & keep
+                out[key] = get(key, 0) + value
+        return _make(atoms[:nvars], _nonzero(out), self._top)
 
     def formal_derivative(self, wrt) -> "UmbralPolynomial":
         """Termwise power-rule derivative in one atom (a variable or symbol)."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            for i, (a, e) in enumerate(m):
-                if a is wrt:
-                    if e > 1:
-                        reduced = m[:i] + ((a, e - 1),) + m[i + 1 :]
-                    else:
-                        reduced = m[:i] + m[i + 1 :]
-                    out[reduced] = out.get(reduced, Fraction(0)) + c * e
-                    break
-        return UmbralPolynomial(out)
+        if wrt not in self._atoms:
+            return _make(self._atoms, {}, 0)
+        shift = self._atoms.index(wrt) * _SLOT_BITS
+        unit = 1 << shift
+        out = {}
+        for m, c in self._terms.items():
+            e = (m >> shift) & _SLOT_MAX
+            if e:
+                out[m - unit] = c * e
+        return _make(self._atoms, _nonzero(out), self._top)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
-        if set(self.terms) != {()}:
+        if len(self._terms) != 1 or 0 not in self._terms:
             raise ValueError("not a constant expression")
-        return self.terms[()]
+        return Fraction(self._terms[0])
 
     def to_univariate(self, var: FormalVariable = X) -> Polynomial:
         """Convert to a dense polynomial in one variable; others must be absent."""
-        coeffs: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            if not m:
-                coeffs[0] = coeffs.get(0, Fraction(0)) + c
-            elif len(m) == 1 and m[0][0] is var:
-                e = m[0][1]
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c
-            else:
+        shift, own = 0, 0
+        if var in self._atoms:
+            shift = self._atoms.index(var) * _SLOT_BITS
+            own = _SLOT_MAX << shift
+        coeffs = {}
+        for m, c in self._terms.items():
+            if m & ~own:
                 raise ValueError(f"expression is not univariate in {var!r}: {self!r}")
-        top = max(coeffs, default=0)
-        return Polynomial(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
-
-
-def _merge_monomials(m1, m2):
-    exps: dict = {}
-    order: list = []
-    for a, e in itertools.chain(m1, m2):
-        if a in exps:
-            exps[a] += e
-        else:
-            exps[a] = e
-            order.append(a)
-    order.sort(key=_sort_key)
-    return tuple((a, exps[a]) for a in order)
+            coeffs[m >> shift] = c
+        return Polynomial(tuple(coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)))
 
 
 def atom(a) -> UmbralPolynomial:
     """The polynomial consisting of a single variable or symbol."""
-    return UmbralPolynomial({((a, 1),): Fraction(1)})
+    return _make((a,), {1: 1}, 1)
 
 
 def constant(c) -> UmbralPolynomial:
-    return UmbralPolynomial({(): Fraction(c)})
+    c = _exact(c)
+    return _make((), {0: c} if c else {}, 0)
 
 
 def substitute(poly: Polynomial, arg) -> UmbralPolynomial:

@@ -62,7 +62,7 @@ class Umbra:
     __slots__ = ("_moments",)
 
     def __init__(self, moments):
-        moments = tuple(Fraction(m) for m in moments)
+        moments = tuple(m if type(m) is Fraction else Fraction(m) for m in moments)
         if not moments or moments[0] != 1:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
         self._moments = moments

@@ -3,6 +3,7 @@ the umbra-spec parser, and on every registered polynomial family."""
 
 from fractions import Fraction
 from math import factorial
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -121,6 +122,139 @@ def test_sparse_power_is_multinomial_sum(n):
             monomial = tuple((a, e) for a, e in ((X, i), (Y, j), (s, k)) if e)
             terms[monomial] = Fraction(factorial(n), factorial(i) * factorial(j) * factorial(k))
     assert (atom(X) + atom(Y) + atom(s)) ** n == UmbralPolynomial(terms)
+
+
+# --- the packed symbolic kernel against a plain reference ---------------------
+#
+# The reference keeps today's constructor form, {((atom, exponent), ...): c},
+# with atoms in the canonical order x, y, then symbols by age.
+
+_rng = Random(11)
+REF_ATOMS = (X, Y) + tuple(
+    UmbralSymbol(Umbra([1] + [Fraction(_rng.randint(-3, 3), _rng.randint(1, 3)) for _ in range(80)]))
+    for _ in range(3)
+)
+REF_RANK = {a: i for i, a in enumerate(REF_ATOMS)}
+
+
+def ref_canonical(exps: dict) -> tuple:
+    return tuple(sorted(((a, e) for a, e in exps.items() if e), key=lambda ae: REF_RANK[ae[0]]))
+
+
+def ref_collect(pairs) -> dict:
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    return ref_collect(list(p.items()) + list(q.items()))
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    pairs = []
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for a, e in m2:
+                exps[a] = exps.get(a, 0) + e
+            pairs.append((ref_canonical(exps), c1 * c2))
+    return ref_collect(pairs)
+
+
+def ref_evaluate(p: dict) -> dict:
+    pairs = []
+    for m, c in p.items():
+        for a, e in m:
+            if isinstance(a, UmbralSymbol):
+                c *= a.binding.moment(e)
+        pairs.append((tuple((a, e) for a, e in m if a in (X, Y)), c))
+    return ref_collect(pairs)
+
+
+def ref_derivative(p: dict, wrt) -> dict:
+    pairs = []
+    for m, c in p.items():
+        exps = dict(m)
+        if wrt in exps:
+            exps[wrt] -= 1
+            pairs.append((ref_canonical(exps), c * dict(m)[wrt]))
+    return ref_collect(pairs)
+
+
+def ref_repr(p: dict) -> str:
+    bits = []
+    for m in sorted(p, key=lambda m: tuple((REF_RANK[a], e) for a, e in m)):
+        factors = "*".join(f"{a!r}^{e}" if e > 1 else f"{a!r}" for a, e in m)
+        bits.append(f"{p[m]}*{factors}" if factors else str(p[m]))
+    return " + ".join(bits) or "0"
+
+
+def ref_univariate(p: dict, var) -> Polynomial:
+    coeffs: dict = {}
+    for m, c in p.items():
+        if any(a is not var for a, _ in m):
+            raise ValueError("not univariate")
+        coeffs[m[0][1] if m else 0] = c
+    return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)])
+
+
+ref_coefficients = st.integers(min_value=-5, max_value=5) | st.fractions(
+    min_value=-5, max_value=5, max_denominator=6
+)
+
+
+@st.composite
+def ref_polynomials(draw, atoms):
+    """A reference polynomial over a drawn subset of ``atoms``, exponents up to 40."""
+    own = [a for a in atoms if draw(st.booleans())]
+    monomial = st.tuples(*(st.integers(min_value=0, max_value=40) for _ in own)).map(
+        lambda es: ref_canonical(dict(zip(own, es)))
+    )
+    return ref_collect(draw(st.lists(st.tuples(monomial, ref_coefficients), max_size=6)))
+
+
+@st.composite
+def ref_pairs(draw):
+    atoms = REF_ATOMS[: 2 + draw(st.integers(min_value=1, max_value=3))]
+    return draw(ref_polynomials(atoms)), draw(ref_polynomials(atoms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_pairs())
+def test_packed_kernel_matches_reference(pq):
+    p, q = pq
+    P, Q = UmbralPolynomial(p), UmbralPolynomial(q)
+    for got, want in ((P, p), (Q, q), (P + Q, ref_add(p, q)), (P * Q, ref_mul(p, q))):
+        expected = UmbralPolynomial(want)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert repr(got) == ref_repr(want)
+        assert got.evaluate() == UmbralPolynomial(ref_evaluate(want))
+        for a in REF_ATOMS:
+            assert got.formal_derivative(a) == UmbralPolynomial(ref_derivative(want, a))
+    assert (P == Q) == (p == q)
+    # equal values over different atom tuples: P + Q - Q keeps Q's atoms
+    assert P + Q - Q == P
+    assert hash(P + Q - Q) == hash(P)
+
+    for var in (X, Y):
+        want = ref_evaluate(ref_mul(p, q))
+        try:
+            expected = ref_univariate(want, var)
+        except ValueError:
+            with pytest.raises(ValueError):
+                (P * Q).evaluate().to_univariate(var)
+            continue
+        got = (P * Q).evaluate().to_univariate(var)
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    symbols_only = {m: c for m, c in p.items() if all(a not in (X, Y) for a, _ in m)}
+    value = UmbralPolynomial(symbols_only).evaluate().constant_value()
+    assert type(value) is Fraction
+    assert value == ref_evaluate(symbols_only).get((), 0)
 
 
 @laws

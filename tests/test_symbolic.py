@@ -5,7 +5,7 @@ import pytest
 
 from umbral import verify
 from umbral.polynomials import Polynomial
-from umbral.symbolic import UmbralSymbol, X, Y, abel, atom, constant
+from umbral.symbolic import _SLOT_MAX, UmbralPolynomial, UmbralSymbol, X, Y, abel, atom, constant
 from umbral.umbra import augmentation, scalar_umbra, singleton, ubar
 from umbral.verify import (
     abel_binomial_identity_failure,
@@ -53,6 +53,31 @@ def test_evaluate_is_linear_over_coefficients():
     expr = constant(3) * atom(s) ** 2 - atom(s) * F(1, 2) + 7
     got = expr.evaluate().constant_value()
     assert got == 3 * u.moment(2) - F(1, 2) * u.moment(1) + 7
+
+
+# --- packed exponent slots ----------------------------------------------------
+
+
+def test_constructor_rejects_an_exponent_past_the_slot():
+    s = UmbralSymbol(ubar(2))
+    assert UmbralPolynomial({((X, _SLOT_MAX), (s, 1)): 1}) != UmbralPolynomial({((s, 2),): 1})
+    with pytest.raises(ValueError):
+        UmbralPolynomial({((X, _SLOT_MAX + 1),): 1})
+    with pytest.raises(ValueError):
+        UmbralPolynomial({((X, 1), (s, _SLOT_MAX), (s, 1)): 1})  # repeated atom, summed
+    with pytest.raises(ValueError):
+        UmbralPolynomial({((X, -1),): 1})
+
+
+def test_product_past_the_slot_raises_instead_of_carrying():
+    s = UmbralSymbol(ubar(2))
+    near = UmbralPolynomial({((X, _SLOT_MAX - 1),): 1}) + atom(s)
+    full = near * atom(X)  # top degrees sum to the bound exactly: still fits
+    assert full == UmbralPolynomial({((X, _SLOT_MAX),): 1, ((X, 1), (s, 1)): 1})
+    with pytest.raises(ValueError):
+        full * atom(X)
+    with pytest.raises(ValueError):
+        near * near
 
 
 # --- formal derivative -------------------------------------------------------
