@@ -138,12 +138,12 @@ def _shifted_moments(pair: UmbraPair):
 
 def _coefficient_table(pair: UmbraPair):
     """s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] for 0 <= k <= n <= N."""
-    shifted = _shifted_moments(pair)
+    shifted = [(u.numerators, u.denominator) for u in _shifted_moments(pair)]
     n_max = pair.order
     rows = []
     for n in range(n_max + 1):
         row = [
-            comb(n, k) * shifted[k].moment(n - k) for k in range(n + 1)
+            Fraction(comb(n, k) * c[n - k], d) for k, (c, d) in enumerate(shifted[: n + 1])
         ] + [Fraction(0)] * (n_max - n)
         rows.append(tuple(row))
     return tuple(rows)
@@ -175,11 +175,13 @@ def abel_representation(pair: UmbraPair) -> ShefferSequence:
     with :func:`sheffer_sequence`, with which it shares only ``add`` and
     ``comb``.
     """
-    k, dk = over_common_denominator(k_umbra(pair.gamma, pair.alpha).moments)
+    kga = k_umbra(pair.gamma, pair.alpha)
+    k, dk = kga.numerators, kga.denominator
     kaa = k_umbra(pair.alpha, pair.alpha)
     polys = [Polynomial((1,))]
     for n in range(1, pair.order + 1):
-        s, ds = over_common_denominator(dot_scalar(n, kaa).moments)
+        shift = dot_scalar(n, kaa)
+        s, ds = shift.numerators, shift.denominator
         coeffs = [0] * (n + 1)
         for j in range(n):
             w = comb(n - 1, j) * s[j]
@@ -280,22 +282,24 @@ def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
         raise ValueError("the moment transform is stated for exponential arrays")
     if a.order != seq.order:
         raise ValueError(f"order mismatch: array {a.order} vs sequence {seq.order}")
+    c, d = seq.numerators, seq.denominator
     return Umbra(
-        sum((a.entry(n, k) * seq.moment(k) for k in range(n + 1)), Fraction(0))
-        for n in range(a.order + 1)
+        sum((e * m for e, m in zip(row[: n + 1], c) if m), Fraction(0)) / d
+        for n, row in enumerate(a.entries)
     )
 
 
 def flavor_convert(a: RiordanArray) -> RiordanArray:
     """Rescale entry (n, k) by k!/n! (or back); a multiplicative isomorphism."""
-    if a.flavor == "exponential":
-        new_flavor = "ordinary"
-        scale = lambda n, k: Fraction(factorial(k), factorial(n))
-    else:
-        new_flavor = "exponential"
-        scale = lambda n, k: Fraction(factorial(n), factorial(k))
+    facts = [factorial(i) for i in range(a.order + 1)]
+    to_ordinary = a.flavor == "exponential"
     entries = tuple(
-        tuple(a.entry(n, k) * scale(n, k) for k in range(a.order + 1))
-        for n in range(a.order + 1)
+        tuple(
+            Fraction(e.numerator * facts[k], e.denominator * facts[n])
+            if to_ordinary
+            else Fraction(e.numerator * facts[n], e.denominator * facts[k])
+            for k, e in enumerate(row)
+        )
+        for n, row in enumerate(a.entries)
     )
-    return RiordanArray(lambda: a.pair, entries, new_flavor)
+    return RiordanArray(lambda: a.pair, entries, "ordinary" if to_ordinary else "exponential")

@@ -114,6 +114,13 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _moment_values(u) -> tuple:
+    """An umbra's moments as ints when integral, else as Fractions."""
+    if u.denominator == 1:
+        return u.numerators
+    return tuple(map(_exact, u.moments))
+
+
 def _nonzero(terms: dict) -> dict:
     """Drop zero coefficients and write integral Fractions as ints."""
     return {
@@ -292,7 +299,7 @@ class UmbralPolynomial:
         atoms = self._atoms
         nvars = sum(a._id < 0 for a in atoms)  # the variables sort first
         symbols = [
-            (i * _SLOT_BITS, a, [_exact(m) for m in a.binding.moments])
+            (i * _SLOT_BITS, a, _moment_values(a.binding))
             for i, a in enumerate(atoms[nvars:], nvars)
         ]
         keep = (1 << (nvars * _SLOT_BITS)) - 1

@@ -24,12 +24,21 @@ The moment routes that need a whole table of integer dot powers k.u
 (``composition_umbra`` for k = 0..N, ``k_umbra`` for k = -1..-N) build it
 by iterated uncorrelated sums, k.u = (k-1).u + u, so they stay purely
 combinatorial against their series oracles and pay one ``add`` per entry.
+
+An umbra stores its moments as integer numerators c_0..c_N over their
+least common denominator d, in the canonical form c_0 = d > 0 and
+gcd(c_0, ..., c_N) = 1, so equal moment vectors give equal (c, d) pairs.
+The moment routes above read and write these numerators directly, one
+integer gcd pass per result.  ``moments`` and ``moment`` return
+``Fraction``s, built on first access; the generating-function routes go
+through them, so the two routes share no arithmetic.  Moments and scalar
+parameters are exact: a ``float`` raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from . import series as ps
 from .rationals import factorial, over_common_denominator
@@ -56,29 +65,76 @@ __all__ = [
 ]
 
 
-class Umbra:
-    """An exact moment sequence m_0..m_N with m_0 = 1."""
+def _rational(value) -> Fraction:
+    """An exact rational; a float is refused rather than expanded in binary."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"umbrae are exact: use an int or a Fraction, not the float {value!r}")
+    return Fraction(value)
 
-    __slots__ = ("_moments",)
+
+class Umbra:
+    """An exact moment sequence m_0..m_N with m_0 = 1.
+
+    Stored as integer numerators c_n over their least common denominator
+    d (``numerators`` and ``denominator``), with c_0 = d > 0 and
+    gcd(c_0, ..., c_N) = 1.  ``moments`` returns the ``Fraction``s c_n / d,
+    built on first access and cached.
+    """
+
+    __slots__ = ("_num", "_den", "_moments")
 
     def __init__(self, moments):
-        moments = tuple(m if type(m) is Fraction else Fraction(m) for m in moments)
-        if not moments or moments[0] != 1:
+        values = tuple(map(_rational, moments))
+        if not values or values[0] != 1:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
-        self._moments = moments
+        num, self._den = over_common_denominator(values)
+        self._num = tuple(num)
+        self._moments = values
+
+    @classmethod
+    def _from_numerators(cls, num, den: int) -> "Umbra":
+        """The umbra with moments num[n] / den, where num[0] == den > 0."""
+        num = tuple(num)
+        if not num or num[0] != den:
+            raise ValueError("an umbra needs moments starting with m_0 = 1")
+        g = gcd(*num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        u = object.__new__(cls)
+        u._num = num
+        u._den = den
+        u._moments = None
+        return u
 
     @property
     def order(self) -> int:
-        return len(self._moments) - 1
+        return len(self._num) - 1
+
+    @property
+    def numerators(self) -> tuple:
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def moments(self) -> tuple:
+        if self._moments is None:
+            den = self._den
+            if den == 1:
+                self._moments = tuple(map(Fraction, self._num))
+            else:
+                self._moments = tuple(Fraction(c, den) for c in self._num)
         return self._moments
 
     def moment(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise ValueError(f"moment index {n} outside available order {self.order}")
-        return self._moments[n]
+        return self.moments[n]
 
     def _check_order(self, other: "Umbra"):
         if self.order != other.order:
@@ -91,14 +147,14 @@ class Umbra:
 
     def __eq__(self, other):
         if isinstance(other, Umbra):
-            return self._moments == other._moments
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._moments)
+        return hash((self._num, self._den))
 
     def __repr__(self):
-        return f"Umbra({[str(m) for m in self._moments]})"
+        return f"Umbra({[str(m) for m in self.moments]})"
 
 
 def from_series(f: TruncatedSeries) -> Umbra:
@@ -116,14 +172,13 @@ def gf(u: Umbra) -> TruncatedSeries:
 def add(u: Umbra, v: Umbra) -> Umbra:
     """Sum of two uncorrelated umbrae: binomial convolution of moments.
 
-    The convolution runs on integer numerators over one common denominator.
+    The convolution runs on the integer numerators; the denominators multiply.
     """
     u._check_order(v)
-    a, da = over_common_denominator(u.moments)
-    b, db = over_common_denominator(v.moments)
-    return Umbra(
-        Fraction(sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), da * db)
-        for n in range(u.order + 1)
+    a, b = u._num, v._num
+    return Umbra._from_numerators(
+        [sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))],
+        u._den * v._den,
     )
 
 
@@ -132,24 +187,27 @@ def dot_scalar(a, u: Umbra) -> Umbra:
 
     J.C.P. Miller's power recurrence, written on moments:
     n*mu_n = sum_{k=1..n} ((a+1)k - n) * C(n,k) * m_k * mu_{n-k}.
-    With a = p/q and m_k = c_k/d over one common denominator d, the
+    With a = p/q and m_k = c_k/d over the umbra's denominator d, the
     scaled moments M_n = mu_n * (q d)^n are integers and satisfy
     n*q*M_n = sum_k ((p+q)k - q n) * C(n,k) * c_k * q^k * d^(k-1) * M_{n-k},
     so the whole recurrence runs on integers with exact divisions.
     """
-    a = Fraction(a)
+    a = _rational(a)
     p, q = a.numerator, a.denominator
-    c, d = over_common_denominator(u.moments)
-    weights = [0] + [c[k] * q**k * d ** (k - 1) for k in range(1, u.order + 1)]
+    c, d = u._num, u._den
+    n_max = u.order
+    weights = [0] + [c[k] * q**k * d ** (k - 1) for k in range(1, n_max + 1)]
     scaled = [1]
-    for n in range(1, u.order + 1):
+    for n in range(1, n_max + 1):
         acc = 0
         for k in range(1, n + 1):
             if weights[k]:
                 acc += ((p + q) * k - q * n) * comb(n, k) * weights[k] * scaled[n - k]
         scaled.append(acc // (n * q))
     scale = q * d
-    return Umbra(Fraction(m, scale**n) for n, m in enumerate(scaled))
+    return Umbra._from_numerators(
+        [m * scale ** (n_max - n) for n, m in enumerate(scaled)], scale**n_max
+    )
 
 
 def dot(g: Umbra, u: Umbra) -> Umbra:
@@ -160,33 +218,32 @@ def dot(g: Umbra, u: Umbra) -> Umbra:
 
 def derivative_umbra(u: Umbra) -> Umbra:
     """Moments n * m_{n-1}(u); generating function 1 + z f_u(z)."""
-    out = [Fraction(1)]
-    for n in range(1, u.order + 1):
-        out.append(n * u.moment(n - 1))
-    return Umbra(out)
+    c = u._num
+    return Umbra._from_numerators([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
 
 
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     """Composition of g with u, by the binomial-type moment expansion.
 
     m_n = sum_k C(n,k) * m_k(g) * m_{n-k}(k.u); the series route
-    :func:`composition_umbra_series` must and does agree.
+    :func:`composition_umbra_series` must and does agree.  The dot powers
+    k.u are written over one common denominator D, so every m_n is one
+    integer sum over d_g * D.
     """
     g._check_order(u)
     n_max = u.order
     dotted = [augmentation(n_max)]
     for _ in range(n_max):
         dotted.append(add(dotted[-1], u))
-    out = []
-    for n in range(n_max + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            mg = g.moment(k)
-            if mg == 0:
-                continue
-            acc += comb(n, k) * mg * dotted[k].moment(n - k)
-        out.append(acc)
-    return Umbra(out)
+    big = lcm(*(t._den for t in dotted))
+    columns = [
+        (k, c * (big // t._den), t._num) for k, (c, t) in enumerate(zip(g._num, dotted)) if c
+    ]
+    out = [
+        sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
+        for n in range(n_max + 1)
+    ]
+    return Umbra._from_numerators(out, g._den * big)
 
 
 def composition_umbra_series(g: Umbra, u: Umbra) -> Umbra:
@@ -197,7 +254,7 @@ def composition_umbra_series(g: Umbra, u: Umbra) -> Umbra:
 
 def inverse_umbra(u: Umbra) -> Umbra:
     """Compositional inverse: f(result) - 1 is the reversion of f_u - 1."""
-    if u.order < 1 or u.moment(1) == 0:
+    if u.order < 1 or u._num[1] == 0:
         raise ValueError("inverse_umbra needs a nonzero first moment")
     f = gf(u)
     inner = TruncatedSeries((Fraction(0),) + f.coeffs[1:])
@@ -210,22 +267,23 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
     Expanding by uncorrelation of g and the dotted copy:
     m_n = sum_{j<n} C(n-1, j) * m_{j+1}(g) * m_{n-1-j}(-n.u).
     Equals the Lagrange-inversion series route :func:`k_umbra_series`.
+    The dot powers -n.u are written over one common denominator D, so
+    every m_n is one integer sum over d_g * D.
     """
     g._check_order(u)
     n_max = u.order
     minus_u = dot_scalar(-1, u)
-    dotted = augmentation(n_max)
-    out = [Fraction(1)]
+    dotted = [augmentation(n_max)]
+    for _ in range(n_max):
+        dotted.append(add(dotted[-1], minus_u))
+    big = lcm(*(t._den for t in dotted))
+    c = g._num
+    out = [g._den * big]
     for n in range(1, n_max + 1):
-        dotted = add(dotted, minus_u)
-        acc = Fraction(0)
-        for j in range(n):
-            mg = g.moment(j + 1)
-            if mg == 0:
-                continue
-            acc += comb(n - 1, j) * mg * dotted.moment(n - 1 - j)
-        out.append(acc)
-    return Umbra(out)
+        m = dotted[n]._num
+        acc = sum(comb(n - 1, j) * c[j + 1] * m[n - 1 - j] for j in range(n) if c[j + 1])
+        out.append(acc * (big // dotted[n]._den))
+    return Umbra._from_numerators(out, g._den * big)
 
 
 def k_umbra_series(g: Umbra, u: Umbra) -> Umbra:
@@ -238,14 +296,14 @@ def k_umbra_series(g: Umbra, u: Umbra) -> Umbra:
 
 def augmentation(order: int) -> Umbra:
     """The umbra of 1: moments 1, 0, 0, ...  Additive identity."""
-    return Umbra((1,) + (0,) * order)
+    return Umbra._from_numerators((1,) + (0,) * order, 1)
 
 
 def singleton(order: int) -> Umbra:
     """The umbra of 1 + z: moments 1, 1, 0, 0, ..."""
     if order == 0:
-        return Umbra((1,))
-    return Umbra((1, 1) + (0,) * (order - 1))
+        return Umbra._from_numerators((1,), 1)
+    return Umbra._from_numerators((1, 1) + (0,) * (order - 1), 1)
 
 
 def bell(order: int) -> Umbra:
@@ -258,10 +316,14 @@ def bell(order: int) -> Umbra:
 
 def ubar(order: int) -> Umbra:
     """The umbra of 1/(1 - z): moments n!."""
-    return Umbra(tuple(factorial(n) for n in range(order + 1)))
+    return Umbra._from_numerators([factorial(n) for n in range(order + 1)], 1)
 
 
 def scalar_umbra(a, order: int) -> Umbra:
-    """The umbra of e^(a z): moments a^n.  scalar_umbra(1, N) is the unity."""
-    a = Fraction(a)
-    return Umbra(tuple(a**n for n in range(order + 1)))
+    """The umbra of e^(a z): moments a^n.  scalar_umbra(1, N) is the unity.
+
+    With a = p/q the numerators p^n q^(N-n) over q^N are already canonical.
+    """
+    a = _rational(a)
+    p, q = a.numerator, a.denominator
+    return Umbra._from_numerators([p**n * q ** (order - n) for n in range(order + 1)], q**order)

@@ -2,7 +2,7 @@
 the umbra-spec parser, and on every registered polynomial family."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import pytest
@@ -27,6 +27,7 @@ from umbral.umbra import (
     Umbra,
     add,
     augmentation,
+    composition_umbra,
     dot_scalar,
     from_series,
     gf,
@@ -109,6 +110,44 @@ def test_abel_identity_on_generated_triples(us):
 def test_inverse_umbra_is_an_involution(u):
     assume(u.moment(1) != 0)
     assert inverse_umbra(inverse_umbra(u)) == u
+
+
+# --- the canonical form: numerators over their least common denominator ------
+
+
+def assert_canonical(r):
+    c, d = r.numerators, r.denominator
+    assert c[0] == d > 0 and gcd(*c) == 1
+    rebuilt = Umbra(r.moments)
+    assert r == rebuilt and hash(r) == hash(rebuilt)
+    assert r.moments[0] == 1
+    assert all(type(m) is Fraction for m in r.moments)
+
+
+@laws
+@given(umbra_lists(1, 8), st.integers(min_value=1, max_value=10**9))
+def test_scaled_numerators_give_the_same_umbra(us, s):
+    (u,) = us
+    scaled = Umbra._from_numerators([c * s for c in u.numerators], u.denominator * s)
+    assert scaled == u and hash(scaled) == hash(u)
+    assert_canonical(scaled)
+
+
+@laws
+@given(umbra_lists(2, 6), exponents)
+def test_kernel_results_are_canonical(us, a):
+    g, u = us
+    results = [
+        add(g, u),
+        dot_scalar(a, u),
+        k_umbra(g, u),
+        composition_umbra(g, u),
+        from_series(gf(u)),
+    ]
+    if u.order >= 1 and u.moment(1) != 0:
+        results.append(inverse_umbra(u))
+    for r in results:
+        assert_canonical(r)
 
 
 @pytest.mark.parametrize("n", range(13))

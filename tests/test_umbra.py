@@ -51,6 +51,42 @@ def test_from_series_requires_unit_constant():
         Umbra((0, 1))
 
 
+def test_constructor_rejects_empty_and_non_unit_start():
+    for moments in ((), [], (2, 1), (F(1, 2),), (0,)):
+        with pytest.raises(ValueError):
+            Umbra(moments)
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Umbra([1, 0.1])
+    with pytest.raises(TypeError):
+        Umbra([1.0, 2])
+    with pytest.raises(TypeError):
+        dot_scalar(0.5, ubar(3))
+    with pytest.raises(TypeError):
+        scalar_umbra(0.5, 3)
+
+
+def test_moments_are_cached_fractions():
+    rng = Random(21)
+    for _ in range(6):
+        u = random_umbra(rng, rng.randint(0, 6))  # built from ints
+        for v in (u, add(u, u), dot_scalar(F(1, 3), u)):  # and by the kernels
+            assert all(type(m) is Fraction for m in v.moments)
+            assert v.moments is v.moments
+            assert type(v.moment(v.order)) is Fraction
+
+
+def test_numerators_over_least_common_denominator():
+    u = Umbra([1, F(1, 2), F(-2, 3), 4])
+    assert u.numerators == (6, 3, -4, 24)
+    assert u.denominator == 6
+    assert u.moments == (1, F(1, 2), F(-2, 3), 4)
+    assert repr(u) == "Umbra(['1', '1/2', '-2/3', '4'])"
+    assert ubar(3).numerators == (1, 1, 2, 6) and ubar(3).denominator == 1
+
+
 def test_gf_roundtrip():
     assert gf(augmentation(3)) == TruncatedSeries.one(3)
     assert gf(singleton(3)) == S(1, 1, 0, 0)
