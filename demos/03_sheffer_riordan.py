@@ -58,9 +58,9 @@ pair = UmbraPair(ubar(N), augmentation(N))
 direct = sheffer_sequence(pair)
 via_abel = abel_representation(pair)
 print("Sheffer polynomials of (ubar, augmentation):")
-for n, p in enumerate(direct.polys[:5]):
+for n, p in enumerate(direct[:5]):
     print(f"  s_{n}(x) = {p.pretty()}")
-print("Abel-form route agrees:", direct.polys == via_abel.polys)
+print("Abel-form route agrees:", direct == via_abel)
 print()
 
 # The ordinary flavor is a diagonal rescaling; conversion respects products.

@@ -44,7 +44,6 @@ from .symbolic import (
 )
 from .sheffer import (
     RiordanArray,
-    ShefferSequence,
     UmbraPair,
     abel_representation,
     flavor_convert,
@@ -64,7 +63,7 @@ from .families import (
     gegenbauer,
     gf_oracle,
     gf_rows,
-    master_gf_polynomial,
+    master_gf_rows,
     master_polynomial,
     meixner1,
     mittag_leffler,

@@ -393,8 +393,7 @@ def cmd_riordan(args) -> int:
 
 def cmd_sheffer(args) -> int:
     pair = _pair_from_specs(args.gamma, args.alpha, args.order)
-    seq = sheffer_sequence(pair)
-    render_polys(seq.polys, args.format, "sheffer polynomials")
+    render_polys(sheffer_sequence(pair), args.format, "sheffer polynomials")
     return EXIT_OK
 
 

@@ -47,7 +47,7 @@ __all__ = [
     "MasterParams",
     "master_table",
     "master_polynomial",
-    "master_gf_polynomial",
+    "master_gf_rows",
     "FAMILIES",
     "FAMILY_NAMES",
     "family_polynomial",
@@ -108,13 +108,14 @@ def master_polynomial(n: int, p: MasterParams) -> Polynomial:
     return master_table(n, p)[0][n]
 
 
-def master_gf_polynomial(n: int, p: MasterParams) -> Polynomial:
-    """Generating-function route for the master polynomial: n! [z^n] of
-    (1-z)^(-t) (1 + xval*z/(1-z)^q)^y, expanded with x carried exactly."""
-    inner = _pole(n, p.q).shift_up() * p.xval + 1
+def master_gf_rows(nmax: int, p: MasterParams) -> list:
+    """Generating-function route for the master polynomials: row n is n! [z^n]
+    of (1-z)^(-t) (1 + xval*z/(1-z)^q)^y, from one expansion to order nmax
+    with x carried exactly."""
+    inner = _pole(nmax, p.q).shift_up() * p.xval + 1
     exponent = Polynomial.x() if p.y is None else p.y
-    series = ps.multiply(_pole(n, p.t), ps.power(inner, exponent))
-    return _as_polynomial(series[n]) * factorial(n)
+    series = ps.multiply(_pole(nmax, p.t), ps.power(inner, exponent))
+    return [_as_polynomial(coeff) * factorial(n) for n, coeff in enumerate(series.coeffs)]
 
 
 def chebyshev_params() -> MasterParams:

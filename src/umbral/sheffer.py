@@ -18,8 +18,9 @@ carry their defining pair so every group operation can be verified on both
 the matrix side and the umbra side.  A product's pair (the composed pair)
 and a flavor conversion's pair are computed on first access, so matrix
 arithmetic that only reads entries never pays for pair composition.
-Matrix products multiply integer numerators over one common denominator
-per matrix, with a single division per entry.
+Like an umbra, an array is integer rows over one canonical denominator;
+every operation runs on the integers, and ``entries`` builds ``Fraction``s
+on first access.
 
 The Abel form s_n(x) = E[(x + K)(x + K + n.K(alpha, alpha))^(n-1)], with
 K = K(gamma, alpha), is expanded through the moments of the two K umbrae
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial, over_common_denominator
+from .rationals import factorial
 from .umbra import (
     Umbra,
     add,
@@ -49,7 +50,6 @@ from .umbra import (
 
 __all__ = [
     "UmbraPair",
-    "ShefferSequence",
     "RiordanArray",
     "identity_pair",
     "sheffer_sequence",
@@ -83,28 +83,30 @@ class UmbraPair:
         return self.gamma.order
 
 
-@dataclass(frozen=True)
-class ShefferSequence:
-    """The polynomials s_0..s_N of a pair; s_n is monic of degree n."""
-
-    pair: UmbraPair
-    polys: tuple
-
-
 class RiordanArray:
     """Exact lower-triangular matrix with its defining pair.
 
-    The exponential flavor has unit diagonal; the ordinary flavor rescales
-    entry (n, k) by k!/n!.  ``pair`` may be given as a zero-argument
-    callable; it is then called on the first access of ``.pair``.
+    Entry (n, k) is ``rows[n][k] / denominator`` for k <= n, reduced to
+    denominator > 0 sharing no factor with all numerators, so ``==`` and
+    ``hash`` compare (flavor, rows, denominator).  The exponential flavor
+    has unit diagonal; the ordinary flavor rescales entry (n, k) by k!/n!.
+    ``pair`` may be given as a zero-argument callable; it is then called
+    on the first access of ``.pair``.
     """
 
-    __slots__ = ("_pair", "entries", "flavor")
+    __slots__ = ("_pair", "rows", "denominator", "flavor", "_entries")
 
-    def __init__(self, pair, entries: tuple, flavor: str):
+    def __init__(self, pair, rows, denominator: int, flavor: str):
+        rows = tuple(map(tuple, rows))
+        g = gcd(denominator, *(c for row in rows for c in row)) * (1 if denominator > 0 else -1)
+        if g != 1:
+            rows = tuple(tuple(c // g for c in row) for row in rows)
+            denominator //= g
         self._pair = pair
-        self.entries = entries
+        self.rows = rows
+        self.denominator = denominator
         self.flavor = flavor
+        self._entries = None
 
     @property
     def pair(self) -> UmbraPair:
@@ -114,10 +116,30 @@ class RiordanArray:
 
     @property
     def order(self) -> int:
-        return len(self.entries) - 1
+        return len(self.rows) - 1
+
+    @property
+    def entries(self) -> tuple:
+        """The square table of entries as ``Fraction``s, built on first access."""
+        if self._entries is None:
+            d, size = self.denominator, len(self.rows)
+            zero = (Fraction(0),)
+            self._entries = tuple(
+                tuple(Fraction(c, d) for c in row) + zero * (size - len(row)) for row in self.rows
+            )
+        return self._entries
 
     def entry(self, n: int, k: int) -> Fraction:
         return self.entries[n][k]
+
+    def _key(self):
+        return self.denominator, self.flavor, self.rows
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, RiordanArray) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def identity_pair(order: int) -> UmbraPair:
@@ -125,35 +147,26 @@ def identity_pair(order: int) -> UmbraPair:
     return UmbraPair(eps, eps)
 
 
-def _shifted_moments(pair: UmbraPair):
-    """E[(gamma + k.alpha)^m] for k = 0..N, as a list of umbrae.
-
-    Each entry adds one more uncorrelated copy of alpha to the previous one.
-    """
+def _coefficient_table(pair: UmbraPair):
+    """Rows of s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] over one denominator;
+    gamma + k.alpha adds one more uncorrelated copy of alpha to the previous one."""
     shifted = [pair.gamma]
     for _ in range(pair.order):
         shifted.append(add(shifted[-1], pair.alpha))
-    return shifted
+    den = lcm(*(u.denominator for u in shifted))
+    columns = [(u.numerators, den // u.denominator) for u in shifted]
+    rows = [
+        tuple(comb(n, k) * c[n - k] * s for k, (c, s) in enumerate(columns[: n + 1]))
+        for n in range(pair.order + 1)
+    ]
+    return rows, den
 
 
-def _coefficient_table(pair: UmbraPair):
-    """s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] for 0 <= k <= n <= N."""
-    shifted = [(u.numerators, u.denominator) for u in _shifted_moments(pair)]
-    n_max = pair.order
-    rows = []
-    for n in range(n_max + 1):
-        row = [
-            Fraction(comb(n, k) * c[n - k], d) for k, (c, d) in enumerate(shifted[: n + 1])
-        ] + [Fraction(0)] * (n_max - n)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def sheffer_sequence(pair: UmbraPair) -> ShefferSequence:
-    """Sheffer polynomials from the binomial moment expansion."""
-    table = _coefficient_table(pair)
-    polys = tuple(Polynomial(row[: n + 1]) for n, row in enumerate(table))
-    return ShefferSequence(pair, polys)
+def sheffer_sequence(pair: UmbraPair) -> tuple:
+    """Sheffer polynomials s_0..s_N from the binomial moment expansion;
+    s_n is monic of degree n."""
+    rows, den = _coefficient_table(pair)
+    return tuple(Polynomial(Fraction(c, den) for c in row) for row in rows)
 
 
 def sheffer_sequence_series(pair: UmbraPair) -> tuple:
@@ -162,7 +175,7 @@ def sheffer_sequence_series(pair: UmbraPair) -> tuple:
     return tuple(Polynomial(row[: n + 1]) for n, row in enumerate(table))
 
 
-def abel_representation(pair: UmbraPair) -> ShefferSequence:
+def abel_representation(pair: UmbraPair) -> tuple:
     """Sheffer polynomials in their Abel form.
 
     s_n(x) = E[(x + K)(x + K + S)^(n-1)] with K = K(gamma, alpha) and
@@ -189,7 +202,7 @@ def abel_representation(pair: UmbraPair) -> ShefferSequence:
                 for i in range(n - j + 1):
                     coeffs[i] += w * comb(n - j, i) * k[n - j - i]
         polys.append(Polynomial(Fraction(c, ds * dk) for c in coeffs))
-    return ShefferSequence(pair, tuple(polys))
+    return tuple(polys)
 
 
 def riordan_array(pair: UmbraPair, flavor: str = "exponential") -> RiordanArray:
@@ -200,7 +213,7 @@ def riordan_array(pair: UmbraPair, flavor: str = "exponential") -> RiordanArray:
     """
     if flavor not in ("exponential", "ordinary"):
         raise ValueError(f"unknown Riordan flavor: {flavor!r}")
-    array = RiordanArray(pair, _coefficient_table(pair), "exponential")
+    array = RiordanArray(pair, *_coefficient_table(pair), "exponential")
     if flavor == "ordinary":
         array = flavor_convert(array)
     return array
@@ -232,32 +245,20 @@ def umbral_compose(p: UmbraPair, q: UmbraPair) -> UmbraPair:
     )
 
 
-def _matrix_product(a, b, size):
-    """Product of two lower-triangular matrices, on integer numerators.
-
-    Each matrix is written over its own common denominator, so every
-    entry is one integer dot product and one division.
-    """
-    an, ad = over_common_denominator([v for row in a for v in row])
-    bn, bd = over_common_denominator([v for row in b for v in row])
-    den = ad * bd
-    return tuple(
-        tuple(
-            Fraction(sum(an[n * size + i] * bn[i * size + k] for i in range(k, n + 1)), den)
-            for k in range(size)
-        )
-        for n in range(size)
-    )
-
-
 def riordan_multiply(a: RiordanArray, b: RiordanArray) -> RiordanArray:
-    """Matrix product; the pair of the result is the composed pair, on demand."""
+    """Matrix product, one integer dot product per entry over the product of
+    the denominators; the pair of the result is the composed pair, on demand."""
     if a.flavor != b.flavor:
         raise ValueError(f"Riordan flavor mismatch: {a.flavor} vs {b.flavor}")
     if a.order != b.order:
         raise ValueError(f"Riordan order mismatch: {a.order} vs {b.order}")
-    entries = _matrix_product(a.entries, b.entries, a.order + 1)
-    return RiordanArray(lambda: umbral_compose(a.pair, b.pair), entries, a.flavor)
+    rows = [
+        [sum(row[i] * b.rows[i][k] for i in range(k, n + 1)) for k in range(n + 1)]
+        for n, row in enumerate(a.rows)
+    ]
+    return RiordanArray(
+        lambda: umbral_compose(a.pair, b.pair), rows, a.denominator * b.denominator, a.flavor
+    )
 
 
 def riordan_inverse(a: RiordanArray) -> RiordanArray:
@@ -282,24 +283,23 @@ def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
         raise ValueError("the moment transform is stated for exponential arrays")
     if a.order != seq.order:
         raise ValueError(f"order mismatch: array {a.order} vs sequence {seq.order}")
-    c, d = seq.numerators, seq.denominator
-    return Umbra(
-        sum((e * m for e, m in zip(row[: n + 1], c) if m), Fraction(0)) / d
-        for n, row in enumerate(a.entries)
+    c = seq.numerators
+    return Umbra._from_numerators(
+        [sum(e * m for e, m in zip(row, c)) for row in a.rows], a.denominator * seq.denominator
     )
 
 
 def flavor_convert(a: RiordanArray) -> RiordanArray:
-    """Rescale entry (n, k) by k!/n! (or back); a multiplicative isomorphism."""
+    """Rescale entry (n, k) by k!/n! (or back); a multiplicative isomorphism.
+    Over N! times the denominator, numerator (n, k) gains k! N!/n! (or n! N!/k!)."""
     facts = [factorial(i) for i in range(a.order + 1)]
+    top = facts[-1]
+    cofacts = [top // f for f in facts]
     to_ordinary = a.flavor == "exponential"
-    entries = tuple(
-        tuple(
-            Fraction(e.numerator * facts[k], e.denominator * facts[n])
-            if to_ordinary
-            else Fraction(e.numerator * facts[n], e.denominator * facts[k])
-            for k, e in enumerate(row)
-        )
-        for n, row in enumerate(a.entries)
+    by_row, by_column = (cofacts, facts) if to_ordinary else (facts, cofacts)
+    rows = [
+        [c * by_row[n] * by_column[k] for k, c in enumerate(row)] for n, row in enumerate(a.rows)
+    ]
+    return RiordanArray(
+        lambda: a.pair, rows, a.denominator * top, "ordinary" if to_ordinary else "exponential"
     )
-    return RiordanArray(lambda: a.pair, entries, "ordinary" if to_ordinary else "exponential")

@@ -22,8 +22,8 @@ single umbra live in :mod:`umbral.symbolic`, never here.
 
 The moment routes that need a whole table of integer dot powers k.u
 (``composition_umbra`` for k = 0..N, ``k_umbra`` for k = -1..-N) build it
-by iterated uncorrelated sums, k.u = (k-1).u + u, so they stay purely
-combinatorial against their series oracles and pay one ``add`` per entry.
+by iterated uncorrelated sums, k.u = (k-1).u + u, in one helper, so they
+stay purely combinatorial against their series oracles.
 
 An umbra stores its moments as integer numerators c_0..c_N over their
 least common denominator d, in the canonical form c_0 = d > 0 and
@@ -222,6 +222,15 @@ def derivative_umbra(u: Umbra) -> Umbra:
     return Umbra._from_numerators([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
 
 
+def _dot_powers(v: Umbra) -> tuple[list, int]:
+    """k.v = (k-1).v + v for k = 0..N over their lcm D: (numerators, D / d_k) each, and D."""
+    dotted = [augmentation(v.order)]
+    for _ in range(v.order):
+        dotted.append(add(dotted[-1], v))
+    big = lcm(*(t._den for t in dotted))
+    return [(t._num, big // t._den) for t in dotted], big
+
+
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     """Composition of g with u, by the binomial-type moment expansion.
 
@@ -231,17 +240,11 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     integer sum over d_g * D.
     """
     g._check_order(u)
-    n_max = u.order
-    dotted = [augmentation(n_max)]
-    for _ in range(n_max):
-        dotted.append(add(dotted[-1], u))
-    big = lcm(*(t._den for t in dotted))
-    columns = [
-        (k, c * (big // t._den), t._num) for k, (c, t) in enumerate(zip(g._num, dotted)) if c
-    ]
+    dotted, big = _dot_powers(u)
+    columns = [(k, c * s, m) for k, (c, (m, s)) in enumerate(zip(g._num, dotted)) if c]
     out = [
         sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
-        for n in range(n_max + 1)
+        for n in range(u.order + 1)
     ]
     return Umbra._from_numerators(out, g._den * big)
 
@@ -271,18 +274,13 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
     every m_n is one integer sum over d_g * D.
     """
     g._check_order(u)
-    n_max = u.order
-    minus_u = dot_scalar(-1, u)
-    dotted = [augmentation(n_max)]
-    for _ in range(n_max):
-        dotted.append(add(dotted[-1], minus_u))
-    big = lcm(*(t._den for t in dotted))
+    dotted, big = _dot_powers(dot_scalar(-1, u))
     c = g._num
     out = [g._den * big]
-    for n in range(1, n_max + 1):
-        m = dotted[n]._num
+    for n in range(1, u.order + 1):
+        m, s = dotted[n]
         acc = sum(comb(n - 1, j) * c[j + 1] * m[n - 1 - j] for j in range(n) if c[j + 1])
-        out.append(acc * (big // dotted[n]._den))
+        out.append(acc * s)
     return Umbra._from_numerators(out, g._den * big)
 
 

@@ -14,8 +14,10 @@ from umbral import cli
 from umbral.rationals import binomial, parse_rational
 from umbral.families import (
     chebyshev_u,
+    family_table,
     gegenbauer,
     gf_oracle,
+    gf_rows,
     meixner1,
     mittag_leffler,
     pidduck,
@@ -114,9 +116,9 @@ def test_criterion_5_sheffer_machinery():
         pair = UmbraPair(random_umbra(rng, order), random_umbra(rng, order))
         seq = sheffer_sequence(pair)
         assert riordan_array(pair).entries == riordan_entries_series(pair)
-        assert abel_representation(pair).polys == seq.polys
-        assoc = sheffer_sequence(UmbraPair(augmentation(order), pair.alpha)).polys
-        assert sheffer_identity_failure(seq.polys, assoc, n_max) is None
+        assert abel_representation(pair) == seq
+        assoc = sheffer_sequence(UmbraPair(augmentation(order), pair.alpha))
+        assert sheffer_identity_failure(seq, assoc, n_max) is None
     report(5, f"Sheffer coefficients vs extraction, Abel form, Sheffer identity, {trials} pairs, N={order}")
 
 
@@ -152,14 +154,23 @@ def test_criterion_7_families():
     n_max = 10
     assert chebyshev_recurrence_failure(n_max) is None
 
-    lam = Fraction(7, 4)
-    for n in range(n_max + 1):
-        assert gegenbauer(n, 1) == chebyshev_u(n)
-        assert chebyshev_u(n) == gf_oracle("chebyshev-u", n)
-        assert gegenbauer(n, lam) == gf_oracle("gegenbauer", n, lam=lam)
-        assert meixner1(n, Fraction(3, 2), 4) == gf_oracle("meixner1", n, b=Fraction(3, 2), c=4)
-        assert mittag_leffler(n) == gf_oracle("mittag-leffler", n)
-        assert pidduck(n) == gf_oracle("pidduck", n)
+    lam, b = Fraction(7, 4), Fraction(3, 2)
+    chebyshev = family_table("chebyshev-u", n_max)[0]
+    assert family_table("gegenbauer", n_max, lam=1)[0] == chebyshev
+    for kind, options in (
+        ("chebyshev-u", {}),
+        ("gegenbauer", {"lam": lam}),
+        ("meixner1", {"b": b, "c": 4}),
+        ("mittag-leffler", {}),
+        ("pidduck", {}),
+    ):
+        assert family_table(kind, n_max, **options)[0] == gf_rows(kind, n_max, **options)
+    # the named functions read row n of the same tables
+    assert gegenbauer(n_max, 1) == chebyshev_u(n_max) == gf_oracle("chebyshev-u", n_max)
+    assert gegenbauer(n_max, lam) == gf_oracle("gegenbauer", n_max, lam=lam)
+    assert meixner1(n_max, b, 4) == gf_oracle("meixner1", n_max, b=b, c=4)
+    assert mittag_leffler(n_max) == gf_oracle("mittag-leffler", n_max)
+    assert pidduck(n_max) == gf_oracle("pidduck", n_max)
 
     assert chebyshev_shifted_basis_failure() is None
     report(7, f"five families match their generating functions, recurrence and reductions, n <= {n_max}")

@@ -351,6 +351,30 @@ def test_moment_transform_compares_two_routes(capsys, monkeypatch):
     assert f"FAIL moment-transform-two-routes\n  counterexample: trial=0{repro}" in out
 
 
+def test_riordan_checks_report_a_broken_product(capsys, monkeypatch):
+    # array equality decides the group checks: one numerator off in every
+    # matrix product is a FAIL line with its repro
+    from umbral.sheffer import RiordanArray, riordan_multiply
+
+    argv = ["verify", "riordan-group", "--order", "4", "--seed", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK and "FAIL" not in out
+
+    def broken(a, b):
+        product = riordan_multiply(a, b)
+        rows = [list(row) for row in product.rows]
+        rows[-1][0] += 1
+        return RiordanArray(product.pair, rows, product.denominator, product.flavor)
+
+    monkeypatch.setattr(verify, "riordan_multiply", broken)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    detail = lines[lines.index("FAIL pair-composition-matches-matrix-product") + 1]
+    assert detail.startswith("  counterexample: trial=0 gamma=[")
+    assert detail.endswith("; repro: umbral verify riordan-group --order 4 --seed 1")
+
+
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):
     def crash(order, seed):
         raise ValueError("boom")

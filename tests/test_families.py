@@ -13,8 +13,10 @@ from umbral.families import (
     gegenbauer,
     gegenbauer_params,
     gf_oracle,
-    master_gf_polynomial,
+    gf_rows,
+    master_gf_rows,
     master_polynomial,
+    master_table,
     meixner1,
     meixner_params,
     mittag_leffler,
@@ -67,8 +69,8 @@ def test_master_explicit_matches_gf_route():
         MasterParams.of(Polynomial((0, 1)), None, F(3), F(0)),
     ]
     for p in cases:
-        for n in range(8):
-            assert master_polynomial(n, p) == master_gf_polynomial(n, p)
+        assert master_table(7, p)[0] == master_gf_rows(7, p)
+    assert master_polynomial(7, cases[-1]) == master_gf_rows(7, cases[-1])[7]
 
 
 def test_master_degenerate_slots():
@@ -91,8 +93,8 @@ def test_chebyshev_three_term_recurrence():
 
 
 def test_chebyshev_matches_gf():
-    for n in range(11):
-        assert chebyshev_u(n) == gf_oracle("chebyshev-u", n)
+    assert family_table("chebyshev-u", 10)[0] == gf_rows("chebyshev-u", 10)
+    assert chebyshev_u(10) == gf_oracle("chebyshev-u", 10)
 
 
 def test_chebyshev_shifted_basis_display():
@@ -105,8 +107,8 @@ def test_chebyshev_shifted_basis_display():
 
 
 def test_gegenbauer_reduces_to_chebyshev():
-    for n in range(11):
-        assert gegenbauer(n, 1) == chebyshev_u(n)
+    assert family_table("gegenbauer", 10, lam=1)[0] == family_table("chebyshev-u", 10)[0]
+    assert gegenbauer(10, 1) == chebyshev_u(10)
 
 
 def test_gegenbauer_low_degrees():
@@ -117,8 +119,8 @@ def test_gegenbauer_low_degrees():
 
 def test_gegenbauer_matches_gf():
     for lam in (F(1, 2), F(2), F(7, 3)):
-        for n in range(9):
-            assert gegenbauer(n, lam) == gf_oracle("gegenbauer", n, lam=lam)
+        assert family_table("gegenbauer", 8, lam=lam)[0] == gf_rows("gegenbauer", 8, lam=lam)
+    assert gegenbauer(8, F(7, 3)) == gf_oracle("gegenbauer", 8, lam=F(7, 3))
 
 
 # --- Meixner I --------------------------------------------------------------------
@@ -138,8 +140,8 @@ def test_meixner_second_value_explicit_gf():
 
 def test_meixner_matches_gf():
     for b, c in ((F(1), F(2)), (F(1, 2), F(3)), (F(5, 2), F(-2))):
-        for n in range(9):
-            assert meixner1(n, b, c) == gf_oracle("meixner1", n, b=b, c=c)
+        assert family_table("meixner1", 8, b=b, c=c)[0] == gf_rows("meixner1", 8, b=b, c=c)
+    assert meixner1(8, F(5, 2), F(-2)) == gf_oracle("meixner1", 8, b=F(5, 2), c=F(-2))
 
 
 def test_meixner_parameter_validation():
@@ -164,14 +166,15 @@ def test_mittag_leffler_values():
 
 
 def test_mittag_leffler_matches_gf():
-    for n in range(11):
-        assert mittag_leffler(n) == gf_oracle("mittag-leffler", n)
+    assert family_table("mittag-leffler", 10)[0] == gf_rows("mittag-leffler", 10)
+    assert mittag_leffler(10) == gf_oracle("mittag-leffler", 10)
 
 
 def test_mittag_leffler_is_meixner_at_zero_minus_one():
     # the b = 0 restriction is lifted for this structural identity
-    for n in range(9):
-        assert master_polynomial(n, meixner_params(0, -1)) == mittag_leffler(n)
+    via_meixner = master_table(8, meixner_params(0, -1))[0]
+    assert via_meixner == family_table("mittag-leffler", 8)[0]
+    assert master_polynomial(8, meixner_params(0, -1)) == mittag_leffler(8)
 
 
 def test_pidduck_values():
@@ -180,8 +183,8 @@ def test_pidduck_values():
 
 
 def test_pidduck_matches_gf():
-    for n in range(11):
-        assert pidduck(n) == gf_oracle("pidduck", n)
+    assert family_table("pidduck", 10)[0] == gf_rows("pidduck", 10)
+    assert pidduck(10) == gf_oracle("pidduck", 10)
 
 
 def test_pidduck_mittag_leffler_quotient():
@@ -208,12 +211,13 @@ def test_family_checks_report_a_broken_row(monkeypatch):
 
 
 def test_binomial_basis_rows_reconstruct_polynomials():
-    for kind, family in (("mittag-leffler", mittag_leffler), ("pidduck", pidduck)):
-        for n, row in enumerate(family_table(kind, 6)[1]):
+    for kind in ("mittag-leffler", "pidduck"):
+        polys, basis_rows = family_table(kind, 6)
+        for row, poly in zip(basis_rows, polys, strict=True):
             rebuilt = Polynomial()
             for k, coeff in enumerate(row):
                 rebuilt = rebuilt + binomial_poly(k) * coeff
-            assert rebuilt == family(n)
+            assert rebuilt == poly
 
 
 def test_binomial_basis_row_requires_indeterminate_slot():
@@ -254,10 +258,10 @@ def test_orthogonal_families_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     degrees = range(11)
-    assert [chebyshev_u(n) for n in degrees] == _sympy_rows(
+    assert family_table("chebyshev-u", 10)[0] == _sympy_rows(
         x, [sympy.chebyshevu(n, x) for n in degrees]
     )
-    assert [gegenbauer(n, F(3, 2)) for n in degrees] == _sympy_rows(
+    assert family_table("gegenbauer", 10, lam=F(3, 2))[0] == _sympy_rows(
         x, [sympy.gegenbauer(n, sympy.Rational(3, 2), x) for n in degrees]
     )
 
@@ -268,11 +272,11 @@ def test_egf_families_match_sympy_series():
     top = 10
     ratio = ((1 + z) / (1 - z)) ** x
     meixner_gf = (1 - z) ** sympy.Rational(-1, 2) * ((1 - z / 3) / (1 - z)) ** x
-    for egf, family in (
-        (ratio, mittag_leffler),
-        (ratio / (1 - z), pidduck),
-        (meixner_gf, lambda n: meixner1(n, F(1, 2), 3)),
+    for egf, kind, options in (
+        (ratio, "mittag-leffler", {}),
+        (ratio / (1 - z), "pidduck", {}),
+        (meixner_gf, "meixner1", {"b": F(1, 2), "c": 3}),
     ):
         expansion = sympy.series(egf, z, 0, top + 1).removeO()
         rows = [expansion.coeff(z, n) * sympy.factorial(n) for n in range(top + 1)]
-        assert [family(n) for n in range(top + 1)] == _sympy_rows(x, rows)
+        assert family_table(kind, top, **options)[0] == _sympy_rows(x, rows)

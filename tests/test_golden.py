@@ -3,8 +3,11 @@
 The digests were recorded before the identity checks of ``verify`` moved
 into shared functions; the two order-32 ``umbra`` lines (``inv`` runs
 ``revert``, ``dot`` runs ``compose`` and ``log``) were recorded while the
-series kernels still ran on ``Fraction`` arithmetic.  A change that alters
-one of these outputs on purpose says so and records the new digest."""
+series kernels still ran on ``Fraction`` arithmetic, and the six
+``riordan`` lines at orders 12-16 (non-integral entries, both flavors,
+``multiply``, ``apply``, ``inverse``, csv and json) while arrays still
+stored ``Fraction`` entries.  A change that alters one of these outputs on
+purpose says so and records the new digest."""
 
 import hashlib
 
@@ -22,6 +25,24 @@ GOLDEN = {
     "family pidduck --nmax 6": "ec5fb83151d20be036d89893909bd8bea5f86972153b8d6659a73462de80b02a",
     "riordan ubar bell --order 6 inverse": "ada85f3b5bef67f210def59f49fb18e9a3da600c202129a5093e5c5f13dc3efe",
     "sheffer chi bell --order 6": "16030cc5be8aecf744bd244b0e9fb038c32a0f39c555651d17deec66b9e753d6",
+    "riordan egf(1,1/2,-1/3) dotscalar(1/2,bell) --order 12 --flavor ordinary": (
+        "08872e94a75a6434186e058587b6b149200de5f9a4711f1491a3e356d3707a6a"
+    ),
+    "riordan bell dotscalar(1/3,chi) --order 14 multiply ubar egf(1,-1/2,2/5)": (
+        "dfe582390dc836cc593e63edea1d1a82397786a06d859762e1be41c495d5c972"
+    ),
+    "riordan chi egf(1,2/3) --order 12 --flavor ordinary multiply dotscalar(1/2,bell) ubar": (
+        "a1335e3f87708ab4941fda658e5dff7c82b82b2dd32ce887626cdedad84e69cf"
+    ),
+    "riordan egf(1,1/2,1/3) bell --order 16 apply dotscalar(-1/2,ubar)": (
+        "3be7e14bfa4dd01aaeec1d9d1f696140d2ea4eae4c2299dcf066f0e79474181d"
+    ),
+    "riordan ubar egf(1,1/3,-2/7) --order 13 --format csv": (
+        "5bb38eb8be4098bb7726026d5db37b50fbdf3bdb8893a8880d6c53edab4b7b25"
+    ),
+    "riordan egf(1,1/2,-2/3) dotscalar(1/2,ubar) --order 12 --format json inverse": (
+        "ea2b0ad113643f9c18d73a22d48941f378dc8dd0f6115835c1440442b21b1d84"
+    ),
     "umbra k(add(bell,chi),dotscalar(1/2,inv(ubar))) --order 8": (
         "6b8dd800dcc9bf007f42a2cb882d7cfd52eba037d692bb2fb0f849f7f44b60a3"
     ),

@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from umbral import cli
-from umbral.families import FAMILY_NAMES, family_polynomial, gf_oracle
+from umbral.families import FAMILY_NAMES, family_polynomial, family_table, gf_oracle, gf_rows
 from umbral.polynomials import Polynomial
 from umbral.series import TruncatedSeries, exp, log, power
 from umbral.sheffer import (
+    RiordanArray,
     UmbraPair,
     flavor_convert,
     identity_pair,
@@ -357,6 +358,49 @@ def test_flavor_conversion_is_involutive_and_multiplicative(us):
     assert flavor_convert(riordan_multiply(a, b)).entries == converted.entries
 
 
+def assert_canonical_array(r):
+    assert r.denominator > 0
+    assert gcd(r.denominator, *(c for row in r.rows for c in row)) == 1
+    assert [len(row) for row in r.rows] == list(range(1, r.order + 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(umbra_lists(4, 4), st.integers(min_value=1, max_value=10**6))
+def test_array_equality_is_equality_of_entries(us, s):
+    # arrays drawn from products, inverses and both flavors, with pairs that
+    # are equal (a group law holds) and pairs that differ in entries or flavor
+    a, b = riordan_array(UmbraPair(us[0], us[1])), riordan_array(UmbraPair(us[2], us[3]))
+    product, inverse = riordan_multiply(a, b), riordan_inverse(a)
+    arrays = [
+        a,
+        b,
+        product,
+        inverse,
+        riordan_inverse(inverse),
+        riordan_multiply(a, inverse),
+        riordan_array(identity_pair(a.order)),
+        flavor_convert(a),
+        flavor_convert(product),
+        riordan_multiply(flavor_convert(a), flavor_convert(b)),
+        flavor_convert(flavor_convert(product)),
+        # the product over a scaled, negative denominator, reduced on construction
+        RiordanArray(
+            a.pair,
+            [[-s * c for c in row] for row in product.rows],
+            -s * product.denominator,
+            "exponential",
+        ),
+    ]
+    assert arrays[-1] == product
+    for x in arrays:
+        assert_canonical_array(x)
+        for y in arrays:
+            same = (x.flavor, x.entries) == (y.flavor, y.entries)
+            assert (x == y) is same and (x != y) is not same
+            if same:
+                assert hash(x) == hash(y)
+
+
 # --- the umbra-spec parser -----------------------------------------------------
 
 spec_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -410,5 +454,5 @@ def test_every_family_explicit_row_matches_its_gf(lam, b, c):
     assume(c not in (0, 1) and not (b.denominator == 1 and b <= 0))
     options = {"lam": lam, "b": b, "c": c}
     for kind in FAMILY_NAMES:
-        for n in range(9):
-            assert family_polynomial(kind, n, **options) == gf_oracle(kind, n, **options)
+        assert family_table(kind, 8, **options)[0] == gf_rows(kind, 8, **options)
+        assert family_polynomial(kind, 8, **options) == gf_oracle(kind, 8, **options)

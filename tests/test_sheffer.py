@@ -46,15 +46,15 @@ def pascal(order):
 
 def test_identity_pair_gives_monomials():
     seq = sheffer_sequence(identity_pair(5))
-    for n, p in enumerate(seq.polys):
+    for n, p in enumerate(seq):
         assert p == Polynomial((0,) * n + (1,))
 
 
 def test_appell_of_ubar():
     seq = sheffer_sequence(UmbraPair(ubar(4), augmentation(4)))
-    assert seq.polys[2] == Polynomial((2, 2, 1))
+    assert seq[2] == Polynomial((2, 2, 1))
     # Appell polynomials are plain binomial shifts of the moments
-    for n, p in enumerate(seq.polys):
+    for n, p in enumerate(seq):
         expected = Polynomial(
             [binomial(n, k) * ubar(4).moment(n - k) for k in range(n + 1)]
         )
@@ -63,21 +63,21 @@ def test_appell_of_ubar():
 
 def test_associated_of_singleton():
     seq = sheffer_sequence(UmbraPair(augmentation(4), singleton(4)))
-    assert seq.polys[2] == Polynomial((0, 2, 1))
+    assert seq[2] == Polynomial((0, 2, 1))
 
 
 def test_sequence_matches_series_extraction():
     rng = Random(21)
     for _ in range(6):
         pair = random_pair(rng, rng.randint(0, 9))
-        assert sheffer_sequence(pair).polys == sheffer_sequence_series(pair)
+        assert sheffer_sequence(pair) == sheffer_sequence_series(pair)
 
 
 def test_sequence_is_monic():
     rng = Random(22)
     for _ in range(6):
         pair = random_pair(rng, 8)
-        for n, p in enumerate(sheffer_sequence(pair).polys):
+        for n, p in enumerate(sheffer_sequence(pair)):
             assert p.degree == n and p.coeff(n) == 1
 
 
@@ -91,7 +91,7 @@ def test_pair_order_mismatch():
 
 def test_abel_representation_identity_pair():
     seq = abel_representation(identity_pair(6))
-    for n, p in enumerate(seq.polys):
+    for n, p in enumerate(seq):
         assert p == Polynomial((0,) * n + (1,))
 
 
@@ -99,7 +99,7 @@ def test_abel_representation_appell_case():
     # second slot augmentation: s_n(x) = (x + gamma)^n
     g = ubar(5)
     seq = abel_representation(UmbraPair(g, augmentation(5)))
-    for n, p in enumerate(seq.polys):
+    for n, p in enumerate(seq):
         expected = Polynomial([binomial(n, k) * g.moment(n - k) for k in range(n + 1)])
         assert p == expected
 
@@ -116,14 +116,14 @@ def test_abel_representation_binomial_case():
         seq = sheffer_sequence(UmbraPair(augmentation(8), alpha))
         kaa = k_umbra(alpha, alpha)
         for n in range(9):
-            assert abel(n, X, kaa) == seq.polys[n]
+            assert abel(n, X, kaa) == seq[n]
 
 
 def test_abel_representation_matches_direct_route():
     rng = Random(23)
     for _ in range(6):
         pair = random_pair(rng, 8)
-        assert abel_representation(pair).polys == sheffer_sequence(pair).polys
+        assert abel_representation(pair) == sheffer_sequence(pair)
 
 
 def test_abel_representation_matches_symbolic_witness():
@@ -140,7 +140,7 @@ def test_abel_representation_matches_symbolic_witness():
         witness = tuple(
             abel_expression(n, base, kaa).evaluate().to_univariate() for n in range(order + 1)
         )
-        assert abel_representation(pair).polys == witness
+        assert abel_representation(pair) == witness
 
 
 # --- Riordan arrays ----------------------------------------------------------------
@@ -311,8 +311,8 @@ def test_sheffer_identity_bivariate():
     rng = Random(31)
     for _ in range(4):
         pair = random_pair(rng, 8)
-        seq = sheffer_sequence(pair).polys
-        assoc = sheffer_sequence(UmbraPair(augmentation(8), pair.alpha)).polys
+        seq = sheffer_sequence(pair)
+        assoc = sheffer_sequence(UmbraPair(augmentation(8), pair.alpha))
         assert sheffer_identity_failure(seq, assoc, 8) is None
 
 
@@ -320,5 +320,5 @@ def test_sheffer_identity_fails_with_another_alpha():
     # the associated sequence of a different alpha breaks the identity
     rng = Random(32)
     pair = random_pair(rng, 6)
-    other = sheffer_sequence(UmbraPair(augmentation(6), singleton(6))).polys
-    assert sheffer_identity_failure(sheffer_sequence(pair).polys, other, 6) is not None
+    other = sheffer_sequence(UmbraPair(augmentation(6), singleton(6)))
+    assert sheffer_identity_failure(sheffer_sequence(pair), other, 6) is not None
