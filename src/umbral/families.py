@@ -21,7 +21,9 @@ the verify suite and the named functions all go through it.
 The weight binomial(n-k+t+kq-1, n-k) is entry (n, k) of the ordinary Riordan
 array d = ((1-z)^(-t), z(1-z)^(-q)).  ``master_table`` builds d once, down each
 column by d_{n+1,k} = d_{n,k} (n-k+t+kq)/(n-k+1), and V_k = binomial(y, k) x^k
-once for all rows: P_n = n! sum_k d_{n,k} V_k.  Where y is the indeterminate,
+once for all rows: P_n = n! sum_k d_{n,k} V_k, on integers: row n of n! d over
+its own denominator, the V_k over one, each coefficient one dot product.
+Where y is the indeterminate,
 V_k is a degree-k polynomial in x (Meixner, Mittag-Leffler, Pidduck) and
 n! d_{n,k} x^k are the coefficients on binomial(x, k).  The independent route,
 ``gf_rows``, expands each family's own generating function once, as a series
@@ -36,11 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, zip_longest
+from math import lcm
+from operator import mul
 from typing import Callable
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial
+from .rationals import factorial, lowest_terms
 from .series import TruncatedSeries
 
 __all__ = [
@@ -86,21 +91,32 @@ class MasterParams:
 
 
 def master_table(nmax: int, p: MasterParams) -> tuple[list, list]:
-    """Rows P_0..P_nmax of the explicit sum, exact, and the Riordan array d
-    (rows of d_{n,0..n}) they are read from."""
+    """Rows P_0..P_nmax of the explicit sum, exact, and the Riordan array d they
+    are read from, row n of n! d_{n,0..n} as integer numerators over one denominator."""
     if nmax < 0:
         raise ValueError("master polynomial needs n >= 0")
-    d = [[Fraction(1)]]  # d_{n,n} = 1; down each column d_{n,k} = d_{n-1,k} (n-1-k+t+kq)/(n-k)
+    s = lcm(p.t.denominator, p.q.denominator)  # n-1-k+t+kq = ((n-1-k)s + ts + kqs)/s
+    ts, qs = (p.t * s).numerator, (p.q * s).numerator
+    d = [((1,), 1)]  # n! d_{n,n} = n!; down each column times n(n-1-k+t+kq)/(n-k)
     for n in range(1, nmax + 1):
-        column_steps = [w * (n - 1 - k + p.t + k * p.q) / (n - k) for k, w in enumerate(d[-1])]
-        d.append(column_steps + [Fraction(1)])
+        (num, den), f = d[-1], factorial(n)
+        den *= s * f
+        steps = [c * n * ((n - 1 - k) * s + ts + k * qs) * (f // (n - k)) for k, c in enumerate(num)]
+        d.append(lowest_terms(steps + [f * den], den))
     y = Polynomial.x() if p.y is None else Polynomial.constant(p.y)
     basis, ybin, xpow = [], Polynomial.constant(1), Polynomial.constant(1)
     for k in range(nmax + 1):  # binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
         basis.append(ybin * xpow)
         ybin, xpow = ybin * (y - k) / (k + 1), xpow * p.xval
-    sums = [sum((w * v for w, v in zip(row, basis)), Polynomial()) for row in d]
-    return [total * factorial(n) for n, total in enumerate(sums)], d
+    vden = lcm(*(v.denominator for v in basis))
+    scaled = ([c * (vden // v.denominator) for c in v.numerators] for v in basis)
+    columns = list(zip_longest(*scaled, fillvalue=0))
+    widths = list(accumulate((len(v.numerators) for v in basis), max))
+    rows = [
+        Polynomial([sum(map(mul, num, col)) for col in columns[: widths[n]]], den * vden)
+        for n, (num, den) in enumerate(d)
+    ]
+    return rows, d
 
 
 def master_polynomial(n: int, p: MasterParams) -> Polynomial:
@@ -236,7 +252,8 @@ def family_table(kind: str, nmax: int, **options):
     if p.y is not None:
         return rows, None
     x0 = p.xval.coeff(0)
-    return rows, [[factorial(n) * w * x0**k for k, w in enumerate(dn)] for n, dn in enumerate(d)]
+    powers = [(x0.numerator**k, x0.denominator**k) for k in range(nmax + 1)]
+    return rows, [[Fraction(c * a, den * b) for c, (a, b) in zip(num, powers)] for num, den in d]
 
 
 def gf_rows(kind: str, nmax: int, lam=None, b=None, c=None) -> list:

@@ -4,37 +4,39 @@ These are the values the package hands back to users: Sheffer polynomials,
 rows of the classical families, evaluated umbral expressions.  The class is
 deliberately small; it only needs ring arithmetic, scalar mixing with
 ``Fraction`` (so a polynomial can sit inside a power-series coefficient),
-exact evaluation, and a readable rendering.  A product is one convolution
-of integer numerators over the two common denominators.
+exact evaluation, and a readable rendering.
+
+Like an umbra, a polynomial is integer numerators (no trailing zero) over
+one denominator in the form of ``rationals.lowest_terms``; arithmetic and
+``==`` run on them, and ``coeffs`` builds ``Fraction``s on first access.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
-from .rationals import factorial, format_rational, over_common_denominator
+from .rationals import factorial, format_rational, lowest_terms, over_common_denominator
 
 __all__ = ["Polynomial", "binomial_poly", "falling_factorial_poly"]
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
-
-
 class Polynomial:
-    """Immutable polynomial in one variable, coefficients lowest degree first."""
+    """Immutable polynomial in one variable, coefficients lowest degree first;
+    ``Polynomial(coeffs, denominator)`` has coeffs[i] / denominator (ints or ``Fraction``s)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("numerators", "denominator", "_coeffs")
 
-    def __init__(self, coeffs=()):
-        coeffs = [_coerce(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
+    def __init__(self, coeffs=(), denominator: int = 1):
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        num, den = over_common_denominator(coeffs)
+        self.numerators, self.denominator = lowest_terms(num, den * denominator)
+        self._coeffs = None
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
@@ -46,36 +48,37 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.denominator) for c in self.numerators)
         return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.numerators) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self.numerators):
+            return self.coeffs[k]
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.numerators
 
     def __call__(self, value):
-        result = Fraction(0)
-        for c in reversed(self._coeffs):
+        result = 0
+        for c in reversed(self.numerators):
             result = result * value + c
-        return result
+        return result / Fraction(self.denominator)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Polynomial(
-            (self.coeff(i) + other.coeff(i) for i in range(n))
-        )
+        da, db = self.denominator, other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return Polynomial([x * db + y * da for x, y in pairs], da * db)
 
     __radd__ = __add__
 
@@ -86,30 +89,28 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return Polynomial([-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other):
+        a, den = self.numerators, self.denominator
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self._coeffs))
+            return Polynomial([c * other.numerator for c in a], den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        a, da = over_common_denominator(self._coeffs)
-        b, db = over_common_denominator(other._coeffs)
-        out = [0] * (len(a) + len(b) - 1)
+        b = other.numerators
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        den = da * db
-        return Polynomial(Fraction(c, den) for c in out)
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Polynomial(out, den * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return Polynomial(tuple(c / Fraction(scalar) for c in self._coeffs))
+            p, q = scalar.numerator, scalar.denominator
+            return Polynomial([c * q for c in self.numerators], self.denominator * p)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -125,20 +126,20 @@ class Polynomial:
         return result
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self._coeffs) if i))
+        return Polynomial([i * c for i, c in enumerate(self.numerators)][1:], self.denominator)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self.denominator == other.denominator and self.numerators == other.numerators
         if isinstance(other, (int, Fraction)):
             return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self):
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
         return self.pretty()

@@ -10,18 +10,21 @@ Integer tops, by far the common case, take an exact integer fast path.
 ``over_common_denominator`` writes a sequence of rationals as integer
 numerators over one denominator, so sums of products (convolutions,
 matrix products) can run on Python integers with one division at the end.
+``lowest_terms`` is their one canonical form, so equal vectors of values give
+equal (numerators, denominator) pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 __all__ = [
     "binomial",
     "falling_factorial",
     "factorial",
     "format_rational",
+    "lowest_terms",
     "over_common_denominator",
     "parse_rational",
 ]
@@ -64,6 +67,14 @@ def over_common_denominator(values):
     """
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def lowest_terms(num, den: int) -> tuple[tuple, int]:
+    """num[i] / den as a tuple of integers over d > 0 with gcd(d, *numerators) = 1."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    return (tuple(num) if g == 1 else tuple(c // g for c in num)), den // g
 
 
 def format_rational(value) -> str:

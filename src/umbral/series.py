@@ -12,9 +12,11 @@ what the polynomial-family oracles use to expand generating functions such
 as (1 - 2xz + z^2)^(-1) with x carried along exactly.
 
 ``multiply``, ``compose``, ``power`` and ``revert`` run on integer
-numerators over one common denominator (``Polynomial`` coefficients pass
-through over 1), sums of products on Python integers with one division per
-result coefficient, as ``umbra.add`` does for moments.  The product and
+numerators over one common denominator, sums of products on Python integers
+with one division per result coefficient, as ``umbra.add`` does for moments.
+``Polynomial`` coefficients pass through over 1: a polynomial already keeps
+integer numerators over its own denominator, so its products and sums in
+these loops run on integers too.  The product and
 every Horner step of the composition are the same convolution.  ``power``
 and ``revert`` work on the exponential scale k! f_k, where the series of an
 umbra has its moments as coefficients: there the common denominator of an

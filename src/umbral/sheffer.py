@@ -33,11 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import islice
+from math import comb, lcm
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial
+from .rationals import factorial, lowest_terms
 from .umbra import (
     Umbra,
     add,
@@ -98,13 +99,10 @@ class RiordanArray:
 
     def __init__(self, pair, rows, denominator: int, flavor: str):
         rows = tuple(map(tuple, rows))
-        g = gcd(denominator, *(c for row in rows for c in row)) * (1 if denominator > 0 else -1)
-        if g != 1:
-            rows = tuple(tuple(c // g for c in row) for row in rows)
-            denominator //= g
+        flat, self.denominator = lowest_terms([c for row in rows for c in row], denominator)
+        entries = iter(flat)
         self._pair = pair
-        self.rows = rows
-        self.denominator = denominator
+        self.rows = tuple(tuple(islice(entries, len(row))) for row in rows)
         self.flavor = flavor
         self._entries = None
 
@@ -166,7 +164,7 @@ def sheffer_sequence(pair: UmbraPair) -> tuple:
     """Sheffer polynomials s_0..s_N from the binomial moment expansion;
     s_n is monic of degree n."""
     rows, den = _coefficient_table(pair)
-    return tuple(Polynomial(Fraction(c, den) for c in row) for row in rows)
+    return tuple(Polynomial(row, den) for row in rows)
 
 
 def sheffer_sequence_series(pair: UmbraPair) -> tuple:
@@ -201,7 +199,7 @@ def abel_representation(pair: UmbraPair) -> tuple:
             if w:
                 for i in range(n - j + 1):
                     coeffs[i] += w * comb(n - j, i) * k[n - j - i]
-        polys.append(Polynomial(Fraction(c, ds * dk) for c in coeffs))
+        polys.append(Polynomial(coeffs, ds * dk))
     return tuple(polys)
 
 

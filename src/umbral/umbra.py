@@ -38,10 +38,10 @@ parameters are exact: a ``float`` raises ``TypeError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from . import series as ps
-from .rationals import factorial, over_common_denominator
+from .rationals import factorial, lowest_terms, over_common_denominator
 from .series import TruncatedSeries
 
 __all__ = [
@@ -99,13 +99,8 @@ class Umbra:
         num = tuple(num)
         if not num or num[0] != den:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
-        g = gcd(*num)
-        if g != 1:
-            num = tuple(c // g for c in num)
-            den //= g
         u = object.__new__(cls)
-        u._num = num
-        u._den = den
+        u._num, u._den = lowest_terms(num, den)
         u._moments = None
         return u
 

@@ -396,9 +396,9 @@ def test_verify_reports_a_suite_exception(capsys, monkeypatch):
 
 
 def test_verify_order_ceiling(capsys):
-    code, _, err = run_cli(["verify", "duality", "--order", "13"], capsys)
+    code, _, err = run_cli(["verify", "duality", "--order", "25"], capsys)
     assert code == cli.EXIT_PRECONDITION
-    assert err == "error: verification order 13 above the ceiling 12\n"
+    assert err == "error: verification order 25 above the ceiling 24\n"
 
 
 @pytest.mark.parametrize(
@@ -450,15 +450,35 @@ def test_determinism_byte_identical(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def _child_env():
     # the child process imports the same package as this test run
     src = os.path.dirname(os.path.dirname(umbral.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "umbral", "umbra", "chi", "--order", "3", "--format", "json"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["moments"] == ["1", "1", "0", "0"]
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_closed_pipe_exits_quietly(fmt):
+    # about 100-300 kB of output, more than a pipe buffers, so the writer meets the closed pipe
+    child = subprocess.Popen(
+        [sys.executable, "-m", "umbral", "family", "meixner1", "--nmax", "64", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == cli.EXIT_BROKEN_PIPE
+    assert err == b""

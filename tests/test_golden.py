@@ -6,8 +6,11 @@ into shared functions; the two order-32 ``umbra`` lines (``inv`` runs
 series kernels still ran on ``Fraction`` arithmetic, and the six
 ``riordan`` lines at orders 12-16 (non-integral entries, both flavors,
 ``multiply``, ``apply``, ``inverse``, csv and json) while arrays still
-stored ``Fraction`` entries.  A change that alters one of these outputs on
-purpose says so and records the new digest."""
+stored ``Fraction`` entries.  The five ``family`` lines at ``--nmax 40`` and
+the order-24 ``sheffer`` line were recorded while polynomials still stored
+``Fraction`` coefficients and the family rows were summed on them.  A change
+that alters one of these outputs on purpose says so and records the new
+digest."""
 
 import hashlib
 
@@ -23,6 +26,24 @@ GOLDEN = {
     "family meixner1 --nmax 6": "c3fcb1aad3d374cf7b13ed89005f6401da0966a8ef645b527667694935c85a0f",
     "family mittag-leffler --nmax 6": "3fc4d75cdeb831d515cff1f829198aa2327753da569576ee70c6576636911fe5",
     "family pidduck --nmax 6": "ec5fb83151d20be036d89893909bd8bea5f86972153b8d6659a73462de80b02a",
+    "family chebyshev-u --nmax 40 --format json": (
+        "5affea3d1da80a8a03eb8647b00f4fd337824901d592f730bda79bac65bf8a65"
+    ),
+    "family gegenbauer --nmax 40 --format json": (
+        "aefe64208c550fbaf515c6b86771b56439d2a319c89d289f2f68648f4bdf8140"
+    ),
+    "family meixner1 --nmax 40 --format json": (
+        "0f12f84f488ff93391ff47747b25147b09a43fb23951afde37102e0dc9d5d5ee"
+    ),
+    "family mittag-leffler --nmax 40 --format json": (
+        "b71ab22d2f186460e7fe7ca9f53af75c19c28eda5ac56fa1465ab6b737cae6db"
+    ),
+    "family pidduck --nmax 40 --format json": (
+        "18f98ac239380d480338b550c2a15da8882230f7e8fd4d445d5fcafb5c57d38e"
+    ),
+    "sheffer egf(1,1/2,-1/3) dotscalar(1/2,bell) --order 24": (
+        "335b1c7081d17250ea88c69bf00e55c04f9982f2851a43dfd705f8e0de57d1fc"
+    ),
     "riordan ubar bell --order 6 inverse": "ada85f3b5bef67f210def59f49fb18e9a3da600c202129a5093e5c5f13dc3efe",
     "sheffer chi bell --order 6": "16030cc5be8aecf744bd244b0e9fb038c32a0f39c555651d17deec66b9e753d6",
     "riordan egf(1,1/2,-1/3) dotscalar(1/2,bell) --order 12 --flavor ordinary": (

@@ -1,6 +1,10 @@
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbral.polynomials import Polynomial, binomial_poly, falling_factorial_poly
 
@@ -57,3 +61,95 @@ def test_pretty():
     assert Polynomial((0, Fraction(7, 4))).pretty() == "(7/4)x"
     assert Polynomial(()).pretty() == "0"
     assert Polynomial((0, -1)).pretty() == "-x"
+
+
+# --- the integer representation against a plain list of Fractions -------------------------
+
+rationals = st.integers(min_value=-6, max_value=6) | st.fractions(
+    min_value=-5, max_value=5, max_denominator=12
+)
+coeff_lists = st.lists(rationals, max_size=7)
+nonzero = rationals.filter(lambda r: r != 0)
+laws = settings(max_examples=60, deadline=None)
+
+
+def ref(coeffs):
+    """The reference value: Fractions with the trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_add(a, b):
+    return ref(x + y for x, y in zip_longest(ref(a), ref(b), fillvalue=Fraction(0)))
+
+
+def ref_mul(a, b):
+    a, b = ref(a), ref(b)
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_eval(a, v):
+    return sum((c * Fraction(v) ** k for k, c in enumerate(ref(a))), Fraction(0))
+
+
+@laws
+@given(coeff_lists, coeff_lists, rationals, nonzero)
+def test_arithmetic_matches_the_fraction_reference(a, b, s, t):
+    p, q = Polynomial(a), Polynomial(b)
+    assert p.coeffs == ref(a)
+    assert (p + q).coeffs == ref_add(a, b)
+    assert (p - q).coeffs == ref_add(a, [-c for c in b])
+    assert (-p).coeffs == ref(-Fraction(c) for c in a)
+    assert (p * q).coeffs == ref_mul(a, b)
+    assert (p * s).coeffs == (s * p).coeffs == ref(c * s for c in a)
+    assert (p + s).coeffs == (s + p).coeffs == ref_add(a, [s])
+    assert (s - p).coeffs == ref_add([s], [-c for c in a])
+    assert (p / t).coeffs == ref(Fraction(c) / t for c in a)
+    assert p.derivative().coeffs == ref(k * Fraction(c) for k, c in enumerate(a))[1:]
+    assert p(s) == ref_eval(a, s)
+
+
+@laws
+@given(coeff_lists, st.integers(min_value=-30, max_value=30).filter(bool))
+def test_equal_values_share_numerators_denominator_and_hash(a, m):
+    p = Polynomial(a)
+    den = 1
+    for c in a:
+        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
+    scaled = Polynomial([int(Fraction(c) * den * m) for c in a], den * m)
+    for other in (scaled, (p * m) / m, p + Polynomial() - 0, Polynomial(p.coeffs)):
+        assert other == p
+        assert (other.numerators, other.denominator) == (p.numerators, p.denominator)
+        assert hash(other) == hash(p)
+
+
+@laws
+@given(coeff_lists, st.integers(min_value=0, max_value=4), nonzero)
+def test_zero_trailing_zeros_and_negative_scalars_normalize(a, zeros, t):
+    p = Polynomial(a)
+    assert Polynomial(list(a) + [0] * zeros) == p
+    assert p.denominator > 0
+    assert gcd(p.denominator, *p.numerators) == 1
+    assert not p.numerators or p.numerators[-1] != 0
+    for q in (p / -abs(t), p * -abs(t), Polynomial(p.numerators, -p.denominator)):
+        assert q.denominator > 0 and gcd(q.denominator, *q.numerators) == 1
+    for zero in (Polynomial([0] * zeros), p * 0, p - p, Polynomial([0] * zeros, -7)):
+        assert (zero.numerators, zero.denominator) == ((), 1)
+        assert zero.is_zero() and zero.degree == -1 and zero == 0
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial((1, 0.5))
+    with pytest.raises(TypeError):
+        Polynomial.x() * 1.5
+    with pytest.raises(TypeError):
+        Polynomial.x() + 0.5
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.x() / 0
