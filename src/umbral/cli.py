@@ -69,7 +69,7 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; at this order the slowest
-# command, riordan bell chi inverse, takes 1.7 s on a 2-core Xeon VM (Python 3.11)
+# command, riordan bell chi inverse, takes about 1 s on a 2-core Xeon VM (Python 3.11)
 ORDER_CEILING = 128
 VERIFY_ORDER_CEILING = 24
 # far below the interpreter's recursion limit, which parsing and building

@@ -79,7 +79,8 @@ def lowest_terms(num, den: int) -> tuple[tuple, int]:
 
 def format_rational(value) -> str:
     """Render a rational as "p/q", or plain "p" when the denominator is 1."""
-    value = Fraction(value)
+    if type(value) is not Fraction and type(value) is not int:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -24,9 +24,12 @@ on first access.
 
 The Abel form s_n(x) = E[(x + K)(x + K + n.K(alpha, alpha))^(n-1)], with
 K = K(gamma, alpha), is expanded through the moments of the two K umbrae
-(Lagrange inversion and Miller dot powers), so this module does not need
-the symbolic engine; the tests keep the symbolic expansion of the same
-expectation as its witness.
+(Lagrange inversion, and the dot powers n.K(alpha, alpha) read from the
+shared table of :func:`umbral.umbra.dot_powers`), so this module does not
+need the symbolic engine; the tests keep the symbolic expansion of the
+same expectation as its witness.  The coefficient table builds
+gamma + k.alpha with the fixed-addend kernel
+:func:`umbral.umbra.iterated_sums`.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ from .umbra import (
     add,
     augmentation,
     composition_umbra,
+    dot_powers,
     dot_scalar,
     gf,
+    iterated_sums,
     k_umbra,
 )
 
@@ -148,9 +153,7 @@ def identity_pair(order: int) -> UmbraPair:
 def _coefficient_table(pair: UmbraPair):
     """Rows of s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] over one denominator;
     gamma + k.alpha adds one more uncorrelated copy of alpha to the previous one."""
-    shifted = [pair.gamma]
-    for _ in range(pair.order):
-        shifted.append(add(shifted[-1], pair.alpha))
+    shifted = iterated_sums(pair.gamma, pair.alpha)
     den = lcm(*(u.denominator for u in shifted))
     columns = [(u.numerators, den // u.denominator) for u in shifted]
     rows = [
@@ -182,16 +185,17 @@ def abel_representation(pair: UmbraPair) -> tuple:
 
         s_n(x) = sum_j C(n-1, j) m_j(S) sum_i C(n-j, i) m_{n-j-i}(K) x^i,
 
-    on integer moment numerators, one division per coefficient.  Agrees
-    with :func:`sheffer_sequence`, with which it shares only ``add`` and
-    ``comb``.
+    on integer moment numerators, one division per coefficient; the
+    n.K(alpha, alpha) come from one ``dot_powers`` table.  Agrees with
+    :func:`sheffer_sequence`, with which it shares only the sum kernel of
+    :func:`umbral.umbra.iterated_sums` and ``comb``.
     """
     kga = k_umbra(pair.gamma, pair.alpha)
     k, dk = kga.numerators, kga.denominator
-    kaa = k_umbra(pair.alpha, pair.alpha)
+    shifts = dot_powers(k_umbra(pair.alpha, pair.alpha))
     polys = [Polynomial((1,))]
     for n in range(1, pair.order + 1):
-        shift = dot_scalar(n, kaa)
+        shift = shifts[n]
         s, ds = shift.numerators, shift.denominator
         coeffs = [0] * (n + 1)
         for j in range(n):

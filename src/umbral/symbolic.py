@@ -47,7 +47,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .polynomials import Polynomial
-from .umbra import Umbra, dot_scalar
+from .umbra import Umbra, dot_powers
 
 __all__ = [
     "FormalVariable",
@@ -383,9 +383,10 @@ def substitute(poly: Polynomial, arg) -> UmbralPolynomial:
 def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomial:
     """The unevaluated Abel construction base * (base + s)^(n-1).
 
-    The displacement s is a fresh symbol bound to n.u, so both occurrences
-    of ``base`` stay correlated while s is independent of everything else.
-    Returns 1 for n = 0.
+    The displacement s is a fresh symbol bound to n.u, read from the
+    shared table ``dot_powers(u)``, so both occurrences of ``base`` stay
+    correlated while s is independent of everything else.  Returns 1 for
+    n = 0.
     """
     if n < 0:
         raise ValueError("Abel polynomials need n >= 0")
@@ -393,7 +394,7 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
         return constant(1)
     if u.order < n:
         raise ValueError(f"umbra order {u.order} too small for the degree-{n} Abel polynomial")
-    shift = atom(UmbralSymbol(dot_scalar(n, u)))
+    shift = atom(UmbralSymbol(dot_powers(u)[n]))
     return base * (base + shift) ** (n - 1)
 
 

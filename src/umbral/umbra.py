@@ -20,10 +20,20 @@ The two arguments of ``add`` are always treated as distinct (uncorrelated)
 umbrae, even when the same object is passed twice; correlated powers of a
 single umbra live in :mod:`umbral.symbolic`, never here.
 
-The moment routes that need a whole table of integer dot powers k.u
-(``composition_umbra`` for k = 0..N, ``k_umbra`` for k = -1..-N) build it
-by iterated uncorrelated sums, k.u = (k-1).u + u, in one helper, so they
-stay purely combinatorial against their series oracles.
+Adding one fixed umbra v again and again is one kernel: the weight rows
+w_n[k] = C(n,k) c_{n-k}(v) are built once, and each step is one integer
+dot product per moment.  ``add`` is a single step of it, and
+``iterated_sums(start, v)`` the whole run start + k.v, k = 0..N.  The
+table of integer dot powers k.u (or k.(-u)), k = 0..N, is
+``dot_powers(u, sign)``: iterated sums from the augmentation, built on
+first use and kept on the umbra (outside ``==`` and ``hash``) for as long
+as the umbra lives.  Every moment route that needs several k.u reads it:
+``composition_umbra`` and ``k_umbra`` here, the Abel form of a Sheffer
+sequence, the symbolic Abel construction and the Abel checks; the Sheffer
+coefficient table runs the kernel itself, gamma + k.alpha.  The series
+oracles (``*_series``, ``gf`` and everything built on it) and
+``dot_scalar`` never read it, so no identity takes its oracle from the
+table and Miller's recurrence stays an independent route to k.u.
 
 An umbra stores its moments as integer numerators c_0..c_N over their
 least common denominator d, in the canonical form c_0 = d > 0 and
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from . import series as ps
 from .rationals import factorial, lowest_terms, over_common_denominator
@@ -49,6 +60,8 @@ __all__ = [
     "from_series",
     "gf",
     "add",
+    "iterated_sums",
+    "dot_powers",
     "dot_scalar",
     "dot",
     "derivative_umbra",
@@ -80,10 +93,10 @@ class Umbra:
     Stored as integer numerators c_n over their least common denominator
     d (``numerators`` and ``denominator``), with c_0 = d > 0 and
     gcd(c_0, ..., c_N) = 1.  ``moments`` returns the ``Fraction``s c_n / d,
-    built on first access and cached.
+    built on first access and cached; so is each table of ``dot_powers``.
     """
 
-    __slots__ = ("_num", "_den", "_moments")
+    __slots__ = ("_num", "_den", "_moments", "_dot_tables")
 
     def __init__(self, moments):
         values = tuple(map(_rational, moments))
@@ -92,6 +105,7 @@ class Umbra:
         num, self._den = over_common_denominator(values)
         self._num = tuple(num)
         self._moments = values
+        self._dot_tables = None
 
     @classmethod
     def _from_numerators(cls, num, den: int) -> "Umbra":
@@ -102,6 +116,7 @@ class Umbra:
         u = object.__new__(cls)
         u._num, u._den = lowest_terms(num, den)
         u._moments = None
+        u._dot_tables = None
         return u
 
     @property
@@ -164,17 +179,62 @@ def gf(u: Umbra) -> TruncatedSeries:
     return TruncatedSeries(tuple(m / factorial(n) for n, m in enumerate(u.moments)))
 
 
+def _sum_weights(v: Umbra) -> list:
+    """Rows w_n[k] = C(n,k) * c_{n-k}(v): adding v to u is then
+    m_n = sum_k c_k(u) * w_n[k], over d_u * d_v."""
+    c = v._num
+    return [[comb(n, k) * c[n - k] for k in range(n + 1)] for n in range(len(c))]
+
+
+def _add_weighted(u: Umbra, weights: list, den: int) -> Umbra:
+    a = u._num
+    return Umbra._from_numerators([sum(map(mul, a, w)) for w in weights], u._den * den)
+
+
 def add(u: Umbra, v: Umbra) -> Umbra:
     """Sum of two uncorrelated umbrae: binomial convolution of moments.
 
-    The convolution runs on the integer numerators; the denominators multiply.
+    One step of the fixed-addend kernel of :func:`iterated_sums`, on the
+    integer numerators; the denominators multiply.
     """
     u._check_order(v)
-    a, b = u._num, v._num
-    return Umbra._from_numerators(
-        [sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))],
-        u._den * v._den,
-    )
+    return _add_weighted(u, _sum_weights(v), v._den)
+
+
+def iterated_sums(start: Umbra, v: Umbra) -> list:
+    """start + k.v for k = 0..N, each an uncorrelated copy of v added to the last.
+
+    The weight rows of v are built once; each step is one integer dot
+    product per moment and one gcd pass.
+    """
+    start._check_order(v)
+    weights, den = _sum_weights(v), v._den
+    sums = [start]
+    for _ in range(v.order):
+        sums.append(_add_weighted(sums[-1], weights, den))
+    return sums
+
+
+def _dot_power_table(u: Umbra, sign: int) -> tuple:
+    """k.(sign u) for k = 0..N by iterated sums from the augmentation."""
+    return tuple(iterated_sums(augmentation(u.order), u if sign > 0 else dot_scalar(-1, u)))
+
+
+def dot_powers(u: Umbra, sign: int = 1) -> tuple:
+    """The table k.u (sign 1) or k.(-u) (sign -1) for k = 0..N.
+
+    Built on first use and kept on ``u``, so every moment route on the same
+    umbra shares one table; it lives as long as ``u`` does.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"dot_powers takes sign 1 or -1, not {sign!r}")
+    tables = u._dot_tables
+    if tables is None:
+        tables = u._dot_tables = {}
+    table = tables.get(sign)
+    if table is None:
+        table = tables[sign] = _dot_power_table(u, sign)
+    return table
 
 
 def dot_scalar(a, u: Umbra) -> Umbra:
@@ -217,13 +277,11 @@ def derivative_umbra(u: Umbra) -> Umbra:
     return Umbra._from_numerators([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
 
 
-def _dot_powers(v: Umbra) -> tuple[list, int]:
-    """k.v = (k-1).v + v for k = 0..N over their lcm D: (numerators, D / d_k) each, and D."""
-    dotted = [augmentation(v.order)]
-    for _ in range(v.order):
-        dotted.append(add(dotted[-1], v))
-    big = lcm(*(t._den for t in dotted))
-    return [(t._num, big // t._den) for t in dotted], big
+def _dot_powers(u: Umbra, sign: int) -> tuple[list, int]:
+    """The table of :func:`dot_powers` over its lcm D: (numerators, D / d_k) each, and D."""
+    table = dot_powers(u, sign)
+    big = lcm(*(t._den for t in table))
+    return [(t._num, big // t._den) for t in table], big
 
 
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
@@ -231,11 +289,11 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
 
     m_n = sum_k C(n,k) * m_k(g) * m_{n-k}(k.u); the series route
     :func:`composition_umbra_series` must and does agree.  The dot powers
-    k.u are written over one common denominator D, so every m_n is one
-    integer sum over d_g * D.
+    k.u come from the shared table of :func:`dot_powers`, written over one
+    common denominator D, so every m_n is one integer sum over d_g * D.
     """
     g._check_order(u)
-    dotted, big = _dot_powers(u)
+    dotted, big = _dot_powers(u, 1)
     columns = [(k, c * s, m) for k, (c, (m, s)) in enumerate(zip(g._num, dotted)) if c]
     out = [
         sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
@@ -265,11 +323,12 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
     Expanding by uncorrelation of g and the dotted copy:
     m_n = sum_{j<n} C(n-1, j) * m_{j+1}(g) * m_{n-1-j}(-n.u).
     Equals the Lagrange-inversion series route :func:`k_umbra_series`.
-    The dot powers -n.u are written over one common denominator D, so
-    every m_n is one integer sum over d_g * D.
+    The dot powers -n.u come from the shared table ``dot_powers(u, -1)``,
+    written over one common denominator D, so every m_n is one integer sum
+    over d_g * D.
     """
     g._check_order(u)
-    dotted, big = _dot_powers(dot_scalar(-1, u))
+    dotted, big = _dot_powers(u, -1)
     c = g._num
     out = [g._den * big]
     for n in range(1, u.order + 1):

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from random import Random
 
 from . import families as fam
 from . import series as ps
 from .polynomials import Polynomial, binomial_poly
-from .rationals import binomial, factorial
+from .rationals import binomial, factorial, over_common_denominator
 from .sheffer import (
     RiordanArray,
     UmbraPair,
@@ -47,9 +48,11 @@ from .umbra import (
     composition_umbra_series,
     derivative_umbra,
     dot,
+    dot_powers,
     dot_scalar,
     gf,
     inverse_umbra,
+    iterated_sums,
     k_umbra,
     k_umbra_series,
     scalar_umbra,
@@ -132,19 +135,21 @@ def abel_identity_failure(alpha: Umbra, gamma: Umbra, delta: Umbra):
     """First ``n=… lhs=… rhs=…`` up to the order where E[(delta+gamma)^n] !=
     sum_k C(n,k) E[(delta+k.alpha)^(n-k)] E[gamma(gamma-k.alpha)^(k-1)], else None."""
     order = delta.order
-    shifted = [add(delta, dot_scalar(k, alpha)) for k in range(order + 1)]
+    shifted = iterated_sums(delta, alpha)
     # Abel weights E[g (g - k.a)^(k-1)], the Abel polynomials of -1.a at g
     neg_alpha = dot_scalar(-1, alpha)
     weights = [abel(k, UmbralSymbol(gamma), neg_alpha) for k in range(order + 1)]
+    # both sides on integers: rhs numerators over big * w_den, lhs over d
+    w_num, w_den = over_common_denominator(weights)
+    big = lcm(*(s.denominator for s in shifted))
+    columns = [(s.numerators, w * (big // s.denominator)) for s, w in zip(shifted, w_num)]
     lhs_umbra = add(delta, gamma)
+    c, d = lhs_umbra.numerators, lhs_umbra.denominator
+    den = big * w_den
     for n in range(order + 1):
-        lhs = lhs_umbra.moment(n)
-        rhs = sum(
-            (binomial(n, k) * shifted[k].moment(n - k) * weights[k] for k in range(n + 1)),
-            Fraction(0),
-        )
-        if lhs != rhs:
-            return f"n={n} lhs={lhs} rhs={rhs}"
+        total = sum(comb(n, k) * m[n - k] * w for k, (m, w) in enumerate(columns[: n + 1]))
+        if c[n] * den != total * d:
+            return f"n={n} lhs={lhs_umbra.moment(n)} rhs={Fraction(total, den)}"
     return None
 
 
@@ -154,13 +159,14 @@ def abel_polynomial_form_failure(alpha: Umbra, gamma: Umbra, delta: Umbra, qs):
     neg_alpha = dot_scalar(-1, alpha)
     top = max(q.degree for q in qs)
     weights = [abel(k, UmbralSymbol(gamma), neg_alpha) for k in range(top + 1)]
+    dotted = dot_powers(alpha)
     d_plus_g = atom(UmbralSymbol(delta)) + atom(UmbralSymbol(gamma))
     for qi, q in enumerate(qs):
         lhs = substitute(q, d_plus_g).evaluate().constant_value()
         rhs = Fraction(0)
         deriv = q
         for k in range(q.degree + 1):
-            arg = atom(UmbralSymbol(delta)) + atom(UmbralSymbol(dot_scalar(k, alpha)))
+            arg = atom(UmbralSymbol(delta)) + atom(UmbralSymbol(dotted[k]))
             value = substitute(deriv, arg).evaluate().constant_value()
             rhs += value * weights[k] / factorial(k)
             deriv = deriv.derivative()

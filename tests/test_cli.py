@@ -375,6 +375,36 @@ def test_riordan_checks_report_a_broken_product(capsys, monkeypatch):
     assert detail.endswith("; repro: umbral verify riordan-group --order 4 --seed 1")
 
 
+def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
+    # one numerator off in k.u for k = 2 of every shared table: the moment
+    # routes that read it fail against their series oracles, and a suite
+    # whose checks never read it still passes
+    import umbral.umbra
+
+    build = umbral.umbra._dot_power_table
+
+    def broken(u, sign):
+        table = list(build(u, sign))
+        if len(table) > 2:
+            num = list(table[2].numerators)
+            num[1] += 1
+            table[2] = Umbra._from_numerators(num, table[2].denominator)
+        return tuple(table)
+
+    monkeypatch.setattr(umbral.umbra, "_dot_power_table", broken)
+    code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
+    assert code == cli.EXIT_VERIFY
+    repro = "; repro: umbral verify lif --order 6 --seed 0"
+    lines = out.splitlines()
+    for name in ("lagrange-inversion-moments", "composition-two-routes"):
+        detail = lines[lines.index(f"FAIL {name}") + 1]
+        assert detail.startswith("  counterexample: trial=")
+        assert detail.endswith(repro)
+    code, out, _ = run_cli(["verify", "duality", "--order", "6"], capsys)
+    assert code == cli.EXIT_OK
+    assert "FAIL" not in out
+
+
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):
     def crash(order, seed):
         raise ValueError("boom")

@@ -109,3 +109,11 @@ def test_format_parse_roundtrip():
         parse_rational("not-a-number")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_format_rational_other_inputs():
+    # ints are printed as they are; anything else goes through Fraction
+    assert [format_rational(v) for v in (0, -12, 10**30)] == ["0", "-12", str(10**30)]
+    assert format_rational(True) == "1"
+    assert format_rational("3/6") == "1/2"
+    assert format_rational(Fraction(-4, 6)) == "-2/3"

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbral.rationals import factorial
 from umbral.series import TruncatedSeries, multiply, power, revert
@@ -14,10 +16,12 @@ from umbral.umbra import (
     composition_umbra_series,
     derivative_umbra,
     dot,
+    dot_powers,
     dot_scalar,
     from_series,
     gf,
     inverse_umbra,
+    iterated_sums,
     k_umbra,
     k_umbra_series,
     scalar_umbra,
@@ -377,3 +381,57 @@ def test_order_zero_umbrae():
     assert dot(only, only) == only
     assert composition_umbra(only, only) == composition_umbra_series(only, only) == only
     assert k_umbra(only, only) == k_umbra_series(only, only) == only
+
+
+# --- the shared dot-power table and its sum kernel -----------------------------------
+
+moment_values = st.integers(min_value=-4, max_value=4) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=6
+)
+table_laws = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def umbra_pairs(draw):
+    """Two umbrae of one order in 0..10, with integer and fractional moments."""
+    order = draw(st.integers(min_value=0, max_value=10))
+    tail = st.lists(moment_values, min_size=order, max_size=order)
+    return Umbra([1] + draw(tail)), Umbra([1] + draw(tail))
+
+
+@table_laws
+@given(umbra_pairs(), st.sampled_from((1, -1)))
+def test_dot_powers_match_miller_recurrence(pair, sign):
+    # the table is iterated sums; Miller's recurrence is its independent route
+    u = pair[0]
+    table = dot_powers(u, sign)
+    assert len(table) == u.order + 1
+    for k, dotted in enumerate(table):
+        assert dotted == dot_scalar(sign * k, u)
+
+
+@table_laws
+@given(umbra_pairs())
+def test_iterated_sums_are_chained_adds(pair):
+    w, u = pair
+    chained = w
+    for k, total in enumerate(iterated_sums(w, u)):
+        assert total == chained
+        chained = add(chained, u)
+
+
+@table_laws
+@given(umbra_pairs(), st.sampled_from((1, -1)))
+def test_dot_power_table_is_cached_outside_equality(pair, sign):
+    u = pair[0]
+    twin = Umbra(u.moments)
+    before = hash(u)
+    table = dot_powers(u, sign)
+    assert dot_powers(u, sign) is table
+    assert u == twin and hash(u) == hash(twin) == before
+    assert twin._dot_tables is None
+
+
+def test_dot_powers_refuse_other_signs():
+    with pytest.raises(ValueError):
+        dot_powers(bell(3), 2)
