@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
+from operator import mul
 
 from . import series as ps
 from .polynomials import Polynomial
@@ -249,13 +250,15 @@ def umbral_compose(p: UmbraPair, q: UmbraPair) -> UmbraPair:
 
 def riordan_multiply(a: RiordanArray, b: RiordanArray) -> RiordanArray:
     """Matrix product, one integer dot product per entry over the product of
-    the denominators; the pair of the result is the composed pair, on demand."""
+    the denominators: row n of a against column k of b, each column of b
+    collected once; the pair of the result is the composed pair, on demand."""
     if a.flavor != b.flavor:
         raise ValueError(f"Riordan flavor mismatch: {a.flavor} vs {b.flavor}")
     if a.order != b.order:
         raise ValueError(f"Riordan order mismatch: {a.order} vs {b.order}")
+    columns = [[row[k] for row in b.rows[k:]] for k in range(len(b.rows))]
     rows = [
-        [sum(row[i] * b.rows[i][k] for i in range(k, n + 1)) for k in range(n + 1)]
+        [sum(map(mul, row[k : n + 1], columns[k])) for k in range(n + 1)]
         for n, row in enumerate(a.rows)
     ]
     return RiordanArray(

@@ -37,13 +37,18 @@ repeated squaring.  The bases here are sparse (two or three atoms, such as
 x + K + s), and for sparse polynomials each squaring multiplies two dense
 intermediate powers, so squaring costs more monomial products than the
 plain loop (R. J. Fateman, "On the computation of powers of sparse
-polynomials", Stud. Appl. Math. 53, 1974).
+polynomials", Stud. Appl. Math. 53, 1974).  Where the terms can be written
+down, nothing is multiplied: ``abel_expression`` expands base * (base +
+s)^(n-1) by the binomial theorem in its fresh symbol s, which needs only
+the powers of base, and ``substitute`` writes a polynomial in a bare atom
+straight onto that atom's exponents.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from operator import attrgetter
 
 from .polynomials import Polynomial
@@ -367,26 +372,47 @@ def constant(c) -> UmbralPolynomial:
 def substitute(poly: Polynomial, arg) -> UmbralPolynomial:
     """poly(arg) for an umbral polynomial, variable or symbol ``arg``.
 
-    Sums c_k arg^k rather than nesting Horner-style: for arg = x + y the
-    power has k + 1 monomials, a Horner partial sum (k+1)(k+2)/2.
+    For a bare atom a, c_k a^k is one packed monomial, so the coefficients
+    are written straight onto a's exponents.  Otherwise c_k arg^k is added
+    into one dict, arg^k by repeated multiplication, rather than nested
+    Horner-style: for arg = x + y the power has k + 1 monomials, a Horner
+    partial sum (k+1)(k+2)/2.
     """
-    result = constant(0)
-    power = constant(1)
-    for k, c in enumerate(poly.coeffs):
-        if k:
+    arg = _coerce_operand(arg)
+    if arg is None:
+        raise TypeError("substitute needs an umbral polynomial, variable, symbol or rational")
+    num, den = poly.numerators, poly.denominator
+    coeffs = num if den == 1 else [_exact(Fraction(c, den)) for c in num]
+    degree = len(coeffs) - 1
+    if len(arg._atoms) == 1 and arg._terms == {1: 1}:
+        if degree > _SLOT_MAX:
+            raise ValueError(f"a power exponent may reach {degree}, past the slot bound {_SLOT_MAX}")
+        terms = {k: c for k, c in enumerate(coeffs) if c}
+        return _make(arg._atoms, terms, max(degree, 0))
+    out = {0: coeffs[0]} if coeffs and coeffs[0] else {}
+    get = out.get
+    power = arg
+    for k in range(1, degree + 1):
+        if k > 1:
             power = power * arg
-        if c != 0:
-            result = result + power * c
-    return result
+        c = coeffs[k]
+        if c:
+            for m, pc in power._terms.items():
+                out[m] = get(m, 0) + c * pc
+    return _make(arg._atoms, _nonzero(out), max(degree, 0) * arg._top)
 
 
 def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomial:
-    """The unevaluated Abel construction base * (base + s)^(n-1).
+    """The unevaluated Abel construction base * (base + s)^(n-1), expanded
+    by the binomial theorem in s as sum_j C(n-1, j) base^(j+1) s^(n-1-j).
 
     The displacement s is a fresh symbol bound to n.u, read from the
     shared table ``dot_powers(u)``, so both occurrences of ``base`` stay
-    correlated while s is independent of everything else.  Returns 1 for
-    n = 0.
+    correlated while s is independent of everything else.  Minted here, s
+    takes the last slot, so base^(j+1) keeps its packed monomials and the
+    terms of different j never merge; the only products are the powers of
+    ``base``.  The exponent bound is that of the product, and past the slot
+    it raises ``ValueError`` as the product would.  Returns 1 for n = 0.
     """
     if n < 0:
         raise ValueError("Abel polynomials need n >= 0")
@@ -394,8 +420,20 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
         return constant(1)
     if u.order < n:
         raise ValueError(f"umbra order {u.order} too small for the degree-{n} Abel polynomial")
-    shift = atom(UmbralSymbol(dot_powers(u)[n]))
-    return base * (base + shift) ** (n - 1)
+    shift = UmbralSymbol(dot_powers(u)[n])
+    top = base._top + (n - 1) * max(base._top, 1)
+    if top > _SLOT_MAX:
+        raise ValueError(f"a product exponent may reach {top}, past the slot bound {_SLOT_MAX}")
+    slot = len(base._atoms) * _SLOT_BITS
+    out = {}
+    power = base
+    for j in range(n):
+        if j:
+            power = power * base
+        weight, lift = comb(n - 1, j), (n - 1 - j) << slot
+        for m, c in power._terms.items():
+            out[m + lift] = c * weight
+    return _make(base._atoms + (shift,), _nonzero(out), top)
 
 
 def abel(n: int, g, u: Umbra):

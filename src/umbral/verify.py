@@ -125,7 +125,7 @@ def sheffer_identity_failure(polys, assoc, n_max: int):
     for n in range(n_max + 1):
         rhs = constant(0)
         for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * px[k] * sy[n - k]
+            rhs = rhs + comb(n, k) * px[k] * sy[n - k]
         if substitute(polys[n], atom(X) + atom(Y)) != rhs:
             return n
     return None
@@ -197,7 +197,7 @@ def abel_binomial_identity_failure(u: Umbra, n_max: int):
         lhs = abel_expression(n, atom(X) + atom(Y), u).evaluate()
         rhs = constant(0)
         for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * ax[k] * ay[n - k]
+            rhs = rhs + comb(n, k) * ax[k] * ay[n - k]
         if lhs != rhs:
             return f"n={n}"
     return None

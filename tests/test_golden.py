@@ -6,7 +6,10 @@ into shared functions; the two order-32 ``umbra`` lines (``inv`` runs
 series kernels still ran on ``Fraction`` arithmetic, and the six
 ``riordan`` lines at orders 12-16 (non-integral entries, both flavors,
 ``multiply``, ``apply``, ``inverse``, csv and json) while arrays still
-stored ``Fraction`` entries.  The five ``family`` lines at ``--nmax 40`` and
+stored ``Fraction`` entries.  The ``verify abel`` and ``verify sheffer``
+lines at order 12 were recorded while ``abel_expression`` still multiplied
+out base * (base + s)^(n-1) and ``substitute`` still multiplied its way to
+each power of a bare atom.  The five ``family`` lines at ``--nmax 40`` and
 the order-24 ``sheffer`` line were recorded while polynomials still stored
 ``Fraction`` coefficients and the family rows were summed on them.  A change
 that alters one of these outputs on purpose says so and records the new
@@ -21,6 +24,14 @@ from umbral import cli
 GOLDEN = {
     "verify all --order 6 --seed 42": "c64fc8b1c8eca8d66b408cdf0d1fec79da915dc80dbc3dad383f618386d86e98",
     "verify all --order 6 --seed 42 --format json": "69ecfc2cf3bf9c4cb13900ab6c15925ed2ac5349c187e1b1069a30326d0fd890",
+    "verify abel --order 12 --seed 42": "e2892a13f5bcbf33104af23ea1e05799f9b81371ff7dd65fa513e0c64488b17f",
+    "verify abel --order 12 --seed 42 --format json": (
+        "127ff0ce3c436e307b7c711be87eac6bda41fa4c3cf738e88115977ca9e1ad9c"
+    ),
+    "verify sheffer --order 12 --seed 42": "3b7e1d170b0ba40ef2eae229916d0764638d25c0e256410e47cb3c282b11f1b5",
+    "verify sheffer --order 12 --seed 42 --format json": (
+        "99dc2d684fed68102fe9e624d8a840e4d8c97ff54bcf743cc862f5fa51d6a293"
+    ),
     "family chebyshev-u --nmax 6": "934901d1efc32b5bdc3e901b9cc6c5ab0c96451dde035cf57a4b24a8788c88a5",
     "family gegenbauer --nmax 6": "b909cd267a14841bd9ed956ddaba7f6a9db205b1b986037ab5c79ce80d285b25",
     "family meixner1 --nmax 6": "c3fcb1aad3d374cf7b13ed89005f6401da0966a8ef645b527667694935c85a0f",

@@ -2,11 +2,24 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbral import verify
 from umbral.polynomials import Polynomial
-from umbral.symbolic import _SLOT_MAX, UmbralPolynomial, UmbralSymbol, X, Y, abel, atom, constant
-from umbral.umbra import augmentation, scalar_umbra, singleton, ubar
+from umbral.symbolic import (
+    _SLOT_MAX,
+    UmbralPolynomial,
+    UmbralSymbol,
+    X,
+    Y,
+    abel,
+    abel_expression,
+    atom,
+    constant,
+    substitute,
+)
+from umbral.umbra import Umbra, augmentation, dot_scalar, scalar_umbra, singleton, ubar
 from umbral.verify import (
     abel_binomial_identity_failure,
     abel_derivative_rule_failure,
@@ -184,3 +197,64 @@ def test_abel_binomial_identity_bivariate():
     rng = Random(6)
     for _ in range(6):
         assert abel_binomial_identity_failure(random_umbra(rng, 8), 8) is None
+
+
+# --- the direct builds against the product route ----------------------------------------------
+
+rationals = st.integers(min_value=-3, max_value=3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=6
+)
+umbrae = st.builds(
+    lambda ms: Umbra([1, *ms]),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=8, max_size=8)
+    | st.lists(rationals, min_size=8, max_size=8),
+)
+laws = settings(max_examples=40, deadline=None)
+
+
+def _bases(k: Umbra):
+    """x, x + y, x + K, a bare symbol and 2x - 1/3; K and the bare symbol are bound to ``k``."""
+    return [
+        atom(X),
+        atom(X) + atom(Y),
+        atom(X) + atom(UmbralSymbol(k)),
+        atom(UmbralSymbol(k)),
+        atom(X) * 2 - F(1, 3),
+    ]
+
+
+@laws
+@given(st.integers(min_value=0, max_value=8), umbrae, umbrae)
+def test_abel_expression_matches_the_product_route(n, u, k):
+    for base in _bases(k):
+        got = abel_expression(n, base, u)
+        if n == 0:
+            expected = constant(1)
+        else:
+            shift = atom(UmbralSymbol(dot_scalar(n, u)))
+            expected = base * (base + shift) ** (n - 1)
+        assert got.evaluate() == expected.evaluate()
+        assert got.formal_derivative(X).evaluate() == expected.formal_derivative(X).evaluate()
+
+
+def test_abel_expression_keeps_the_slot_bound():
+    with pytest.raises(ValueError):
+        abel_expression(2, UmbralPolynomial({((X, 20000),): 1}), ubar(4))
+
+
+def _as_poly(arg):
+    return arg if isinstance(arg, UmbralPolynomial) else atom(arg)
+
+
+@laws
+@given(st.lists(rationals, max_size=7))
+@example([])
+@example([F(-2, 3)])
+def test_substitute_matches_the_power_sum(coeffs):
+    p = Polynomial(coeffs)
+    s = UmbralSymbol(ubar(8))
+    for arg in (X, Y, s, atom(X), atom(s), atom(X) + atom(Y), atom(X) + atom(s)):
+        expected = constant(0)
+        for k, c in enumerate(p.coeffs):
+            expected = expected + c * _as_poly(arg) ** k
+        assert substitute(p, arg) == expected
