@@ -45,7 +45,7 @@ from typing import Callable
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial, lowest_terms
+from .rationals import exact, factorial, lowest_terms, shared_denominator
 from .series import TruncatedSeries
 
 __all__ = [
@@ -84,10 +84,10 @@ class MasterParams:
     @classmethod
     def of(cls, xval, y, q, t) -> "MasterParams":
         if not isinstance(xval, Polynomial):
-            xval = Polynomial.constant(Fraction(xval))
+            xval = Polynomial.constant(exact(xval))
         if y is not None:
-            y = Fraction(y)
-        return cls(xval, y, Fraction(q), Fraction(t))
+            y = exact(y)
+        return cls(xval, y, exact(q), exact(t))
 
 
 def master_table(nmax: int, p: MasterParams) -> tuple[list, list]:
@@ -108,8 +108,8 @@ def master_table(nmax: int, p: MasterParams) -> tuple[list, list]:
     for k in range(nmax + 1):  # binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
         basis.append(ybin * xpow)
         ybin, xpow = ybin * (y - k) / (k + 1), xpow * p.xval
-    vden = lcm(*(v.denominator for v in basis))
-    scaled = ([c * (vden // v.denominator) for c in v.numerators] for v in basis)
+    lifted, vden = shared_denominator(basis)
+    scaled = ([c * s for c in num] for num, s in lifted)
     columns = list(zip_longest(*scaled, fillvalue=0))
     widths = list(accumulate((len(v.numerators) for v in basis), max))
     rows = [
@@ -139,12 +139,12 @@ def chebyshev_params() -> MasterParams:
 
 
 def gegenbauer_params(lam) -> MasterParams:
-    lam = Fraction(lam)
+    lam = exact(lam)
     return MasterParams.of(Polynomial((2, -2)), -lam, 2, 2 * lam)
 
 
 def meixner_params(b, c) -> MasterParams:
-    c = Fraction(c)
+    c = exact(c)
     return MasterParams.of((c - 1) / c, None, 1, b)
 
 
@@ -157,7 +157,7 @@ def pidduck_params() -> MasterParams:
 
 
 def _check_meixner(b, c):
-    b, c = Fraction(b), Fraction(c)
+    b, c = exact(b), exact(c)
     if c in (0, 1):
         raise ValueError(f"Meixner parameter c must avoid 0 and 1, got {c}")
     if b.denominator == 1 and b <= 0:
@@ -181,7 +181,7 @@ def _chebyshev_kernel(order: int, lam) -> TruncatedSeries:
     """(1 - 2xz + z^2)^(-lam)."""
     coeffs = [Polynomial((1,)), Polynomial((0, -2)), Polynomial((1,))][: order + 1]
     coeffs += [Polynomial()] * (order + 1 - len(coeffs))
-    return ps.power(TruncatedSeries(coeffs), -Fraction(lam))
+    return ps.power(TruncatedSeries(coeffs), -exact(lam))
 
 
 def _ratio_power_x(order: int, c1) -> TruncatedSeries:

@@ -10,8 +10,10 @@ Integer tops, by far the common case, take an exact integer fast path.
 ``over_common_denominator`` writes a sequence of rationals as integer
 numerators over one denominator, so sums of products (convolutions,
 matrix products) can run on Python integers with one division at the end.
-``lowest_terms`` is their one canonical form, so equal vectors of values give
-equal (numerators, denominator) pairs.
+``shared_denominator`` lifts integer-numerator values (umbrae, polynomials)
+onto one.  ``lowest_terms`` is their one canonical form, so equal vectors of
+values give equal (numerators, denominator) pairs.  ``exact`` admits a scalar
+into the package: a ``float`` raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -21,20 +23,31 @@ from math import comb, factorial, gcd, lcm
 
 __all__ = [
     "binomial",
+    "exact",
     "falling_factorial",
     "factorial",
     "format_rational",
     "lowest_terms",
     "over_common_denominator",
     "parse_rational",
+    "shared_denominator",
 ]
+
+
+def exact(value) -> Fraction:
+    """An exact rational; a float is refused rather than expanded in binary."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"values are exact: use an int or a Fraction, not the float {value!r}")
+    return Fraction(value)
 
 
 def falling_factorial(top, k: int) -> Fraction:
     """top * (top - 1) * ... * (top - k + 1), with the empty product = 1."""
     if k < 0:
         raise ValueError(f"falling_factorial undefined for k = {k} < 0")
-    top = Fraction(top)
+    top = exact(top)
     result = Fraction(1)
     for i in range(k):
         result *= top - i
@@ -51,7 +64,7 @@ def binomial(top, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"binomial undefined for k = {k} < 0")
-    top = Fraction(top)
+    top = exact(top)
     if top.denominator != 1:
         return falling_factorial(top, k) / factorial(k)
     n = top.numerator
@@ -67,6 +80,13 @@ def over_common_denominator(values):
     """
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def shared_denominator(values) -> tuple[list, int]:
+    """Pairs (numerators, D // d) for values with integer ``numerators`` over a
+    ``denominator`` d, and D, the lcm of the d: each value is numerators * (D // d) / D."""
+    den = lcm(*(v.denominator for v in values))
+    return [(v.numerators, den // v.denominator) for v in values], den
 
 
 def lowest_terms(num, den: int) -> tuple[tuple, int]:

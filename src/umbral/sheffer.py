@@ -37,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial, lowest_terms
+from .rationals import factorial, lowest_terms, shared_denominator
 from .umbra import (
     Umbra,
     add,
@@ -154,9 +154,7 @@ def identity_pair(order: int) -> UmbraPair:
 def _coefficient_table(pair: UmbraPair):
     """Rows of s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] over one denominator;
     gamma + k.alpha adds one more uncorrelated copy of alpha to the previous one."""
-    shifted = iterated_sums(pair.gamma, pair.alpha)
-    den = lcm(*(u.denominator for u in shifted))
-    columns = [(u.numerators, den // u.denominator) for u in shifted]
+    columns, den = shared_denominator(iterated_sums(pair.gamma, pair.alpha))
     rows = [
         tuple(comb(n, k) * c[n - k] * s for k, (c, s) in enumerate(columns[: n + 1]))
         for n in range(pair.order + 1)

@@ -52,6 +52,7 @@ from math import comb
 from operator import attrgetter
 
 from .polynomials import Polynomial
+from .rationals import exact
 from .umbra import Umbra, dot_powers
 
 __all__ = [
@@ -111,11 +112,11 @@ _atom_id = attrgetter("_id")
 
 
 def _exact(c):
-    """c as an int when integral, else as a Fraction."""
+    """c as an int when integral, else as a Fraction; a float raises ``TypeError``."""
     if type(c) is not Fraction:
         if isinstance(c, int):
             return int(c)
-        c = Fraction(c)
+        c = exact(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -48,11 +48,11 @@ parameters are exact: a ``float`` raises ``TypeError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from . import series as ps
-from .rationals import factorial, lowest_terms, over_common_denominator
+from .rationals import exact, factorial, lowest_terms, over_common_denominator, shared_denominator
 from .series import TruncatedSeries
 
 __all__ = [
@@ -78,15 +78,6 @@ __all__ = [
 ]
 
 
-def _rational(value) -> Fraction:
-    """An exact rational; a float is refused rather than expanded in binary."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"umbrae are exact: use an int or a Fraction, not the float {value!r}")
-    return Fraction(value)
-
-
 class Umbra:
     """An exact moment sequence m_0..m_N with m_0 = 1.
 
@@ -99,7 +90,7 @@ class Umbra:
     __slots__ = ("_num", "_den", "_moments", "_dot_tables")
 
     def __init__(self, moments):
-        values = tuple(map(_rational, moments))
+        values = tuple(map(exact, moments))
         if not values or values[0] != 1:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
         num, self._den = over_common_denominator(values)
@@ -247,7 +238,7 @@ def dot_scalar(a, u: Umbra) -> Umbra:
     n*q*M_n = sum_k ((p+q)k - q n) * C(n,k) * c_k * q^k * d^(k-1) * M_{n-k},
     so the whole recurrence runs on integers with exact divisions.
     """
-    a = _rational(a)
+    a = exact(a)
     p, q = a.numerator, a.denominator
     c, d = u._num, u._den
     n_max = u.order
@@ -277,13 +268,6 @@ def derivative_umbra(u: Umbra) -> Umbra:
     return Umbra._from_numerators([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
 
 
-def _dot_powers(u: Umbra, sign: int) -> tuple[list, int]:
-    """The table of :func:`dot_powers` over its lcm D: (numerators, D / d_k) each, and D."""
-    table = dot_powers(u, sign)
-    big = lcm(*(t._den for t in table))
-    return [(t._num, big // t._den) for t in table], big
-
-
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     """Composition of g with u, by the binomial-type moment expansion.
 
@@ -293,7 +277,7 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     common denominator D, so every m_n is one integer sum over d_g * D.
     """
     g._check_order(u)
-    dotted, big = _dot_powers(u, 1)
+    dotted, big = shared_denominator(dot_powers(u, 1))
     columns = [(k, c * s, m) for k, (c, (m, s)) in enumerate(zip(g._num, dotted)) if c]
     out = [
         sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
@@ -328,7 +312,7 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
     over d_g * D.
     """
     g._check_order(u)
-    dotted, big = _dot_powers(u, -1)
+    dotted, big = shared_denominator(dot_powers(u, -1))
     c = g._num
     out = [g._den * big]
     for n in range(1, u.order + 1):
@@ -376,6 +360,6 @@ def scalar_umbra(a, order: int) -> Umbra:
 
     With a = p/q the numerators p^n q^(N-n) over q^N are already canonical.
     """
-    a = _rational(a)
+    a = exact(a)
     p, q = a.numerator, a.denominator
     return Umbra._from_numerators([p**n * q ** (order - n) for n in range(order + 1)], q**order)

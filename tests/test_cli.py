@@ -375,6 +375,29 @@ def test_riordan_checks_report_a_broken_product(capsys, monkeypatch):
     assert detail.endswith("; repro: umbral verify riordan-group --order 4 --seed 1")
 
 
+def test_abel_identity_reads_the_moment_transform(capsys, monkeypatch):
+    # the right side of the Abel identity is the array of (delta, alpha)
+    # applied to the Abel weights: one numerator off in every moment
+    # transform fails that identity alone
+    from umbral.sheffer import ftra_apply
+
+    def broken(a, seq):
+        image = ftra_apply(a, seq)
+        num = list(image.numerators)
+        num[-1] += 1
+        return Umbra._from_numerators(num, image.denominator)
+
+    monkeypatch.setattr(verify, "ftra_apply", broken)
+    code, out, _ = run_cli(["verify", "abel", "--order", "6", "--seed", "3"], capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    detail = lines[lines.index("FAIL abel-identity") + 1]
+    assert detail.startswith("  counterexample: trial=0 n=6 lhs=")
+    assert detail.endswith("; repro: umbral verify abel --order 6 --seed 3")
+    assert "PASS abel-binomial-identity" in lines
+    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL abel-identity"]
+
+
 def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
     # one numerator off in k.u for k = 2 of every shared table: the moment
     # routes that read it fail against their series oracles, and a suite

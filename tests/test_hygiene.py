@@ -1,0 +1,64 @@
+"""Source hygiene of the package, checked with the standard-library ``ast``.
+
+Every module-level import in ``src/umbral`` (the package ``__init__`` aside,
+which imports to re-export) is either read somewhere in its module or named
+in the module's ``__all__``.  An import left behind when its last use is
+deleted fails here, with the module and the name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "umbral"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for each module-level import, ``__future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported_names(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported_names(tree)
+    return [
+        f"line {line}: {name}"
+        for name, line in _imported_names(tree)
+        if name not in read and name not in exported
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_leftover_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from math import comb, lcm\n"
+        "import itertools as it\n"
+        "from .rationals import exact\n"
+        "__all__ = ['exact']\n"
+        "def f(n: int) -> int:\n"
+        "    return comb(n, 2)\n"
+    )
+    assert _unused_imports(source) == ["line 2: lcm", "line 3: it"]

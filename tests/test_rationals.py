@@ -9,7 +9,10 @@ from umbral.rationals import (
     factorial,
     format_rational,
     parse_rational,
+    shared_denominator,
 )
+from umbral.polynomials import Polynomial
+from umbral.umbra import Umbra
 
 
 def product_oracle(top, k):
@@ -117,3 +120,13 @@ def test_format_rational_other_inputs():
     assert format_rational(True) == "1"
     assert format_rational("3/6") == "1/2"
     assert format_rational(Fraction(-4, 6)) == "-2/3"
+
+
+def test_shared_denominator_lifts_onto_the_lcm():
+    values = [Polynomial((1, Fraction(1, 2))), Umbra([1, Fraction(-2, 3)]), Polynomial((5,))]
+    pairs, den = shared_denominator(values)
+    assert den == 6
+    assert pairs == [((2, 1), 3), ((3, -2), 2), ((5,), 6)]
+    for v, (num, lift) in zip(values, pairs):
+        assert [Fraction(c * lift, den) for c in num] == [Fraction(c, v.denominator) for c in num]
+    assert shared_denominator([]) == ([], 1)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbral.rationals import factorial
+from umbral.families import MasterParams, family_table, gf_rows
+from umbral.polynomials import Polynomial
+from umbral.rationals import binomial, exact, factorial, falling_factorial
 from umbral.series import TruncatedSeries, multiply, power, revert
+from umbral.symbolic import X, UmbralPolynomial, constant
 from umbral.umbra import (
     Umbra,
     add,
@@ -70,6 +73,23 @@ def test_floats_are_refused():
         dot_scalar(0.5, ubar(3))
     with pytest.raises(TypeError):
         scalar_umbra(0.5, 3)
+    # every other entry point of an exact value refuses them too
+    refused = [
+        lambda: constant(0.1),
+        lambda: UmbralPolynomial({((X, 1),): 0.25}),
+        lambda: binomial(0.5, 2),
+        lambda: falling_factorial(0.5, 2),
+        lambda: exact(0.5),
+        lambda: MasterParams.of(Polynomial.x(), 0.5, 1, 1),
+        lambda: MasterParams.of(0.5, 1, 1, 1),
+        lambda: family_table("gegenbauer", 2, lam=0.1),
+        lambda: gf_rows("gegenbauer", 2, lam=0.1),
+        lambda: family_table("meixner1", 2, b=0.5, c=3),
+        lambda: family_table("meixner1", 2, b=1, c=0.5),
+    ]
+    for entry_point in refused:
+        with pytest.raises(TypeError):
+            entry_point()
 
 
 def test_moments_are_cached_fractions():
