@@ -11,20 +11,22 @@ here only ever divides by an integer, so series whose coefficients are
 what the polynomial-family oracles use to expand generating functions such
 as (1 - 2xz + z^2)^(-1) with x carried along exactly.
 
-``multiply``, ``compose``, ``power`` and ``revert`` run on integer
-numerators over one common denominator, sums of products on Python integers
-with one division per result coefficient, as ``umbra.add`` does for moments.
-``Polynomial`` coefficients pass through over 1: a polynomial already keeps
-integer numerators over its own denominator, so its products and sums in
-these loops run on integers too.  The product and
-every Horner step of the composition are the same convolution.  ``power``
-and ``revert`` work on the exponential scale k! f_k, where the series of an
+A series stores integer numerators over one denominator in the form of
+``rationals.lowest_terms``, as umbrae, polynomials and Riordan arrays do,
+so ``==`` and ``hash`` compare the (numerators, denominator) pair.  The
+operations read and write the numerators directly, sums of products on
+Python integers with one gcd pass per result.  ``Fraction``s are built only
+by ``coeffs`` (on first access), by indexing, and inside ``exp`` and ``log``,
+which keep ``Fraction`` arithmetic.  A series with a ``Polynomial``
+coefficient keeps its coefficients as numerators over 1: a polynomial
+already keeps integer numerators over its own denominator, so its products
+and sums in these loops run on integers too.  The product and every Horner
+step of the composition are the same convolution.  ``power`` and ``revert`` work on the exponential scale k! f_k, where the series of an
 umbra has its moments as coefficients: there the common denominator of an
 umbra's series is that of its moments, not lcm(1!, ..., N!), which would
 otherwise enter their recurrences to the N-th power.  ``compose`` cancels
 the content its Horner numerators share with their denominator at every
-step, for the same reason.  ``exp`` and ``log`` keep ``Fraction``
-arithmetic.
+step, for the same reason.
 
 ``power`` raises a series with constant term 1 to any rational (or
 polynomial) exponent in one pass, by J.C.P. Miller's recurrence; it never
@@ -42,9 +44,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, perm
+from operator import mul
 
 from .polynomials import Polynomial
-from .rationals import factorial, over_common_denominator
+from .rationals import factorial, lowest_terms, over_common_denominator
 
 __all__ = [
     "TruncatedSeries",
@@ -66,14 +69,28 @@ def _coerce(value):
 
 
 class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series, exact, fixed order N."""
+    """Coefficients c_0..c_N of a power series, exact, fixed order N;
+    ``TruncatedSeries(coeffs, denominator)`` has coeffs[i] / denominator.
+    Stored as ``numerators`` over one ``denominator`` (see the module docstring)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
-    def __init__(self, coeffs):
-        coeffs = tuple(_coerce(c) for c in coeffs)
+    def __init__(self, coeffs, denominator: int = 1):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
+        if all(type(c) is int for c in coeffs):
+            self._num, self._den = lowest_terms(coeffs, denominator)
+            self._coeffs = None
+            return
+        if denominator != 1:
+            coeffs = [c / Fraction(denominator) for c in coeffs]
+        coeffs = tuple(map(_coerce, coeffs))
+        if any(isinstance(c, Polynomial) for c in coeffs):
+            self._num, self._den = coeffs, 1
+        else:
+            num, self._den = over_common_denominator(coeffs)
+            self._num = tuple(num)
         self._coeffs = coeffs
 
     @classmethod
@@ -96,29 +113,42 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
+
+    @property
+    def numerators(self) -> tuple:
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(c, den) for c in self._num)
         return self._coeffs
 
     def __getitem__(self, n: int):
+        if self._coeffs is None:
+            return Fraction(self._num[n], self._den)
         return self._coeffs[n]
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to order {order}")
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return TruncatedSeries(self._num[: order + 1], self._den)
 
     def shift_up(self) -> "TruncatedSeries":
         """Multiply by z, keeping the order (top coefficient falls off)."""
-        return TruncatedSeries((Fraction(0),) + self._coeffs[:-1])
+        return TruncatedSeries((0,) + self._num[:-1], self._den)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative; the result has order N-1."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(tuple(i * c for i, c in enumerate(self._coeffs) if i))
+        return TruncatedSeries([i * c for i, c in enumerate(self._num) if i], self._den)
 
     def _check_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -130,7 +160,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
+        da, db = self._den, other._den
+        if da == db:
+            return TruncatedSeries([a + b for a, b in zip(self._num, other._num)], da)
+        return TruncatedSeries([a * db + b * da for a, b in zip(self._num, other._num)], da * db)
 
     __radd__ = __add__
 
@@ -141,11 +174,12 @@ class TruncatedSeries:
         return (-self) + other
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self._coeffs))
+        return TruncatedSeries([-c for c in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
-            return TruncatedSeries(tuple(c * other for c in self._coeffs))
+            p, q = (other, 1) if isinstance(other, Polynomial) else other.as_integer_ratio()
+            return TruncatedSeries([c * p for c in self._num], self._den * q)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return multiply(self, other)
@@ -154,27 +188,21 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self):
-        return f"TruncatedSeries({list(self._coeffs)!r})"
+        return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def _numerators(coeffs):
-    """Integer numerators of ``coeffs`` over the lcm of their denominators;
-    ``Polynomial`` coefficients come back unchanged, over 1."""
-    if any(isinstance(c, Polynomial) for c in coeffs):
-        return list(coeffs), 1
-    return over_common_denominator(coeffs)
-
-
-def _exponential(f: TruncatedSeries) -> list:
-    """k! f_k, the coefficients on the exponential scale (an umbra's moments)."""
-    return [factorial(k) * c for k, c in enumerate(f.coeffs)]
+def _exponential(f: TruncatedSeries) -> tuple:
+    """k! f_k over their lowest common denominator: on the exponential scale
+    the numerators of an umbra's series are its moment numerators."""
+    c = [factorial(k) * x for k, x in enumerate(f._num)]
+    return (c, 1) if f._den == 1 else lowest_terms(c, f._den)
 
 
 def _convolve(a, b) -> list:
@@ -193,20 +221,10 @@ def _convolve(a, b) -> list:
     return out
 
 
-def _divide(num, den):
-    """num / den, reduced; num is an integer or a ``Polynomial``."""
-    if isinstance(num, Polynomial):
-        return num if den == 1 else num / den
-    return Fraction(num, den)
-
-
 def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order, on integer numerators."""
     f._check_order(g)
-    a, da = _numerators(f.coeffs)
-    b, db = _numerators(g.coeffs)
-    den = da * db
-    return TruncatedSeries(_divide(c, den) for c in _convolve(a, b))
+    return TruncatedSeries(_convolve(f._num, g._num), f._den * g._den)
 
 
 def exp(f: TruncatedSeries) -> TruncatedSeries:
@@ -215,16 +233,16 @@ def exp(f: TruncatedSeries) -> TruncatedSeries:
     Uses the derivative recurrence g' = f'g, i.e.
     n*g_n = sum_{k=1..n} k*f_k*g_{n-k}, which only ever divides by n.
     """
-    if f[0] != 0:
+    if f._num[0] != 0:
         raise ValueError("exp needs a series with zero constant term")
-    n = f.order
+    n, c = f.order, f.coeffs
     g = [Fraction(1)]
     for m in range(1, n + 1):
         acc = Fraction(0)
         for k in range(1, m + 1):
-            if f[k] == 0:
+            if c[k] == 0:
                 continue
-            acc = acc + (k * f[k]) * g[m - k]
+            acc = acc + (k * c[k]) * g[m - k]
         g.append(acc * Fraction(1, m))
     return TruncatedSeries(g)
 
@@ -234,16 +252,16 @@ def log(f: TruncatedSeries) -> TruncatedSeries:
 
     Inverts the exp recurrence: n*g_n = n*f_n - sum_{k=1..n-1} k*g_k*f_{n-k}.
     """
-    if f[0] != 1:
+    if f._num[0] != f._den:
         raise ValueError("log needs a series with constant term 1")
-    n = f.order
+    n, c = f.order, f.coeffs
     g = [Fraction(0)]
     for m in range(1, n + 1):
-        acc = m * f[m]
+        acc = m * c[m]
         for k in range(1, m):
             if g[k] == 0:
                 continue
-            acc = acc - (k * g[k]) * f[m - k]
+            acc = acc - (k * g[k]) * c[m - k]
         g.append(acc * Fraction(1, m))
     return TruncatedSeries(g)
 
@@ -257,13 +275,13 @@ def power(f: TruncatedSeries, a) -> TruncatedSeries:
     function are its moments: with a = p/q and k! f_k = c_k/d, the scaled
     coefficients G_n = g_n * (q d)^n * n!^2 are integers satisfying
     G_n = sum_k ((p+q)k - q n) C(n,k) c_k (q d)^(k-1) (n-1)!/(n-k)! G_{n-k},
-    so the loop never divides; each g_n is one division at the end.
+    so the loop never divides; the g_n are written over one denominator at the end.
     A polynomial exponent runs with p = a, q = 1.
     """
-    if f[0] != 1:
+    if f._num[0] != f._den:
         raise ValueError("power needs a series with constant term 1")
     p, q = (a, 1) if isinstance(a, Polynomial) else (a.numerator, a.denominator)
-    c, d = _numerators(_exponential(f))
+    c, d = _exponential(f)
     qd = q * d
     terms = [(k, c[k] * qd ** (k - 1)) for k in range(1, len(c)) if c[k] != 0]
     scaled = [1]
@@ -274,9 +292,10 @@ def power(f: TruncatedSeries, a) -> TruncatedSeries:
                 break
             acc += ((p + q) * k - q * n) * (comb(n, k) * perm(n - 1, k - 1) * w * scaled[n - k])
         scaled.append(acc)
-    return TruncatedSeries(
-        _divide(g, qd**n * factorial(n) ** 2) for n, g in enumerate(scaled)
-    )
+    dens = [qd**n * factorial(n) ** 2 for n in range(len(c))]
+    if any(type(g) is not int for g in scaled):  # Polynomial coefficients
+        return TruncatedSeries(g / Fraction(e) for g, e in zip(scaled, dens))
+    return TruncatedSeries([g * (dens[-1] // e) for g, e in zip(scaled, dens)], dens[-1])
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -291,11 +310,11 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     coefficients happens once, at the end.
     """
     f._check_order(g)
-    if g[0] != 0:
+    if g._num[0] != 0:
         raise ValueError("compose needs an inner series with zero constant term")
     n = f.order
-    a, da = _numerators(f.coeffs)
-    b, db = _numerators(g.coeffs)
+    a, da = f._num, f._den
+    b, db = g._num, g._den
     rational = all(isinstance(x, int) for x in a)
     acc = [a[n]] + [0] * n
     s = 1
@@ -308,8 +327,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             if content != 1:
                 acc = [x // content for x in acc]
                 s //= content
-    den = da * s
-    return TruncatedSeries(_divide(x, den) for x in acc)
+    return TruncatedSeries(acc, da * s)
 
 
 def revert(f: TruncatedSeries) -> TruncatedSeries:
@@ -324,12 +342,12 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
     one column per solved coefficient, from
     B_{m,j} = sum_i C(m-1, i-1) R_i B_{m-i,j-1}, with B_{m,1} = R_m.
     """
-    if f[0] != 0:
+    if f._num[0] != 0:
         raise ValueError("revert needs a series with zero constant term")
-    if f.order < 1 or f[1] == 0:
+    if f.order < 1 or f._num[1] == 0:
         raise ValueError("revert needs a nonzero linear coefficient")
     n = f.order
-    c, d = _numerators(_exponential(f))
+    c, d = _exponential(f)
     lead = [0, 0] + [c[j] * c[1] ** (j - 2) for j in range(2, n + 1)]
     r = [0] * (n + 1)
     r[1] = 1
@@ -351,6 +369,5 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
                 residue += lead[j] * acc
         r[m] = -residue
         bell[1][m] = r[m]
-    return TruncatedSeries(
-        [0] + [Fraction(r[m] * d**m, c[1] ** (2 * m - 1) * factorial(m)) for m in range(1, n + 1)]
-    )
+    lift = [d**m * c[1] ** (2 * (n - m)) * (factorial(n) // factorial(m)) for m in range(n + 1)]
+    return TruncatedSeries(list(map(mul, r, lift)), c[1] ** (2 * n - 1) * factorial(n))

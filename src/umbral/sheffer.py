@@ -225,12 +225,13 @@ def riordan_entries_series(pair: UmbraPair):
     n_max = pair.order
     a = gf(pair.gamma)
     zb = gf(pair.alpha).shift_up()
+    facts = [factorial(n) for n in range(n_max + 1)]
     rows = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
     column = a
     for k in range(n_max + 1):
-        scale = Fraction(1, factorial(k))
+        c, den = column.numerators, facts[k] * column.denominator
         for n in range(n_max + 1):
-            rows[n][k] = factorial(n) * column[n] * scale
+            rows[n][k] = Fraction(facts[n] * c[n], den)
         if k < n_max:
             column = ps.multiply(column, zb)
     return tuple(tuple(row) for row in rows)

@@ -412,7 +412,8 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
     correlated while s is independent of everything else.  Minted here, s
     takes the last slot, so base^(j+1) keeps its packed monomials and the
     terms of different j never merge; the only products are the powers of
-    ``base``.  The exponent bound is that of the product, and past the slot
+    ``base``, and on a bare atom a each term a^(j+1) s^(n-1-j) is written
+    directly.  The exponent bound is that of the product, and past the slot
     it raises ``ValueError`` as the product would.  Returns 1 for n = 0.
     """
     if n < 0:
@@ -426,6 +427,9 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
     if top > _SLOT_MAX:
         raise ValueError(f"a product exponent may reach {top}, past the slot bound {_SLOT_MAX}")
     slot = len(base._atoms) * _SLOT_BITS
+    atoms = base._atoms + (shift,)
+    if len(base._atoms) == 1 and base._terms == {1: 1}:  # a^(j+1) s^(n-1-j) is one monomial
+        return _make(atoms, {j + 1 + ((n - 1 - j) << slot): comb(n - 1, j) for j in range(n)}, top)
     out = {}
     power = base
     for j in range(n):
@@ -434,7 +438,7 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
         weight, lift = comb(n - 1, j), (n - 1 - j) << slot
         for m, c in power._terms.items():
             out[m + lift] = c * weight
-    return _make(base._atoms + (shift,), _nonzero(out), top)
+    return _make(atoms, _nonzero(out), top)
 
 
 def abel(n: int, g, u: Umbra):

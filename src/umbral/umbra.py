@@ -40,9 +40,10 @@ least common denominator d, in the canonical form c_0 = d > 0 and
 gcd(c_0, ..., c_N) = 1, so equal moment vectors give equal (c, d) pairs.
 The moment routes above read and write these numerators directly, one
 integer gcd pass per result.  ``moments`` and ``moment`` return
-``Fraction``s, built on first access; the generating-function routes go
-through them, so the two routes share no arithmetic.  Moments and scalar
-parameters are exact: a ``float`` raises ``TypeError``.
+``Fraction``s, built on first access.  The series routes read the stored
+numerators as their input (``gf`` writes c_n (N!/n!) over d N!) but share no
+kernel with the moment routes: no weight rows, sum kernel or dot-power table.
+Moments and scalar parameters are exact: a ``float`` raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -160,14 +161,17 @@ class Umbra:
 
 def from_series(f: TruncatedSeries) -> Umbra:
     """The umbra of a generating function: m_n = n! * [z^n] f(z)."""
-    if f[0] != 1:
+    num, den = f.numerators, f.denominator
+    if num[0] != den:
         raise ValueError("an umbra's generating function must have constant term 1")
-    return Umbra(tuple(factorial(n) * f[n] for n in range(f.order + 1)))
+    return Umbra._from_numerators([factorial(n) * c for n, c in enumerate(num)], den)
 
 
 def gf(u: Umbra) -> TruncatedSeries:
-    """Generating function of an umbra; exact inverse of from_series."""
-    return TruncatedSeries(tuple(m / factorial(n) for n, m in enumerate(u.moments)))
+    """Generating function of an umbra, c_n (N!/n!) over d N!; exact inverse of from_series."""
+    top = u.order
+    lift = [factorial(top) // factorial(n) for n in range(top + 1)]
+    return TruncatedSeries(list(map(mul, u._num, lift)), u._den * factorial(top))
 
 
 def _sum_weights(v: Umbra) -> list:
@@ -296,9 +300,7 @@ def inverse_umbra(u: Umbra) -> Umbra:
     """Compositional inverse: f(result) - 1 is the reversion of f_u - 1."""
     if u.order < 1 or u._num[1] == 0:
         raise ValueError("inverse_umbra needs a nonzero first moment")
-    f = gf(u)
-    inner = TruncatedSeries((Fraction(0),) + f.coeffs[1:])
-    return from_series(ps.revert(inner) + 1)
+    return from_series(ps.revert(gf(u) - 1) + 1)
 
 
 def k_umbra(g: Umbra, u: Umbra) -> Umbra:

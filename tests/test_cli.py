@@ -428,6 +428,30 @@ def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
     assert "FAIL" not in out
 
 
+def test_lagrange_coefficients_read_the_series_product(capsys, monkeypatch):
+    # one added to the z^1 coefficient of every series product: the coefficient
+    # check reads its right side off the chain of products and fails; the
+    # checks that never multiply series still pass
+    from umbral import series
+    from umbral.series import TruncatedSeries, multiply
+
+    def broken(f, g):
+        coeffs = list(multiply(f, g).coeffs)
+        coeffs[1] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(series, "multiply", broken)
+    code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    detail = lines[lines.index("FAIL lagrange-inversion-coefficients") + 1]
+    assert detail.startswith("  counterexample: trial=0 n=")
+    assert detail.endswith("; repro: umbral verify lif --order 6 --seed 0")
+    assert "PASS lagrange-inversion-moments" in lines
+    assert "PASS composition-two-routes" in lines
+    assert "PASS derivative-inverse-relation" in lines
+
+
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):
     def crash(order, seed):
         raise ValueError("boom")

@@ -2,8 +2,10 @@
 
 Every module-level import in ``src/umbral`` (the package ``__init__`` aside,
 which imports to re-export) is either read somewhere in its module or named
-in the module's ``__all__``.  An import left behind when its last use is
-deleted fails here, with the module and the name.
+in the module's ``__all__``.  Every module-level private function or class
+(``_name``) is read somewhere in the package, by name or as an attribute.
+An import or a helper left behind when its last use is deleted fails here,
+with the module and the name.
 """
 
 import ast
@@ -62,3 +64,52 @@ def test_the_check_sees_a_leftover_import():
         "    return comb(n, 2)\n"
     )
     assert _unused_imports(source) == ["line 2: lcm", "line 3: it"]
+
+
+def _unreferenced_helpers(sources: dict) -> list:
+    """``module line n: name`` for each module-level private function or class
+    of ``sources`` (module name -> source text) that no module reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module} line {node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_helpers(sources) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "series.py": (
+            "def _numerators(coeffs):\n"
+            "    return coeffs\n"
+            "def _convolve(a, b):\n"
+            "    return a\n"
+            "def multiply(f, g):\n"
+            "    return _convolve(f, g)\n"
+        ),
+        "umbra.py": (
+            "from . import series as ps\n"
+            "class _Table:\n"
+            "    pass\n"
+            "_numerators = None\n"
+            "def gf(u):\n"
+            "    return ps._convolve(u, _Table())\n"
+        ),
+    }
+    assert _unreferenced_helpers(sources) == ["series.py line 1: _numerators"]

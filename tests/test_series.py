@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from umbral.polynomials import Polynomial
 from umbral.rationals import binomial, factorial
 from umbral.series import TruncatedSeries, compose, exp, log, multiply, power, revert
+from umbral.umbra import Umbra, from_series, gf
 
 try:
     from sympy import QQ
@@ -428,3 +429,73 @@ def test_exp_matches_rs_exp(f):
 @given(series(st.one_of(rationals, polynomials), head=1))
 def test_log_matches_rs_log(f):
     assert_matches(log(f), rs_log(to_ring(f), RZ, f.order + 1), f.order)
+
+
+# --- the canonical form: integer numerators over one denominator --------------------
+# Orders 0..10, integer and fractional coefficients.  Every rational series,
+# built from coefficients or returned by an operation, holds integers over a
+# positive denominator that shares no factor with all of them.
+
+coefficient_values = st.integers(min_value=-4, max_value=4) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=6
+)
+canonical_laws = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def rational_series(draw, head=None, order=None):
+    if order is None:
+        order = draw(st.integers(min_value=0, max_value=10))
+    c0 = draw(coefficient_values) if head is None else head
+    return TruncatedSeries([c0] + draw(tails(order, coefficient_values)))
+
+
+def assert_canonical(f):
+    num, den = f.numerators, f.denominator
+    assert all(type(c) is int for c in num)
+    assert den > 0 and gcd(den, *num) == 1
+    assert all(f.coeffs[n] == f[n] == F(c, den) for n, c in enumerate(num))
+
+
+@canonical_laws
+@given(rational_series(), st.data())
+def test_every_result_is_in_lowest_terms(f, data):
+    g = data.draw(rational_series(order=f.order))
+    unit = f - f[0] + 1  # constant term 1
+    results = [f, -f, f + 1, f - g, f * F(2, 3), f * 0, multiply(f, g), f.truncate(0)]
+    results += [unit, f.shift_up(), power(unit, F(-3, 2)), compose(f, g.shift_up())]
+    if f.order >= 1:
+        results += [f.derivative(), revert(unit.shift_up())]
+    for result in results:
+        assert_canonical(result)
+
+
+@canonical_laws
+@given(rational_series(), rational_series())
+def test_equality_and_hash_follow_the_coefficients(f, g):
+    assert (f == g) == (f.coeffs == g.coeffs)
+    rebuilt = TruncatedSeries(f.coeffs)
+    scaled = TruncatedSeries([6 * c for c in f.numerators], 6 * f.denominator)
+    for twin in (rebuilt, scaled):
+        assert twin == f and hash(twin) == hash(f)
+        assert (twin.numerators, twin.denominator) == (f.numerators, f.denominator)
+
+
+@canonical_laws
+@given(rational_series(head=1), st.data())
+def test_umbra_and_series_round_trip(f, data):
+    moments = data.draw(tails(f.order, coefficient_values))
+    u = Umbra([1] + moments)
+    assert_canonical(gf(u))
+    assert from_series(gf(u)) == u
+    assert gf(from_series(f)) == f
+
+
+@canonical_laws
+@given(st.lists(polynomials, min_size=1, max_size=11), rationals)
+def test_polynomial_coefficients_stay_over_one(coeffs, c):
+    f = TruncatedSeries(coeffs)
+    assert f.coeffs == f.numerators == tuple(coeffs) and f.denominator == 1
+    assert (f * c).coeffs == tuple(p * c for p in coeffs)
+    assert (f + c).coeffs == (coeffs[0] + c,) + tuple(coeffs[1:])
+    assert f.shift_up().coeffs == (0,) + tuple(coeffs[:-1])
