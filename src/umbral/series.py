@@ -21,7 +21,8 @@ which keep ``Fraction`` arithmetic.  A series with a ``Polynomial``
 coefficient keeps its coefficients as numerators over 1: a polynomial
 already keeps integer numerators over its own denominator, so its products
 and sums in these loops run on integers too.  The product and every Horner
-step of the composition are the same convolution.  ``power`` and ``revert`` work on the exponential scale k! f_k, where the series of an
+step of the composition are the same convolution.  ``power`` and
+``revert`` work on the exponential scale k! f_k, where the series of an
 umbra has its moments as coefficients: there the common denominator of an
 umbra's series is that of its moments, not lcm(1!, ..., N!), which would
 otherwise enter their recurrences to the N-th power.  ``compose`` cancels
@@ -293,8 +294,6 @@ def power(f: TruncatedSeries, a) -> TruncatedSeries:
             acc += ((p + q) * k - q * n) * (comb(n, k) * perm(n - 1, k - 1) * w * scaled[n - k])
         scaled.append(acc)
     dens = [qd**n * factorial(n) ** 2 for n in range(len(c))]
-    if any(type(g) is not int for g in scaled):  # Polynomial coefficients
-        return TruncatedSeries(g / Fraction(e) for g, e in zip(scaled, dens))
     return TruncatedSeries([g * (dens[-1] // e) for g, e in zip(scaled, dens)], dens[-1])
 
 
