@@ -9,6 +9,9 @@ exact evaluation, and a readable rendering.
 Like an umbra, a polynomial is integer numerators (no trailing zero) over
 one denominator in the form of ``rationals.lowest_terms``; arithmetic and
 ``==`` run on them, and ``coeffs`` builds ``Fraction``s on first access.
+Integer coefficients, which every arithmetic result has, go straight to
+``lowest_terms`` without a ``Fraction``; other coefficients are checked
+and brought over their common denominator first.
 """
 
 from __future__ import annotations
@@ -28,14 +31,18 @@ class Polynomial:
     __slots__ = ("numerators", "denominator", "_coeffs")
 
     def __init__(self, coeffs=(), denominator: int = 1):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        num, den = over_common_denominator(coeffs)
-        self.numerators, self.denominator = lowest_terms(num, den * denominator)
+        num = list(coeffs)
+        if all(type(c) is int for c in num):
+            den = denominator
+        else:
+            for c in num:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
+            num, den = over_common_denominator(num)
+            den *= denominator
+        while num and not num[-1]:
+            num.pop()
+        self.numerators, self.denominator = lowest_terms(num, den)
         self._coeffs = None
 
     @classmethod

@@ -29,7 +29,11 @@ shared table of :func:`umbral.umbra.dot_powers`), so this module does not
 need the symbolic engine; the tests keep the symbolic expansion of the
 same expectation as its witness.  The coefficient table builds
 gamma + k.alpha with the fixed-addend kernel
-:func:`umbral.umbra.iterated_sums`.
+:func:`umbral.umbra.iterated_sums`.  The Sheffer polynomials are the rows
+of the array read as polynomials by :func:`row_polynomials`, so
+``sheffer_sequence`` is that step applied to ``riordan_array``, and a
+caller that already holds the array applies it directly instead of
+building the table again.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "UmbraPair",
     "RiordanArray",
     "identity_pair",
+    "row_polynomials",
     "sheffer_sequence",
     "sheffer_sequence_series",
     "abel_representation",
@@ -162,11 +167,17 @@ def _coefficient_table(pair: UmbraPair):
     return rows, den
 
 
+def row_polynomials(array: RiordanArray) -> tuple:
+    """Row n of the array as the polynomial sum_k entry(n, k) x^k, n = 0..N;
+    for the exponential array of a pair, its Sheffer sequence."""
+    den = array.denominator
+    return tuple(Polynomial(row, den) for row in array.rows)
+
+
 def sheffer_sequence(pair: UmbraPair) -> tuple:
-    """Sheffer polynomials s_0..s_N from the binomial moment expansion;
-    s_n is monic of degree n."""
-    rows, den = _coefficient_table(pair)
-    return tuple(Polynomial(row, den) for row in rows)
+    """Sheffer polynomials s_0..s_N from the binomial moment expansion: the
+    row polynomials of the pair's array; s_n is monic of degree n."""
+    return row_polynomials(riordan_array(pair))
 
 
 def sheffer_sequence_series(pair: UmbraPair) -> tuple:

@@ -41,7 +41,8 @@ polynomials", Stud. Appl. Math. 53, 1974).  Where the terms can be written
 down, nothing is multiplied: ``abel_expression`` expands base * (base +
 s)^(n-1) by the binomial theorem in its fresh symbol s, which needs only
 the powers of base, and ``substitute`` writes a polynomial in a bare atom
-straight onto that atom's exponents.
+straight onto that atom's exponents.  ``binomial_sum``, the right side of
+the binomial-type identities, adds every monomial product into one dict.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ __all__ = [
     "atom",
     "constant",
     "substitute",
+    "binomial_sum",
     "abel",
     "abel_expression",
 ]
@@ -401,6 +403,31 @@ def substitute(poly: Polynomial, arg) -> UmbralPolynomial:
             for m, pc in power._terms.items():
                 out[m] = get(m, 0) + c * pc
     return _make(arg._atoms, _nonzero(out), max(degree, 0) * arg._top)
+
+
+def binomial_sum(xs, ys, n: int) -> UmbralPolynomial:
+    """sum_k C(n,k) xs[k] ys[n-k] for umbral polynomials xs[0..n] and ys[0..n].
+
+    Each operand is packed once onto the union of the operands' atoms, and
+    every monomial product is added straight into one term dict, so no
+    partial sum is copied.  A product whose operands' exponent bounds sum
+    past the slot raises ``ValueError``, as the operators would.
+    """
+    pairs = [(comb(n, k), xs[k], ys[n - k]) for k in range(n + 1)]
+    atoms = tuple(sorted({a for _, p, q in pairs for a in p._atoms + q._atoms}, key=_atom_id))
+    top = max(p._top + q._top for _, p, q in pairs)
+    if top > _SLOT_MAX:
+        raise ValueError(f"a product exponent may reach {top}, past the slot bound {_SLOT_MAX}")
+    out: dict = {}
+    get = out.get
+    for weight, p, q in pairs:
+        right = _onto(q, atoms).items()
+        for m1, c1 in _onto(p, atoms).items():
+            c1 *= weight
+            for m2, c2 in right:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    return _make(atoms, _nonzero(out), top)
 
 
 def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomial:

@@ -40,7 +40,8 @@ least common denominator d, in the canonical form c_0 = d > 0 and
 gcd(c_0, ..., c_N) = 1, so equal moment vectors give equal (c, d) pairs.
 The moment routes above read and write these numerators directly, one
 integer gcd pass per result.  ``moments`` and ``moment`` return
-``Fraction``s, built on first access.  The series routes read the stored
+``Fraction``s, built on first access; ``Umbra`` admits integer moments as
+numerators over 1 without building any.  The series routes read the stored
 numerators as their input (``gf`` writes c_n (N!/n!) over d N!) but share no
 kernel with the moment routes: no weight rows, sum kernel or dot-power table.
 Moments and scalar parameters are exact: a ``float`` raises ``TypeError``.
@@ -91,12 +92,15 @@ class Umbra:
     __slots__ = ("_num", "_den", "_moments", "_dot_tables")
 
     def __init__(self, moments):
-        values = tuple(map(exact, moments))
+        values = tuple(moments)
+        if all(type(m) is int for m in values):
+            self._num, self._den, self._moments = values, 1, None
+        else:
+            values = tuple(map(exact, values))
+            num, self._den = over_common_denominator(values)
+            self._num, self._moments = tuple(num), values
         if not values or values[0] != 1:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
-        num, self._den = over_common_denominator(values)
-        self._num = tuple(num)
-        self._moments = values
         self._dot_tables = None
 
     @classmethod

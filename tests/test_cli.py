@@ -428,19 +428,19 @@ def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
     assert "FAIL" not in out
 
 
-def test_lagrange_coefficients_read_the_series_product(capsys, monkeypatch):
-    # one added to the z^1 coefficient of every series product: the coefficient
-    # check reads its right side off the chain of products and fails; the
-    # checks that never multiply series still pass
+def test_lagrange_coefficients_read_the_series_power(capsys, monkeypatch):
+    # one added to the constant coefficient of every series power: the
+    # coefficient check reads f_a^(-n) off series.power and fails; the checks
+    # that never raise a series to a power still pass
     from umbral import series
-    from umbral.series import TruncatedSeries, multiply
+    from umbral.series import TruncatedSeries, power
 
-    def broken(f, g):
-        coeffs = list(multiply(f, g).coeffs)
-        coeffs[1] += 1
+    def broken(f, a):
+        coeffs = list(power(f, a).coeffs)
+        coeffs[0] += 1
         return TruncatedSeries(coeffs)
 
-    monkeypatch.setattr(series, "multiply", broken)
+    monkeypatch.setattr(series, "power", broken)
     code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
     assert code == cli.EXIT_VERIFY
     lines = out.splitlines()

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -145,11 +146,26 @@ def test_zero_trailing_zeros_and_negative_scalars_normalize(a, zeros, t):
 
 
 def test_float_coefficients_are_refused():
-    with pytest.raises(TypeError):
-        Polynomial((1, 0.5))
+    # the type check runs before trailing zeros are stripped
+    for coeffs in ((1, 0.5), (1, 0.0), (0.0,)):
+        with pytest.raises(TypeError):
+            Polynomial(coeffs)
     with pytest.raises(TypeError):
         Polynomial.x() * 1.5
     with pytest.raises(TypeError):
         Polynomial.x() + 0.5
     with pytest.raises(ZeroDivisionError):
         Polynomial.x() / 0
+
+
+def test_integer_coefficients_skip_fractions_for_the_same_value():
+    rng = Random(16)
+    for _ in range(200):
+        ints = [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))] + [0] * rng.randint(0, 3)
+        d = rng.choice((-1, 1)) * rng.randint(1, 30)
+        p, q = Polynomial(ints, d), Polynomial([Fraction(c) for c in ints], d)
+        assert (p.numerators, p.denominator) == (q.numerators, q.denominator)
+        assert hash(p) == hash(q)
+    for coeffs in ([], [3, 0], [Fraction(3), Fraction(0)]):
+        with pytest.raises(ZeroDivisionError):
+            Polynomial(coeffs, 0)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from umbral.symbolic import (
     abel,
     abel_expression,
     atom,
+    binomial_sum,
     constant,
     substitute,
 )
@@ -235,6 +237,25 @@ def test_abel_expression_matches_the_product_route(n, u, k):
             expected = base * (base + shift) ** (n - 1)
         assert got.evaluate() == expected.evaluate()
         assert got.formal_derivative(X).evaluate() == expected.formal_derivative(X).evaluate()
+
+
+def test_binomial_sum_matches_the_operator_sum():
+    rng = Random(16)
+    s = UmbralSymbol(ubar(8))
+    args = (X, Y, atom(X) + atom(s), atom(Y) + atom(X))
+
+    def operand():
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        return substitute(Polynomial(coeffs), rng.choice(args))
+
+    for _ in range(30):
+        n = rng.randint(0, 5)
+        xs, ys = [operand() for _ in range(n + 1)], [operand() for _ in range(n + 1)]
+        expected = sum((comb(n, k) * xs[k] * ys[n - k] for k in range(n + 1)), constant(0))
+        assert binomial_sum(xs, ys, n) == expected
+    high = UmbralPolynomial({((X, 20000),): 1})
+    with pytest.raises(ValueError):
+        binomial_sum([high], [high], 0)
 
 
 def test_abel_expression_keeps_the_slot_bound():

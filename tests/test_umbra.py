@@ -102,6 +102,19 @@ def test_moments_are_cached_fractions():
             assert type(v.moment(v.order)) is Fraction
 
 
+def test_integer_moments_skip_fractions_for_the_same_umbra():
+    rng = Random(16)
+    for _ in range(100):
+        ints = [1] + [rng.randint(-50, 50) for _ in range(rng.randint(0, 8))]
+        u, v = Umbra(ints), Umbra(map(Fraction, ints))
+        assert (u.numerators, u.denominator) == (v.numerators, v.denominator)
+        assert hash(u) == hash(v) and repr(u) == repr(v)
+        assert u.moments == v.moments and all(type(m) is Fraction for m in u.moments)
+    # a bool is no int to the fast path: it is admitted as a Fraction
+    flag = Umbra([1, True])
+    assert flag == Umbra([1, 1]) and all(type(c) is int for c in flag.numerators)
+
+
 def test_numerators_over_least_common_denominator():
     u = Umbra([1, F(1, 2), F(-2, 3), 4])
     assert u.numerators == (6, 3, -4, 24)
