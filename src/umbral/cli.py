@@ -21,12 +21,17 @@ precondition violations (also ``--order`` or ``--nmax`` above
 reader closes standard output early, without a traceback.  Output is
 exact in every format; identical command lines (and seeds) produce
 byte-identical output.
+
+The argument parser is built on the first call of ``main`` and reused by
+every later call in the same process; parsing keeps no state in it, so a
+repeated command line prints the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -69,7 +74,8 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; at this order the slowest
-# command, riordan bell chi inverse, takes about 1 s on a 2-core Xeon VM (Python 3.11)
+# command, riordan bell chi inverse, takes 0.75-1.2 s on a shared 2-core Xeon VM
+# (Python 3.11)
 ORDER_CEILING = 128
 VERIFY_ORDER_CEILING = 24
 # far below the interpreter's recursion limit, which parsing and building
@@ -113,8 +119,9 @@ def _tokenize(text: str):
             while j < len(text) and (text[j].isdigit() or text[j] == "/"):
                 j += 1
             literal = text[i:j]
+            num, slash, den = literal.partition("/")
             try:
-                value = Fraction(literal)
+                value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
             except (ValueError, ZeroDivisionError):
                 raise SpecParseError(f"bad rational literal {literal!r}", i + 1)
             tokens.append(("rational", value, i))
@@ -442,7 +449,9 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and shared after."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order N")
     common.add_argument(

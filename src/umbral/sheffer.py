@@ -27,13 +27,13 @@ K = K(gamma, alpha), is expanded through the moments of the two K umbrae
 (Lagrange inversion, and the dot powers n.K(alpha, alpha) read from the
 shared table of :func:`umbral.umbra.dot_powers`), so this module does not
 need the symbolic engine; the tests keep the symbolic expansion of the
-same expectation as its witness.  The coefficient table builds
-gamma + k.alpha with the fixed-addend kernel
-:func:`umbral.umbra.iterated_sums`.  The Sheffer polynomials are the rows
-of the array read as polynomials by :func:`row_polynomials`, so
-``sheffer_sequence`` is that step applied to ``riordan_array``, and a
-caller that already holds the array applies it directly instead of
-building the table again.
+same expectation as its witness.  The coefficient table reads
+gamma + k.alpha only to order N - k, and builds exactly that triangle with
+the fixed-addend kernel :func:`umbral.umbra.iterated_sums`.  The Sheffer
+polynomials are the rows of the array read as polynomials by
+:func:`row_polynomials`, so ``sheffer_sequence`` is that step applied to
+``riordan_array``, and a caller that already holds the array applies it
+directly instead of building the table again.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def identity_pair(order: int) -> UmbraPair:
 
 def _coefficient_table(pair: UmbraPair):
     """Rows of s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] over one denominator;
-    gamma + k.alpha adds one more uncorrelated copy of alpha to the previous one."""
+    gamma + k.alpha adds one more uncorrelated copy of alpha to the previous
+    one, and column k reads it only to order N - k."""
     columns, den = shared_denominator(iterated_sums(pair.gamma, pair.alpha))
     rows = [
         tuple(comb(n, k) * c[n - k] * s for k, (c, s) in enumerate(columns[: n + 1]))
@@ -196,9 +197,10 @@ def abel_representation(pair: UmbraPair) -> tuple:
         s_n(x) = sum_j C(n-1, j) m_j(S) sum_i C(n-j, i) m_{n-j-i}(K) x^i,
 
     on integer moment numerators, one division per coefficient; the
-    n.K(alpha, alpha) come from one ``dot_powers`` table.  Agrees with
-    :func:`sheffer_sequence`, with which it shares only the sum kernel of
-    :func:`umbral.umbra.iterated_sums` and ``comb``.
+    n.K(alpha, alpha) come from one ``dot_powers`` table, read to order
+    n - 1.  Agrees with :func:`sheffer_sequence`, with which it shares only
+    ``comb`` and the fixed-addend step that :func:`umbral.umbra.dot_powers`
+    and :func:`umbral.umbra.iterated_sums` both repeat.
     """
     kga = k_umbra(pair.gamma, pair.alpha)
     k, dk = kga.numerators, kga.denominator

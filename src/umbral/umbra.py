@@ -22,18 +22,20 @@ single umbra live in :mod:`umbral.symbolic`, never here.
 
 Adding one fixed umbra v again and again is one kernel: the weight rows
 w_n[k] = C(n,k) c_{n-k}(v) are built once, and each step is one integer
-dot product per moment.  ``add`` is a single step of it, and
-``iterated_sums(start, v)`` the whole run start + k.v, k = 0..N.  The
-table of integer dot powers k.u (or k.(-u)), k = 0..N, is
-``dot_powers(u, sign)``: iterated sums from the augmentation, built on
+dot product per moment it keeps.  ``add`` is a single step of it.
+``iterated_sums(start, v)`` runs it as a triangle: start + k.v read to
+order N - k, k = 0..N, all that the Sheffer coefficient table reads of
+gamma + k.alpha, so step k drops the moments above N - k.  The table of
+integer dot powers k.u (or k.(-u)), k = 0..N, is ``dot_powers(u, sign)``:
+the same steps from the augmentation, each to full order N, built on
 first use and kept on the umbra (outside ``==`` and ``hash``) for as long
 as the umbra lives.  Every moment route that needs several k.u reads it:
 ``composition_umbra`` and ``k_umbra`` here, the Abel form of a Sheffer
-sequence, the symbolic Abel construction and the Abel checks; the Sheffer
-coefficient table runs the kernel itself, gamma + k.alpha.  The series
-oracles (``*_series``, ``gf`` and everything built on it) and
-``dot_scalar`` never read it, so no identity takes its oracle from the
-table and Miller's recurrence stays an independent route to k.u.
+sequence, the symbolic Abel construction and the Abel checks; together
+they read every order of it.  The series oracles (``*_series``, ``gf``
+and everything built on it) and ``dot_scalar`` never read it, so no
+identity takes its oracle from the table and Miller's recurrence stays
+an independent route to k.u.
 
 An umbra stores its moments as integer numerators c_0..c_N over their
 least common denominator d, in the canonical form c_0 = d > 0 and
@@ -193,30 +195,38 @@ def _add_weighted(u: Umbra, weights: list, den: int) -> Umbra:
 def add(u: Umbra, v: Umbra) -> Umbra:
     """Sum of two uncorrelated umbrae: binomial convolution of moments.
 
-    One step of the fixed-addend kernel of :func:`iterated_sums`, on the
-    integer numerators; the denominators multiply.
+    One step of the fixed-addend kernel of :func:`iterated_sums` and
+    :func:`dot_powers`, on the integer numerators; the denominators multiply.
     """
     u._check_order(v)
     return _add_weighted(u, _sum_weights(v), v._den)
 
 
 def iterated_sums(start: Umbra, v: Umbra) -> list:
-    """start + k.v for k = 0..N, each an uncorrelated copy of v added to the last.
+    """start + k.v read to order N - k, for k = 0..N: the triangle that the
+    Sheffer coefficient table reads, each an uncorrelated copy of v added
+    to the last.
 
-    The weight rows of v are built once; each step is one integer dot
-    product per moment and one gcd pass.
+    The weight rows of v are built once; step k is one integer dot product
+    per moment up to order N - k and one gcd pass.
     """
     start._check_order(v)
     weights, den = _sum_weights(v), v._den
     sums = [start]
-    for _ in range(v.order):
-        sums.append(_add_weighted(sums[-1], weights, den))
+    for top in range(v.order, 0, -1):
+        sums.append(_add_weighted(sums[-1], weights[:top], den))
     return sums
 
 
 def _dot_power_table(u: Umbra, sign: int) -> tuple:
-    """k.(sign u) for k = 0..N by iterated sums from the augmentation."""
-    return tuple(iterated_sums(augmentation(u.order), u if sign > 0 else dot_scalar(-1, u)))
+    """k.(sign u) for k = 0..N, each to full order N, by repeated sums from
+    the augmentation."""
+    v = u if sign > 0 else dot_scalar(-1, u)
+    weights, den = _sum_weights(v), v._den
+    table = [augmentation(u.order)]
+    for _ in range(u.order):
+        table.append(_add_weighted(table[-1], weights, den))
+    return tuple(table)
 
 
 def dot_powers(u: Umbra, sign: int = 1) -> tuple:

@@ -1,9 +1,12 @@
 import csv
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +57,42 @@ def test_parse_errors_carry_position():
         cli.parse_umbra_spec("scalar(x)")
     with pytest.raises(cli.SpecParseError):
         cli.parse_umbra_spec("chi extra")
+
+
+LITERAL = re.compile(r"[-0-9][0-9/]*")
+
+
+def _fraction_route_tokens(text):
+    # the literal scan of the tokenizer with Fraction(str) reading each literal
+    tokens, i = [], 0
+    while i < len(text):
+        match = LITERAL.match(text, i)
+        if match is None:
+            raise cli.SpecParseError(f"unexpected character {text[i]!r}", i + 1)
+        try:
+            value = Fraction(match.group())
+        except (ValueError, ZeroDivisionError):
+            raise cli.SpecParseError(f"bad rational literal {match.group()!r}", i + 1)
+        tokens.append(("rational", value, i))
+        i = match.end()
+    return tokens + [("end", "", len(text))]
+
+
+def _outcome(tokenize, text):
+    try:
+        return [(kind, type(value), value, at) for kind, value, at in tokenize(text)]
+    except cli.SpecParseError as exc:
+        return str(exc), exc.position
+
+
+def test_literals_read_as_fraction_strings_do():
+    # every string of length <= 4 over the literal alphabet, bad literals included
+    alphabet = "-0123456789/"
+    texts = ["1/2/3", "-12/0", "007/-3", "-0/005", "10/12/"]
+    for length in range(1, 5):
+        texts.extend(map("".join, itertools.product(alphabet, repeat=length)))
+    for text in texts:
+        assert _outcome(cli._tokenize, text) == _outcome(_fraction_route_tokens, text), text
 
 
 def test_parse_rejects_deep_nesting(capsys):

@@ -15,10 +15,15 @@ the order-24 ``sheffer`` line were recorded while polynomials still stored
 that alters one of these outputs on purpose says so and records the new
 digest."""
 
+import argparse
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import umbral
 from umbral import cli
 
 GOLDEN = {
@@ -92,3 +97,60 @@ def test_output_is_byte_identical(command, capsys):
     assert cli.main(command.split()) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+# a usage error (exit 2, from the top parser and from a subparser), a domain
+# error (exit 3) and a riordan action written after an option
+INTERLEAVED = {
+    "riordan chi chi --order 3 --bogus": cli.EXIT_PARSE,
+    "family nosuch --nmax 3": cli.EXIT_PARSE,
+    "umbra inv(eps) --order 3": cli.EXIT_PRECONDITION,
+    "riordan ubar bell --order 3 inverse": cli.EXIT_OK,
+}
+
+
+def _run(command, capsys):
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    extras = list(INTERLEAVED)
+    script = [line for i, command in enumerate(GOLDEN) for line in (command, extras[i % len(extras)])]
+    first = [_run(command, capsys) for command in script]
+    built = len(builds)
+    assert built > 0
+    assert [_run(command, capsys) for command in script] == first
+    assert len(builds) == built
+    for command, (code, out, _) in zip(script, first):
+        if command in GOLDEN:
+            assert code == cli.EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+        else:
+            assert code == INTERLEAVED[command]
+
+
+@pytest.mark.parametrize("command", ["sheffer chi bell --order 6", "riordan chi chi --order 3 --bogus"])
+def test_in_process_run_matches_the_module_entry_point(command, capsys):
+    src = os.path.dirname(os.path.dirname(umbral.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-m", "umbral", *command.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert _run(command, capsys) == (child.returncode, child.stdout, child.stderr)

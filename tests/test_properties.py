@@ -19,6 +19,7 @@ from umbral.sheffer import (
     flavor_convert,
     identity_pair,
     riordan_array,
+    riordan_entries_series,
     riordan_inverse,
     riordan_multiply,
     umbral_compose,
@@ -313,6 +314,20 @@ def test_power_polynomial_exponent_and_coefficients():
     )
     for a in (Fraction(-3, 2), x, x * x - 1):
         assert power(kernel, a) == exp(log(kernel) * a)
+
+
+@laws
+@given(umbra_lists(2, 10))
+def test_riordan_array_matches_series_extraction_in_both_flavors(us):
+    # the triangle of fixed-addend sums against the series oracle
+    pair = UmbraPair(*us)
+    expected = riordan_entries_series(pair)
+    assert riordan_array(pair).entries == expected
+    ordinary = tuple(
+        tuple(e * factorial(k) / factorial(n) for k, e in enumerate(row))
+        for n, row in enumerate(expected)
+    )
+    assert riordan_array(pair, "ordinary").entries == ordinary
 
 
 @settings(max_examples=15, deadline=None)

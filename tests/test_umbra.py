@@ -446,10 +446,13 @@ def test_dot_powers_match_miller_recurrence(pair, sign):
 @table_laws
 @given(umbra_pairs())
 def test_iterated_sums_are_chained_adds(pair):
+    # entry k is w + k.u read to order N - k: the triangle the Sheffer table reads
     w, u = pair
+    sums = iterated_sums(w, u)
+    assert len(sums) == w.order + 1
     chained = w
-    for k, total in enumerate(iterated_sums(w, u)):
-        assert total == chained
+    for k, total in enumerate(sums):
+        assert total == Umbra(chained.moments[: w.order - k + 1])
         chained = add(chained, u)
 
 
