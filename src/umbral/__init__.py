@@ -50,6 +50,7 @@ from .sheffer import (
     ftra_apply,
     identity_pair,
     riordan_array,
+    riordan_array_series,
     riordan_entries_series,
     riordan_inverse,
     riordan_multiply,

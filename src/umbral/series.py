@@ -16,18 +16,19 @@ A series stores integer numerators over one denominator in the form of
 so ``==`` and ``hash`` compare the (numerators, denominator) pair.  The
 operations read and write the numerators directly, sums of products on
 Python integers with one gcd pass per result.  ``Fraction``s are built only
-by ``coeffs`` (on first access), by indexing, and inside ``exp`` and ``log``,
-which keep ``Fraction`` arithmetic.  A series with a ``Polynomial``
-coefficient keeps its coefficients as numerators over 1: a polynomial
-already keeps integer numerators over its own denominator, so its products
-and sums in these loops run on integers too.  The product and every Horner
-step of the composition are the same convolution.  ``power`` and
-``revert`` work on the exponential scale k! f_k, where the series of an
-umbra has its moments as coefficients: there the common denominator of an
-umbra's series is that of its moments, not lcm(1!, ..., N!), which would
-otherwise enter their recurrences to the N-th power.  ``compose`` cancels
-the content its Horner numerators share with their denominator at every
-step, for the same reason.
+by ``coeffs`` (on first access) and by indexing.  A series with a
+``Polynomial`` coefficient keeps its coefficients as numerators over 1: a
+polynomial already keeps integer numerators over its own denominator, so
+its products and sums in these loops run on integers too.  The product and
+every Horner step of the composition are the same convolution; as the inner
+series has no constant term, the Horner partial sum from f_i is read only
+to order N - i, and each step convolves only that far.  ``exp``, ``log``,
+``power`` and ``revert`` work on the exponential scale k! f_k, where the
+series of an umbra has its moments as coefficients: there the common
+denominator of an umbra's series is that of its moments, not
+lcm(1!, ..., N!), which would otherwise enter their recurrences to the N-th
+power.  ``compose`` cancels the content its Horner numerators share with
+their denominator at every step, for the same reason.
 
 ``power`` raises a series with constant term 1 to any rational (or
 polynomial) exponent in one pass, by J.C.P. Miller's recurrence; it never
@@ -231,40 +232,55 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def exp(f: TruncatedSeries) -> TruncatedSeries:
     """Power-series exponential; requires a vanishing constant term.
 
-    Uses the derivative recurrence g' = f'g, i.e.
-    n*g_n = sum_{k=1..n} k*f_k*g_{n-k}, which only ever divides by n.
+    The derivative recurrence g' = f'g on the exponential scale: with
+    k! f_k = c_k/d and n! g_n = H_n / d^n, the integers
+    H_n = sum_{k=1..n} C(n-1, k-1) c_k d^(k-1) H_{n-k}, H_0 = 1, so the loop
+    never divides; g_n = H_n / (n! d^n) is written over one denominator at the end.
     """
     if f._num[0] != 0:
         raise ValueError("exp needs a series with zero constant term")
-    n, c = f.order, f.coeffs
-    g = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            if c[k] == 0:
-                continue
-            acc = acc + (k * c[k]) * g[m - k]
-        g.append(acc * Fraction(1, m))
-    return TruncatedSeries(g)
+    c, d = _exponential(f)
+    terms = [(k, c[k] * d ** (k - 1)) for k in range(1, len(c)) if c[k] != 0]
+    scaled = [1]
+    for n in range(1, len(c)):
+        acc = 0
+        for k, w in terms:
+            if k > n:
+                break
+            acc += comb(n - 1, k - 1) * w * scaled[n - k]
+        scaled.append(acc)
+    return _from_exponential(scaled, d)
 
 
 def log(f: TruncatedSeries) -> TruncatedSeries:
     """Power-series logarithm; requires constant term 1.
 
-    Inverts the exp recurrence: n*g_n = n*f_n - sum_{k=1..n-1} k*g_k*f_{n-k}.
+    Inverts the exp recurrence f g' = f' on the exponential scale: with
+    k! f_k = c_k/d and n! g_n = K_n / d^n, the integers
+    K_n = c_n d^(n-1) - sum_{k=1..n-1} C(n-1, k-1) K_k c_{n-k} d^(n-k-1),
+    so the loop never divides; g_n = K_n / (n! d^n) is written over one
+    denominator at the end.
     """
     if f._num[0] != f._den:
         raise ValueError("log needs a series with constant term 1")
-    n, c = f.order, f.coeffs
-    g = [Fraction(0)]
-    for m in range(1, n + 1):
-        acc = m * c[m]
-        for k in range(1, m):
-            if g[k] == 0:
-                continue
-            acc = acc - (k * g[k]) * c[m - k]
-        g.append(acc * Fraction(1, m))
-    return TruncatedSeries(g)
+    c, d = _exponential(f)
+    lifts = [d**j for j in range(len(c))]
+    scaled = [0]
+    for n in range(1, len(c)):
+        acc = c[n] * lifts[n - 1]
+        for k in range(1, n):
+            y = c[n - k]
+            if y != 0 and scaled[k] != 0:
+                acc -= comb(n - 1, k - 1) * lifts[n - k - 1] * y * scaled[k]
+        scaled.append(acc)
+    return _from_exponential(scaled, d)
+
+
+def _from_exponential(scaled: list, d: int) -> TruncatedSeries:
+    """The series with g_n = scaled[n] / (n! d^n), over the one denominator N! d^N."""
+    top = len(scaled) - 1
+    lift = [factorial(top) // factorial(n) * d ** (top - n) for n in range(top + 1)]
+    return TruncatedSeries(list(map(mul, scaled, lift)), factorial(top) * d**top)
 
 
 def power(f: TruncatedSeries, a) -> TruncatedSeries:
@@ -303,6 +319,10 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     Horner's rule on numerators: with f = a/da and g = b/db, the partial
     result sum_{j>=i} f_j g^(j-i) is kept over da * s with s | db^(n-i), so
     each step is one convolution with b plus a_i * s in the constant term.
+    As g has no constant term, the partial result from f_i is read only to
+    order n - i, and step i convolves only that far, the truncation of
+    R. P. Brent and H. T. Kung ("Fast algorithms for manipulating formal
+    power series", J. ACM 25, 1978): about n^3/6 products instead of n^3/2.
     On rational coefficients each step also cancels the content shared by s
     and the numerators, which keeps s at the common denominator of the
     partial result instead of letting db^(n-i) grow; the division into
@@ -315,10 +335,10 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     a, da = f._num, f._den
     b, db = g._num, g._den
     rational = all(isinstance(x, int) for x in a)
-    acc = [a[n]] + [0] * n
+    acc = [a[n]]
     s = 1
     for i in range(n - 1, -1, -1):
-        acc = _convolve(b, acc)
+        acc = _convolve(b[: n - i + 1], acc)
         s *= db
         acc[0] += a[i] * s
         if rational and s != 1:

@@ -8,7 +8,9 @@ generating functions of gamma and alpha.  Its coefficient matrix
 
 is the exponential Riordan array of the pair; the same numbers fall out of
 the series extraction n! [z^n] A(z) (z B(z))^k / k!, which this module
-keeps as the independent oracle.  Pair composition
+keeps as the independent oracle ``riordan_array_series``: the columns
+A (z B)^k as series products, written as an array over one denominator,
+so the two routes compare as arrays, on integers.  Pair composition
 
     (gamma, alpha)(eta, delta) = (gamma + eta.bell.alpha', alpha + delta.bell.alpha')
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from . import series as ps
@@ -68,6 +70,7 @@ __all__ = [
     "sheffer_sequence_series",
     "abel_representation",
     "riordan_array",
+    "riordan_array_series",
     "riordan_entries_series",
     "umbral_compose",
     "riordan_multiply",
@@ -233,21 +236,30 @@ def riordan_array(pair: UmbraPair, flavor: str = "exponential") -> RiordanArray:
     return array
 
 
-def riordan_entries_series(pair: UmbraPair):
-    """Series oracle for the entries: s_{n,k} = n! [z^n] A(z) (z B(z))^k / k!."""
+def riordan_array_series(pair: UmbraPair) -> RiordanArray:
+    """Series oracle for the array: s_{n,k} = n! [z^n] A(z) (z B(z))^k / k!.
+
+    Column k is the series A (z B)^k, one product with z B after column
+    k - 1, so its numerators c_n over D_k give s_{n,k} = n! c_n / (k! D_k);
+    the rows are written over the lcm L of the k! D_k as the integers
+    n! c_n (L / (k! D_k)), k <= n.
+    """
     n_max = pair.order
-    a = gf(pair.gamma)
     zb = gf(pair.alpha).shift_up()
     facts = [factorial(n) for n in range(n_max + 1)]
-    rows = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
-    column = a
-    for k in range(n_max + 1):
-        c, den = column.numerators, facts[k] * column.denominator
-        for n in range(n_max + 1):
-            rows[n][k] = Fraction(facts[n] * c[n], den)
-        if k < n_max:
-            column = ps.multiply(column, zb)
-    return tuple(tuple(row) for row in rows)
+    columns = [gf(pair.gamma)]
+    while len(columns) <= n_max:
+        columns.append(ps.multiply(columns[-1], zb))
+    dens = [f * col.denominator for f, col in zip(facts, columns)]
+    big = lcm(*dens)
+    lifts = [(col.numerators, big // den) for col, den in zip(columns, dens)]
+    rows = [[f * c[n] * s for c, s in lifts[: n + 1]] for n, f in enumerate(facts)]
+    return RiordanArray(pair, rows, big, "exponential")
+
+
+def riordan_entries_series(pair: UmbraPair):
+    """The entries of :func:`riordan_array_series`, as ``Fraction``s."""
+    return riordan_array_series(pair).entries
 
 
 def umbral_compose(p: UmbraPair, q: UmbraPair) -> UmbraPair:

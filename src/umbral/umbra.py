@@ -256,8 +256,7 @@ def dot_scalar(a, u: Umbra) -> Umbra:
     n*q*M_n = sum_k ((p+q)k - q n) * C(n,k) * c_k * q^k * d^(k-1) * M_{n-k},
     so the whole recurrence runs on integers with exact divisions.
     """
-    a = exact(a)
-    p, q = a.numerator, a.denominator
+    p, q = (a, 1) if type(a) is int else exact(a).as_integer_ratio()
     c, d = u._num, u._den
     n_max = u.order
     weights = [0] + [c[k] * q**k * d ** (k - 1) for k in range(1, n_max + 1)]

@@ -491,6 +491,55 @@ def test_lagrange_coefficients_read_the_series_power(capsys, monkeypatch):
     assert "PASS derivative-inverse-relation" in lines
 
 
+def test_composition_oracles_read_the_series_compose(capsys, monkeypatch):
+    # one added to the last numerator of every series composition: the two
+    # lif checks whose oracle is f_g(revert(z f_a)) or f_g(z f_a) fail, and
+    # the checks that compose no series still pass
+    from umbral import series
+    from umbral.series import TruncatedSeries, compose
+
+    def broken(f, g):
+        h = compose(f, g)
+        num = list(h.numerators)
+        num[-1] += 1
+        return TruncatedSeries(num, h.denominator)
+
+    monkeypatch.setattr(series, "compose", broken)
+    code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    for name in ("lagrange-inversion-moments", "composition-two-routes"):
+        detail = lines[lines.index(f"FAIL {name}") + 1]
+        assert detail.startswith("  counterexample: trial=0 moment=[")
+        assert detail.endswith("; repro: umbral verify lif --order 6 --seed 0")
+    assert "PASS lagrange-inversion-coefficients" in lines
+    assert "PASS derivative-inverse-relation" in lines
+
+
+def test_coefficient_extraction_reads_the_series_array(capsys, monkeypatch):
+    # one numerator off in every series-extraction array: the extraction
+    # check fails alone, since no other sheffer check reads that array
+    from umbral.sheffer import RiordanArray, riordan_array_series
+
+    def broken(pair):
+        array = riordan_array_series(pair)
+        rows = [list(row) for row in array.rows]
+        rows[-1][0] += 1
+        return RiordanArray(pair, rows, array.denominator, array.flavor)
+
+    monkeypatch.setattr(verify, "riordan_array_series", broken)
+    code, out, _ = run_cli(["verify", "sheffer", "--order", "6"], capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL sheffer-coefficient-extraction"
+    ]
+    detail = lines[lines.index("FAIL sheffer-coefficient-extraction") + 1]
+    assert detail.startswith("  counterexample: trial=0 gamma=[")
+    assert detail.endswith("; repro: umbral verify sheffer --order 6 --seed 0")
+    assert "PASS sheffer-monic" in lines
+
+
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):
     def crash(order, seed):
         raise ValueError("boom")

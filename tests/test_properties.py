@@ -19,6 +19,7 @@ from umbral.sheffer import (
     flavor_convert,
     identity_pair,
     riordan_array,
+    riordan_array_series,
     riordan_entries_series,
     riordan_inverse,
     riordan_multiply,
@@ -328,6 +329,17 @@ def test_riordan_array_matches_series_extraction_in_both_flavors(us):
         for n, row in enumerate(expected)
     )
     assert riordan_array(pair, "ordinary").entries == ordinary
+
+
+@laws
+@given(umbra_lists(2, 12))
+def test_series_array_is_the_riordan_array_in_both_flavors(us):
+    # the integer series-extraction array against the coefficient table
+    pair = UmbraPair(*us)
+    oracle = riordan_array_series(pair)
+    assert oracle == riordan_array(pair)
+    assert flavor_convert(oracle) == riordan_array(pair, "ordinary")
+    assert oracle.entries == riordan_entries_series(pair)
 
 
 @settings(max_examples=15, deadline=None)

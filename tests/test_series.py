@@ -470,6 +470,50 @@ def test_every_result_is_in_lowest_terms(f, data):
         assert_canonical(result)
 
 
+def as_polynomial(c):
+    return c if isinstance(c, Polynomial) else Polynomial((c,))
+
+
+@st.composite
+def compose_pairs(draw):
+    """f with integer, fractional or polynomial coefficients, orders 0..12, and an
+    inner g with no constant term, half the time on the exponential scale."""
+    elements = draw(st.sampled_from([st.integers(-9, 9), rationals, polynomials]))
+    f = draw(series(elements))
+    g = [0] + draw(tails(f.order, st.one_of(rationals, polynomials)))
+    if draw(st.booleans()):
+        g = [c * F(1, factorial(k)) for k, c in enumerate(g)]
+    return f, TruncatedSeries(g)
+
+
+@canonical_laws
+@given(compose_pairs())
+def test_compose_matches_full_length_horner(pair):
+    # the reference convolves every Horner step to the full order
+    f, g = pair
+    n = f.order
+    acc = [0] * (n + 1)
+    for c in reversed(f.coeffs):
+        acc = [sum((acc[i] * g[k - i] for i in range(k + 1)), 0) for k in range(n + 1)]
+        acc[0] += c
+    assert list(map(as_polynomial, compose(f, g).coeffs)) == list(map(as_polynomial, acc))
+
+
+@canonical_laws
+@given(series(st.one_of(rationals, polynomials), head=1))
+def test_exp_and_log_stay_canonical_and_invert(f):
+    # orders 0..12; a rational result is integers in lowest terms, a
+    # polynomial one is canonical polynomials over 1
+    g = log(f)
+    for result in (g, exp(g)):
+        if any(isinstance(c, Polynomial) for c in result.numerators):
+            assert result.denominator == 1
+        else:
+            assert_canonical(result)
+    assert list(map(as_polynomial, exp(g).coeffs)) == list(map(as_polynomial, f.coeffs))
+    assert list(map(as_polynomial, log(exp(g)).coeffs)) == list(map(as_polynomial, g.coeffs))
+
+
 @canonical_laws
 @given(rational_series(), rational_series())
 def test_equality_and_hash_follow_the_coefficients(f, g):
