@@ -16,7 +16,7 @@ with rationals as ``p`` or ``p/q``, nested at most ``SPEC_DEPTH_LIMIT``
 forms deep.  Exit codes: 0 success, 2 parse or usage errors, 3
 precondition violations (also ``--order`` or ``--nmax`` above
 ``ORDER_CEILING`` = 128, or a verify order above ``VERIFY_ORDER_CEILING``
-= 24), 4 failed verification, with a repro command per counterexample,
+= 48), 4 failed verification, with a repro command per counterexample,
 141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
 reader closes standard output early, without a traceback.  Output is
 exact in every format; identical command lines (and seeds) produce
@@ -77,7 +77,7 @@ DEFAULT_ORDER = 12
 # command, riordan bell chi inverse, takes 0.75-1.2 s on a shared 2-core Xeon VM
 # (Python 3.11)
 ORDER_CEILING = 128
-VERIFY_ORDER_CEILING = 24
+VERIFY_ORDER_CEILING = 48
 # far below the interpreter's recursion limit, which parsing and building
 # a spec both recurse into once per level
 SPEC_DEPTH_LIMIT = 100

@@ -561,9 +561,9 @@ def test_verify_reports_a_suite_exception(capsys, monkeypatch):
 
 
 def test_verify_order_ceiling(capsys):
-    code, _, err = run_cli(["verify", "duality", "--order", "25"], capsys)
+    code, _, err = run_cli(["verify", "duality", "--order", "49"], capsys)
     assert code == cli.EXIT_PRECONDITION
-    assert err == "error: verification order 25 above the ceiling 24\n"
+    assert err == "error: verification order 49 above the ceiling 48\n"
 
 
 @pytest.mark.parametrize(
