@@ -256,7 +256,7 @@ def _rows_to_strings(rows):
 
 
 def _emit_pretty_table(rows, header=None):
-    rows = _rows_to_strings(rows)
+    """Print rows of strings as left-aligned columns."""
     if header:
         rows = [list(header)] + rows
     widths = [max(len(r[i]) for r in rows if i < len(r)) for i in range(max(map(len, rows)))]
@@ -315,7 +315,7 @@ def render_matrix(array, fmt: str, note: str = ""):
         _emit_csv(_rows_to_strings(array.entries))
     else:
         print(f"riordan array   order {array.order}   flavor {array.flavor}")
-        _emit_pretty_table(array.entries)
+        _emit_pretty_table(_rows_to_strings(array.entries))
         if note:
             print(note)
 
@@ -377,10 +377,9 @@ def cmd_riordan(args) -> int:
             raise PreconditionError("inverse is computed for the exponential flavor")
         inverse = riordan_inverse(array)
         product = riordan_multiply(array, inverse)
-        is_identity = all(
-            product.entry(n, k) == (1 if n == k else 0)
-            for n in range(array.order + 1)
-            for k in range(array.order + 1)
+        # canonical rows: the identity is unit rows over the denominator 1
+        is_identity = product.denominator == 1 and all(
+            row == (0,) * n + (1,) for n, row in enumerate(product.rows)
         )
         note = f"product-check: {'identity' if is_identity else 'NOT identity'}"
         render_matrix(inverse, args.format, note=note)

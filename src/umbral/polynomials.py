@@ -6,12 +6,10 @@ deliberately small; it only needs ring arithmetic, scalar mixing with
 ``Fraction`` (so a polynomial can sit inside a power-series coefficient),
 exact evaluation, and a readable rendering.
 
-Like an umbra, a polynomial is integer numerators (no trailing zero) over
-one denominator in the form of ``rationals.lowest_terms``; arithmetic and
-``==`` run on them, and ``coeffs`` builds ``Fraction``s on first access.
-Integer coefficients, which every arithmetic result has, go straight to
-``lowest_terms`` without a ``Fraction``; other coefficients are checked
-and brought over their common denominator first.
+A polynomial is a ``rationals.RationalVector`` (the canonical form is
+described there) whose last numerator is nonzero; arithmetic runs on the
+numerators, ``coeffs`` returns the ``Fraction``s, and a polynomial also
+compares equal to the scalar of a constant polynomial.
 """
 
 from __future__ import annotations
@@ -19,31 +17,24 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .rationals import factorial, format_rational, lowest_terms, over_common_denominator
+from .rationals import RationalVector, factorial, format_rational
 
 __all__ = ["Polynomial", "binomial_poly", "falling_factorial_poly"]
 
 
-class Polynomial:
+class Polynomial(RationalVector):
     """Immutable polynomial in one variable, coefficients lowest degree first;
     ``Polynomial(coeffs, denominator)`` has coeffs[i] / denominator (ints or ``Fraction``s)."""
 
-    __slots__ = ("numerators", "denominator", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, coeffs=(), denominator: int = 1):
-        num = list(coeffs)
-        if all(type(c) is int for c in num):
-            den = denominator
-        else:
-            for c in num:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
-            num, den = over_common_denominator(num)
-            den *= denominator
-        while num and not num[-1]:
-            num.pop()
-        self.numerators, self.denominator = lowest_terms(num, den)
-        self._coeffs = None
+        super().__init__(coeffs, denominator)
+        num = self._num
+        top = len(num)
+        while top and not num[top - 1]:
+            top -= 1
+        self._num = num[:top]
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
@@ -53,38 +44,34 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @property
-    def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self.denominator) for c in self.numerators)
-        return self._coeffs
+    coeffs = RationalVector._values
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.numerators) - 1
+        return len(self._num) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.numerators):
+        if 0 <= k < len(self._num):
             return self.coeffs[k]
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.numerators
+        return not self._num
 
     def __call__(self, value):
         result = 0
-        for c in reversed(self.numerators):
+        for c in reversed(self._num):
             result = result * value + c
-        return result / Fraction(self.denominator)
+        return result / Fraction(self._den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        da, db = self.denominator, other.denominator
-        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        da, db = self._den, other._den
+        pairs = zip_longest(self._num, other._num, fillvalue=0)
         return Polynomial([x * db + y * da for x, y in pairs], da * db)
 
     __radd__ = __add__
@@ -96,28 +83,28 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial([-c for c in self.numerators], self.denominator)
+        return Polynomial([-c for c in self._num], self._den)
 
     def __mul__(self, other):
-        a, den = self.numerators, self.denominator
+        a, den = self._num, self._den
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other.numerator for c in a], den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        b = other.numerators
+        b = other._num
         out = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return Polynomial(out, den * other.denominator)
+        return Polynomial(out, den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             p, q = scalar.numerator, scalar.denominator
-            return Polynomial([c * q for c in self.numerators], self.denominator * p)
+            return Polynomial([c * q for c in self._num], self._den * p)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -133,17 +120,15 @@ class Polynomial:
         return result
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.numerators)][1:], self.denominator)
+        return Polynomial([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.denominator == other.denominator and self.numerators == other.numerators
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
-        return NotImplemented
+            other = Polynomial((other,))
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.numerators, self.denominator))
+    # a class that defines __eq__ drops the inherited __hash__
+    __hash__ = RationalVector.__hash__
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

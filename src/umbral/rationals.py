@@ -1,4 +1,5 @@
-"""Exact rational scalars and the combinatorial coefficients built on them.
+"""Exact rational scalars, the combinatorial coefficients built on them, and
+the one canonical form of the package's exact values.
 
 Every computation in this package runs over arbitrary-precision rationals
 (``fractions.Fraction``), which are always kept reduced, so equality of
@@ -6,14 +7,26 @@ values is structural equality.  The binomial coefficient accepts any
 rational top argument: tops like ``n - k + t + k*q - 1`` with fractional
 ``t`` and negative integers both occur in the polynomial-family formulas.
 Integer tops, by far the common case, take an exact integer fast path.
-``factorial`` is :func:`math.factorial`, re-exported.
-``over_common_denominator`` writes a sequence of rationals as integer
-numerators over one denominator, so sums of products (convolutions,
-matrix products) can run on Python integers with one division at the end.
-``shared_denominator`` lifts integer-numerator values (umbrae, polynomials)
-onto one.  ``lowest_terms`` is their one canonical form, so equal vectors of
-values give equal (numerators, denominator) pairs.  ``exact`` admits a scalar
-into the package: a ``float`` raises ``TypeError``.
+``factorial`` is :func:`math.factorial`, re-exported.  ``exact`` admits a
+scalar into the package: a ``float`` raises ``TypeError``.
+
+The canonical form.  An umbra (moments), a truncated series and a
+polynomial (coefficients) are each a vector of exact values, and each is a
+``RationalVector``: integer numerators c_i over one denominator d, with
+d > 0 and gcd(d, c_0, c_1, ...) = 1, as ``lowest_terms`` leaves them, so
+equal vectors give equal (numerators, denominator) pairs.  It is built
+from values v_i and an integer denominator D (default 1) as the vector
+v_i / D: integer values go straight to ``lowest_terms``, and any other
+value passes ``exact`` and is brought over the lcm of the denominators,
+so a ``float`` is refused and a ``str`` such as "1/2" is read as
+``Fraction`` reads it.  ``==`` and
+``hash`` compare the pair, between values of the same type only.  The
+arithmetic of the three types runs on the numerators, sums of products on
+Python integers with one gcd pass per result; ``Fraction``s are built once,
+on the first read of the values (``moments`` or ``coeffs``), and kept.
+``shared_denominator`` lifts several such values onto one denominator, so
+sums of products across them (convolutions, matrix products) run on
+integers too.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ __all__ = [
     "factorial",
     "format_rational",
     "lowest_terms",
-    "over_common_denominator",
     "parse_rational",
+    "RationalVector",
     "shared_denominator",
 ]
 
@@ -73,28 +86,65 @@ def binomial(top, k: int) -> Fraction:
     return Fraction((-1) ** k * comb(k - n - 1, k))
 
 
-def over_common_denominator(values):
-    """Integers c_i and one denominator d with values[i] = c_i / d.
-
-    d is the least common multiple of the denominators of the sequence.
-    """
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def shared_denominator(values) -> tuple[list, int]:
-    """Pairs (numerators, D // d) for values with integer ``numerators`` over a
-    ``denominator`` d, and D, the lcm of the d: each value is numerators * (D // d) / D."""
-    den = lcm(*(v.denominator for v in values))
-    return [(v.numerators, den // v.denominator) for v in values], den
+    """Pairs (numerators, D // d) for ``RationalVector`` values over their
+    denominators d, and D, the lcm of the d: each value is numerators * (D // d) / D."""
+    den = lcm(*(v._den for v in values))
+    return [(v._num, den // v._den) for v in values], den
 
 
 def lowest_terms(num, den: int) -> tuple[tuple, int]:
     """num[i] / den as a tuple of integers over d > 0 with gcd(d, *numerators) = 1."""
     if not den:
         raise ZeroDivisionError("zero denominator")
+    num = tuple(num)
     g = gcd(den, *num) if den > 0 else -gcd(den, *num)
-    return (tuple(num) if g == 1 else tuple(c // g for c in num)), den // g
+    return (num if g == 1 else tuple(c // g for c in num)), den // g
+
+
+class RationalVector:
+    """Exact values in the canonical form of the module docstring;
+    ``RationalVector(values, denominator)`` holds values[i] / denominator."""
+
+    __slots__ = ("_num", "_den", "_fractions")
+
+    def __init__(self, values, denominator: int = 1):
+        values = tuple(values)
+        self._fractions = None
+        if set(map(type, values)) <= {int}:
+            self._num, self._den = lowest_terms(values, denominator)
+        else:
+            self._num, self._den = self._admit(values, denominator)
+
+    def _admit(self, values: tuple, denominator: int) -> tuple[tuple, int]:
+        """The canonical pair of values that are not all ints."""
+        values = [exact(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        return lowest_terms([v.numerator * (den // v.denominator) for v in values], den * denominator)
+
+    @property
+    def numerators(self) -> tuple:
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    @property
+    def _values(self) -> tuple:
+        """The values as ``Fraction``s, built on first access and kept."""
+        if self._fractions is None:
+            num, den = self._num, self._den
+            self._fractions = tuple(map(Fraction, num) if den == 1 else (Fraction(c, den) for c in num))
+        return self._fractions
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        return hash((self._num, self._den))
 
 
 def format_rational(value) -> str:

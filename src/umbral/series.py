@@ -11,15 +11,15 @@ here only ever divides by an integer, so series whose coefficients are
 what the polynomial-family oracles use to expand generating functions such
 as (1 - 2xz + z^2)^(-1) with x carried along exactly.
 
-A series stores integer numerators over one denominator in the form of
-``rationals.lowest_terms``, as umbrae, polynomials and Riordan arrays do,
-so ``==`` and ``hash`` compare the (numerators, denominator) pair.  The
-operations read and write the numerators directly, sums of products on
-Python integers with one gcd pass per result.  ``Fraction``s are built only
-by ``coeffs`` (on first access) and by indexing.  A series with a
-``Polynomial`` coefficient keeps its coefficients as numerators over 1: a
-polynomial already keeps integer numerators over its own denominator, so
-its products and sums in these loops run on integers too.  The product and
+A series of rationals is a ``rationals.RationalVector`` (the canonical
+form is described there); the operations read and write its numerators
+directly, and ``Fraction``s are built only by ``coeffs`` and by indexing.
+A series with a non-constant ``Polynomial`` coefficient stores every
+coefficient as a ``Polynomial``, over 1: a polynomial already keeps integer
+numerators over its own denominator, so its products and sums in these
+loops run on integers too.  A series whose ``Polynomial`` coefficients are
+all constant is stored as the series of their values, so each series has
+one form, whatever type its coefficients came in.  The product and
 every Horner step of the composition are the same convolution; as the inner
 series has no constant term, the Horner partial sum from f_i is read only
 to order N - i, and each step convolves only that far.  ``exp``, ``log``,
@@ -49,7 +49,7 @@ from math import comb, gcd, perm
 from operator import mul
 
 from .polynomials import Polynomial
-from .rationals import factorial, lowest_terms, over_common_denominator
+from .rationals import RationalVector, factorial, lowest_terms
 
 __all__ = [
     "TruncatedSeries",
@@ -62,38 +62,30 @@ __all__ = [
 ]
 
 
-def _coerce(value):
-    if isinstance(value, (Fraction, Polynomial)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"series coefficients must be rational or polynomial, got {type(value).__name__}")
-
-
-class TruncatedSeries:
+class TruncatedSeries(RationalVector):
     """Coefficients c_0..c_N of a power series, exact, fixed order N;
-    ``TruncatedSeries(coeffs, denominator)`` has coeffs[i] / denominator.
-    Stored as ``numerators`` over one ``denominator`` (see the module docstring)."""
+    ``TruncatedSeries(coeffs, denominator)`` has coeffs[i] / denominator
+    (ints, ``Fraction``s or ``Polynomial``s; see the module docstring)."""
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, coeffs, denominator: int = 1):
-        coeffs = tuple(coeffs)
-        if not coeffs:
+        super().__init__(coeffs, denominator)
+        if not self._num:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        if all(type(c) is int for c in coeffs):
-            self._num, self._den = lowest_terms(coeffs, denominator)
-            self._coeffs = None
-            return
+
+    def _admit(self, coeffs: tuple, denominator: int) -> tuple[tuple, int]:
+        """Rationals as the base admits them; with a non-constant polynomial,
+        every coefficient as a ``Polynomial``, over 1 and kept as ``coeffs``."""
+        polys = [c for c in coeffs if isinstance(c, Polynomial)]
+        if all(p.degree <= 0 for p in polys):
+            coeffs = [c.coeff(0) if isinstance(c, Polynomial) else c for c in coeffs]
+            return super()._admit(coeffs, denominator)
+        coeffs = tuple(c if isinstance(c, Polynomial) else Polynomial((c,)) for c in coeffs)
         if denominator != 1:
-            coeffs = [c / Fraction(denominator) for c in coeffs]
-        coeffs = tuple(map(_coerce, coeffs))
-        if any(isinstance(c, Polynomial) for c in coeffs):
-            self._num, self._den = coeffs, 1
-        else:
-            num, self._den = over_common_denominator(coeffs)
-            self._num = tuple(num)
-        self._coeffs = coeffs
+            coeffs = tuple(c / denominator for c in coeffs)
+        self._fractions = coeffs
+        return coeffs, 1
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
@@ -117,25 +109,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self._num) - 1
 
-    @property
-    def numerators(self) -> tuple:
-        return self._num
-
-    @property
-    def denominator(self) -> int:
-        return self._den
-
-    @property
-    def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(c, den) for c in self._num)
-        return self._coeffs
+    coeffs = RationalVector._values
 
     def __getitem__(self, n: int):
-        if self._coeffs is None:
+        if self._fractions is None:
             return Fraction(self._num[n], self._den)
-        return self._coeffs[n]
+        return self._fractions[n]
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -187,14 +166,6 @@ class TruncatedSeries:
         return multiply(self, other)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self._den == other._den and self._num == other._num
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._num, self._den))
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r})"

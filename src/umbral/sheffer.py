@@ -185,9 +185,9 @@ def sheffer_sequence(pair: UmbraPair) -> tuple:
 
 
 def sheffer_sequence_series(pair: UmbraPair) -> tuple:
-    """Oracle route: s_n(x) = n! [z^n] A(z) e^{x z B(z)}, via the array extraction."""
-    table = riordan_entries_series(pair)
-    return tuple(Polynomial(row[: n + 1]) for n, row in enumerate(table))
+    """Oracle route: s_n(x) = n! [z^n] A(z) e^{x z B(z)}, the row polynomials
+    of the array extraction."""
+    return row_polynomials(riordan_array_series(pair))
 
 
 def abel_representation(pair: UmbraPair) -> tuple:
@@ -313,7 +313,7 @@ def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
     if a.order != seq.order:
         raise ValueError(f"order mismatch: array {a.order} vs sequence {seq.order}")
     c = seq.numerators
-    return Umbra._from_numerators(
+    return Umbra(
         [sum(e * m for e, m in zip(row, c)) for row in a.rows], a.denominator * seq.denominator
     )
 

@@ -37,16 +37,14 @@ and everything built on it) and ``dot_scalar`` never read it, so no
 identity takes its oracle from the table and Miller's recurrence stays
 an independent route to k.u.
 
-An umbra stores its moments as integer numerators c_0..c_N over their
-least common denominator d, in the canonical form c_0 = d > 0 and
-gcd(c_0, ..., c_N) = 1, so equal moment vectors give equal (c, d) pairs.
-The moment routes above read and write these numerators directly, one
-integer gcd pass per result.  ``moments`` and ``moment`` return
-``Fraction``s, built on first access; ``Umbra`` admits integer moments as
-numerators over 1 without building any.  The series routes read the stored
-numerators as their input (``gf`` writes c_n (N!/n!) over d N!) but share no
-kernel with the moment routes: no weight rows, sum kernel or dot-power table.
-Moments and scalar parameters are exact: a ``float`` raises ``TypeError``.
+An umbra is a ``rationals.RationalVector`` of its moments (the canonical
+form is described there), so its numerators c_0..c_N over d have c_0 = d.
+The moment routes above read and write these numerators directly, and
+``moments`` and ``moment`` return the ``Fraction``s.  The series routes
+read the stored numerators as their input (``gf`` writes c_n (N!/n!) over
+d N!) but share no kernel with the moment routes: no weight rows, sum
+kernel or dot-power table.  Moments and scalar parameters are exact: a
+``float`` raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from math import comb
 from operator import mul
 
 from . import series as ps
-from .rationals import exact, factorial, lowest_terms, over_common_denominator, shared_denominator
+from .rationals import RationalVector, exact, factorial, shared_denominator
 from .series import TruncatedSeries
 
 __all__ = [
@@ -82,62 +80,27 @@ __all__ = [
 ]
 
 
-class Umbra:
-    """An exact moment sequence m_0..m_N with m_0 = 1.
+class Umbra(RationalVector):
+    """An exact moment sequence m_0..m_N with m_0 = 1;
+    ``Umbra(moments, denominator)`` has moments[n] / denominator.
 
-    Stored as integer numerators c_n over their least common denominator
-    d (``numerators`` and ``denominator``), with c_0 = d > 0 and
-    gcd(c_0, ..., c_N) = 1.  ``moments`` returns the ``Fraction``s c_n / d,
-    built on first access and cached; so is each table of ``dot_powers``.
+    ``moments`` returns the ``Fraction``s, built on first access and kept;
+    so is each table of ``dot_powers``.
     """
 
-    __slots__ = ("_num", "_den", "_moments", "_dot_tables")
+    __slots__ = ("_dot_tables",)
 
-    def __init__(self, moments):
-        values = tuple(moments)
-        if all(type(m) is int for m in values):
-            self._num, self._den, self._moments = values, 1, None
-        else:
-            values = tuple(map(exact, values))
-            num, self._den = over_common_denominator(values)
-            self._num, self._moments = tuple(num), values
-        if not values or values[0] != 1:
+    def __init__(self, moments, denominator: int = 1):
+        super().__init__(moments, denominator)
+        if not self._num or self._num[0] != self._den:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
         self._dot_tables = None
-
-    @classmethod
-    def _from_numerators(cls, num, den: int) -> "Umbra":
-        """The umbra with moments num[n] / den, where num[0] == den > 0."""
-        num = tuple(num)
-        if not num or num[0] != den:
-            raise ValueError("an umbra needs moments starting with m_0 = 1")
-        u = object.__new__(cls)
-        u._num, u._den = lowest_terms(num, den)
-        u._moments = None
-        u._dot_tables = None
-        return u
 
     @property
     def order(self) -> int:
         return len(self._num) - 1
 
-    @property
-    def numerators(self) -> tuple:
-        return self._num
-
-    @property
-    def denominator(self) -> int:
-        return self._den
-
-    @property
-    def moments(self) -> tuple:
-        if self._moments is None:
-            den = self._den
-            if den == 1:
-                self._moments = tuple(map(Fraction, self._num))
-            else:
-                self._moments = tuple(Fraction(c, den) for c in self._num)
-        return self._moments
+    moments = RationalVector._values
 
     def moment(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
@@ -153,24 +116,16 @@ class Umbra:
             return add(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if isinstance(other, Umbra):
-            return self._den == other._den and self._num == other._num
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._num, self._den))
-
     def __repr__(self):
         return f"Umbra({[str(m) for m in self.moments]})"
 
 
 def from_series(f: TruncatedSeries) -> Umbra:
     """The umbra of a generating function: m_n = n! * [z^n] f(z)."""
-    num, den = f.numerators, f.denominator
+    num, den = f._num, f._den
     if num[0] != den:
         raise ValueError("an umbra's generating function must have constant term 1")
-    return Umbra._from_numerators([factorial(n) * c for n, c in enumerate(num)], den)
+    return Umbra([factorial(n) * c for n, c in enumerate(num)], den)
 
 
 def gf(u: Umbra) -> TruncatedSeries:
@@ -189,7 +144,7 @@ def _sum_weights(v: Umbra) -> list:
 
 def _add_weighted(u: Umbra, weights: list, den: int) -> Umbra:
     a = u._num
-    return Umbra._from_numerators([sum(map(mul, a, w)) for w in weights], u._den * den)
+    return Umbra([sum(map(mul, a, w)) for w in weights], u._den * den)
 
 
 def add(u: Umbra, v: Umbra) -> Umbra:
@@ -268,7 +223,7 @@ def dot_scalar(a, u: Umbra) -> Umbra:
                 acc += ((p + q) * k - q * n) * comb(n, k) * weights[k] * scaled[n - k]
         scaled.append(acc // (n * q))
     scale = q * d
-    return Umbra._from_numerators(
+    return Umbra(
         [m * scale ** (n_max - n) for n, m in enumerate(scaled)], scale**n_max
     )
 
@@ -282,7 +237,7 @@ def dot(g: Umbra, u: Umbra) -> Umbra:
 def derivative_umbra(u: Umbra) -> Umbra:
     """Moments n * m_{n-1}(u); generating function 1 + z f_u(z)."""
     c = u._num
-    return Umbra._from_numerators([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
+    return Umbra([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
 
 
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
@@ -300,7 +255,7 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
         sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
         for n in range(u.order + 1)
     ]
-    return Umbra._from_numerators(out, g._den * big)
+    return Umbra(out, g._den * big)
 
 
 def composition_umbra_series(g: Umbra, u: Umbra) -> Umbra:
@@ -334,7 +289,7 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
         m, s = dotted[n]
         acc = sum(comb(n - 1, j) * c[j + 1] * m[n - 1 - j] for j in range(n) if c[j + 1])
         out.append(acc * s)
-    return Umbra._from_numerators(out, g._den * big)
+    return Umbra(out, g._den * big)
 
 
 def k_umbra_series(g: Umbra, u: Umbra) -> Umbra:
@@ -347,14 +302,14 @@ def k_umbra_series(g: Umbra, u: Umbra) -> Umbra:
 
 def augmentation(order: int) -> Umbra:
     """The umbra of 1: moments 1, 0, 0, ...  Additive identity."""
-    return Umbra._from_numerators((1,) + (0,) * order, 1)
+    return Umbra((1,) + (0,) * order)
 
 
 def singleton(order: int) -> Umbra:
     """The umbra of 1 + z: moments 1, 1, 0, 0, ..."""
     if order == 0:
-        return Umbra._from_numerators((1,), 1)
-    return Umbra._from_numerators((1, 1) + (0,) * (order - 1), 1)
+        return Umbra((1,))
+    return Umbra((1, 1) + (0,) * (order - 1))
 
 
 def bell(order: int) -> Umbra:
@@ -367,7 +322,7 @@ def bell(order: int) -> Umbra:
 
 def ubar(order: int) -> Umbra:
     """The umbra of 1/(1 - z): moments n!."""
-    return Umbra._from_numerators([factorial(n) for n in range(order + 1)], 1)
+    return Umbra([factorial(n) for n in range(order + 1)])
 
 
 def scalar_umbra(a, order: int) -> Umbra:
@@ -377,4 +332,4 @@ def scalar_umbra(a, order: int) -> Umbra:
     """
     a = exact(a)
     p, q = a.numerator, a.denominator
-    return Umbra._from_numerators([p**n * q ** (order - n) for n in range(order + 1)], q**order)
+    return Umbra([p**n * q ** (order - n) for n in range(order + 1)], q**order)

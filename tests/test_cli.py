@@ -190,6 +190,30 @@ def test_riordan_inverse_prints_signed_pascal(capsys):
     assert "-3" in out
 
 
+@pytest.mark.parametrize("fault", ["entry", "scale"])
+def test_riordan_inverse_reports_a_broken_product(capsys, monkeypatch, fault):
+    # the check reads the product's integer rows and its denominator: one
+    # entry off, or unit rows over the denominator 2, is no identity
+    from umbral.sheffer import RiordanArray
+
+    multiply = cli.riordan_multiply
+
+    def broken(a, b):
+        product = multiply(a, b)
+        rows = [list(row) for row in product.rows]
+        den = product.denominator
+        if fault == "entry":
+            rows[-1][0] += den
+        else:
+            den *= 2
+        return RiordanArray(lambda: product.pair, rows, den, product.flavor)
+
+    monkeypatch.setattr(cli, "riordan_multiply", broken)
+    code, out, _ = run_cli(["riordan", "scalar(1)", "eps", "inverse", "--order", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "product-check: NOT identity"
+
+
 def test_riordan_apply(capsys):
     code, out, _ = run_cli(
         ["riordan", "scalar(1)", "eps", "apply", "scalar(1)", "--order", "4", "--format", "csv"],
@@ -424,7 +448,7 @@ def test_abel_identity_reads_the_moment_transform(capsys, monkeypatch):
         image = ftra_apply(a, seq)
         num = list(image.numerators)
         num[-1] += 1
-        return Umbra._from_numerators(num, image.denominator)
+        return Umbra(num, image.denominator)
 
     monkeypatch.setattr(verify, "ftra_apply", broken)
     code, out, _ = run_cli(["verify", "abel", "--order", "6", "--seed", "3"], capsys)
@@ -450,7 +474,7 @@ def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
         if len(table) > 2:
             num = list(table[2].numerators)
             num[1] += 1
-            table[2] = Umbra._from_numerators(num, table[2].denominator)
+            table[2] = Umbra(num, table[2].denominator)
         return tuple(table)
 
     monkeypatch.setattr(umbral.umbra, "_dot_power_table", broken)

@@ -4,8 +4,10 @@ Every module-level import in ``src/umbral`` (the package ``__init__`` aside,
 which imports to re-export) is either read somewhere in its module or named
 in the module's ``__all__``.  Every module-level private function or class
 (``_name``) is read somewhere in the package, by name or as an attribute.
-An import or a helper left behind when its last use is deleted fails here,
-with the module and the name.
+Every name in a module's ``__all__`` is bound at the module's top level.
+An import or a helper left behind when its last use is deleted, or an
+export left behind when its definition is, fails here, with the module and
+the name.
 """
 
 import ast
@@ -64,6 +66,38 @@ def test_the_check_sees_a_leftover_import():
         "    return comb(n, 2)\n"
     )
     assert _unused_imports(source) == ["line 2: lcm", "line 3: it"]
+
+
+def _undefined_exports(source: str) -> list:
+    """Names in ``__all__`` that no top-level def, class, assignment or import binds."""
+    tree = ast.parse(source)
+    bound = {name for name, _ in _imported_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                )
+    return sorted(_exported_names(tree) - bound)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert _undefined_exports(path.read_text()) == []
+
+
+def test_the_check_sees_a_stale_export():
+    source = (
+        "from math import lcm\n"
+        "__all__ = ['exact', 'lcm', 'over_common_denominator', 'ONE']\n"
+        "ONE: int = 1\n"
+        "def exact(value):\n"
+        "    return value\n"
+    )
+    assert _undefined_exports(source) == ["over_common_denominator"]
 
 
 def _unreferenced_helpers(sources: dict) -> list:

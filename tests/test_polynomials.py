@@ -156,16 +156,3 @@ def test_float_coefficients_are_refused():
         Polynomial.x() + 0.5
     with pytest.raises(ZeroDivisionError):
         Polynomial.x() / 0
-
-
-def test_integer_coefficients_skip_fractions_for_the_same_value():
-    rng = Random(16)
-    for _ in range(200):
-        ints = [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))] + [0] * rng.randint(0, 3)
-        d = rng.choice((-1, 1)) * rng.randint(1, 30)
-        p, q = Polynomial(ints, d), Polynomial([Fraction(c) for c in ints], d)
-        assert (p.numerators, p.denominator) == (q.numerators, q.denominator)
-        assert hash(p) == hash(q)
-    for coeffs in ([], [3, 0], [Fraction(3), Fraction(0)]):
-        with pytest.raises(ZeroDivisionError):
-            Polynomial(coeffs, 0)

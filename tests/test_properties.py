@@ -131,7 +131,7 @@ def assert_canonical(r):
 @given(umbra_lists(1, 8), st.integers(min_value=1, max_value=10**9))
 def test_scaled_numerators_give_the_same_umbra(us, s):
     (u,) = us
-    scaled = Umbra._from_numerators([c * s for c in u.numerators], u.denominator * s)
+    scaled = Umbra([c * s for c in u.numerators], u.denominator * s)
     assert scaled == u and hash(scaled) == hash(u)
     assert_canonical(scaled)
 

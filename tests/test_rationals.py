@@ -12,7 +12,10 @@ from umbral.rationals import (
     shared_denominator,
 )
 from umbral.polynomials import Polynomial
+from umbral.series import TruncatedSeries
 from umbral.umbra import Umbra
+
+VECTOR_TYPES = (Umbra, TruncatedSeries, Polynomial)
 
 
 def product_oracle(top, k):
@@ -130,3 +133,32 @@ def test_shared_denominator_lifts_onto_the_lcm():
     for v, (num, lift) in zip(values, pairs):
         assert [Fraction(c * lift, den) for c in num] == [Fraction(c, v.denominator) for c in num]
     assert shared_denominator([]) == ([], 1)
+
+
+@pytest.mark.parametrize("cls", VECTOR_TYPES, ids=lambda cls: cls.__name__)
+def test_integer_values_skip_fractions_for_the_same_pair(cls):
+    # the one canonical form of rationals.RationalVector, for each type on it
+    values_of = (lambda v: v.moments) if cls is Umbra else (lambda v: v.coeffs)
+    rng = Random(16)
+    for _ in range(200):
+        d = rng.choice((-1, 1)) * rng.randint(1, 30)
+        # d / d first: an umbra starts with m_0 = 1
+        ints = [d] + [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))] + [0] * rng.randint(0, 3)
+        v, w = cls(ints, d), cls([Fraction(c) for c in ints], d)
+        pair = (v.numerators, v.denominator)
+        assert pair == (w.numerators, w.denominator)
+        assert v == w and hash(v) == hash(w)
+        assert values_of(v) == tuple(Fraction(c, v.denominator) for c in v.numerators)
+        assert values_of(v) is values_of(v) and all(type(x) is Fraction for x in values_of(v))
+        if ints[-1]:  # no trailing zero for the polynomial to trim
+            for other in VECTOR_TYPES:
+                if other is not cls:
+                    twin = other(ints, d)
+                    assert (twin.numerators, twin.denominator) == pair
+                    assert v != twin and twin != v
+    for floats in ([1, 0.5], [1.0], [1, 0.0]):
+        with pytest.raises(TypeError):
+            cls(floats)
+    for values in ([], [3, 0], [Fraction(3), Fraction(0)]):
+        with pytest.raises(ZeroDivisionError):
+            cls(values, 0)

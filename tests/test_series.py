@@ -510,8 +510,20 @@ def test_exp_and_log_stay_canonical_and_invert(f):
             assert result.denominator == 1
         else:
             assert_canonical(result)
-    assert list(map(as_polynomial, exp(g).coeffs)) == list(map(as_polynomial, f.coeffs))
-    assert list(map(as_polynomial, log(exp(g)).coeffs)) == list(map(as_polynomial, g.coeffs))
+    assert exp(g) == f and log(exp(g)) == g
+
+
+def test_polynomial_coefficients_have_one_form():
+    # a series has one stored form whatever type its coefficients came in:
+    # constant polynomials are stored as rationals, and a non-constant one
+    # makes every coefficient a polynomial
+    x = Polynomial.x()
+    g = TruncatedSeries([0, 0, F(1, 2), Polynomial()])
+    assert g == S(0, 0, F(1, 2), 0) and log(exp(g)) == g
+    mixed, lifted = S(F(1, 2), x), S(Polynomial((F(1, 2),)), x)
+    assert mixed == lifted and hash(mixed) == hash(lifted)
+    assert mixed.numerators == (Polynomial((F(1, 2),)), x) and mixed.denominator == 1
+    assert mixed.truncate(0) == S(F(1, 2)) and mixed.truncate(0).numerators == (1,)
 
 
 @canonical_laws
@@ -538,8 +550,12 @@ def test_umbra_and_series_round_trip(f, data):
 @canonical_laws
 @given(st.lists(polynomials, min_size=1, max_size=11), rationals)
 def test_polynomial_coefficients_stay_over_one(coeffs, c):
+    # constant polynomials only: the series of their values
     f = TruncatedSeries(coeffs)
-    assert f.coeffs == f.numerators == tuple(coeffs) and f.denominator == 1
+    if any(p.degree > 0 for p in coeffs):
+        assert f.coeffs == f.numerators == tuple(coeffs) and f.denominator == 1
+    else:
+        assert f == TruncatedSeries([p.coeff(0) for p in coeffs])
     assert (f * c).coeffs == tuple(p * c for p in coeffs)
     assert (f + c).coeffs == (coeffs[0] + c,) + tuple(coeffs[1:])
     assert f.shift_up().coeffs == (0,) + tuple(coeffs[:-1])
