@@ -1,7 +1,6 @@
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from random import Random
 
 import pytest
 from hypothesis import given, settings
