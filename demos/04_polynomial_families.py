@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from umbral import chebyshev_u, gegenbauer, gf_oracle, gf_rows, meixner1, mittag_leffler, pidduck
 from umbral.families import family_table
+from umbral.rationals import format_numerators
 
 N = 6
 
@@ -52,5 +53,5 @@ print()
 
 # These two families live naturally in the binomial basis binomial(x, k).
 print("Pidduck in the binomial basis (coefficients of binomial(x,k)):")
-for n, row in enumerate(family_table("pidduck", 4)[1]):
-    print(f"  n={n}: " + ", ".join(str(v) for v in row))
+for n, (numerators, denominator) in enumerate(family_table("pidduck", 4)[1]):
+    print(f"  n={n}: " + ", ".join(format_numerators(numerators, denominator)))

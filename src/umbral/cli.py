@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 
 from . import families as fam
-from .rationals import format_rational, parse_rational
+from .rationals import format_numerators, format_rational, parse_rational
 from .sheffer import (
     UmbraPair,
     ftra_apply,
@@ -74,8 +74,9 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; at this order the slowest
-# command, riordan bell chi inverse, takes 0.75-1.2 s on a shared 2-core Xeon VM
-# (Python 3.11)
+# of twenty command lines timed, umbra k(inv(egf(1,3/2,2)),inv(egf(1,2/3,1/5))),
+# takes 3.3 s as a subprocess on a shared 2-core Xeon VM (Python 3.11), and
+# riordan bell chi inverse 0.9 s
 ORDER_CEILING = 128
 VERIFY_ORDER_CEILING = 48
 # far below the interpreter's recursion limit, which parsing and building
@@ -251,10 +252,6 @@ class PreconditionError(ValueError):
 # rendering
 
 
-def _rows_to_strings(rows):
-    return [[format_rational(v) for v in row] for row in rows]
-
-
 def _emit_pretty_table(rows, header=None):
     """Print rows of strings as left-aligned columns."""
     if header:
@@ -276,65 +273,39 @@ def _print_json(payload):
 
 def render_umbra(u: Umbra, fmt: str, label: str):
     series = gf(u)
+    moments = format_numerators(u.numerators, u.denominator)
+    coeffs = format_numerators(series.numerators, series.denominator)
     if fmt == "json":
-        _print_json(
-            {
-                "order": u.order,
-                "moments": [format_rational(m) for m in u.moments],
-                "series": [format_rational(c) for c in series.coeffs],
-            }
-        )
+        _print_json({"order": u.order, "moments": moments, "series": coeffs})
     elif fmt == "csv":
-        _emit_csv(
-            [
-                ["moments"] + [format_rational(m) for m in u.moments],
-                ["series"] + [format_rational(c) for c in series.coeffs],
-            ]
-        )
+        _emit_csv([["moments"] + moments, ["series"] + coeffs])
     else:
         print(f"umbra {label}   order {u.order}")
-        table = [
-            (n, u.moments[n], series.coeffs[n]) for n in range(u.order + 1)
-        ]
         _emit_pretty_table(
-            [[str(n), format_rational(m), format_rational(c)] for n, m, c in table],
+            [[str(n), m, c] for n, (m, c) in enumerate(zip(moments, coeffs))],
             header=("n", "moment", "egf-coeff"),
         )
 
 
 def render_matrix(array, fmt: str, note: str = ""):
+    size, den = len(array.rows), array.denominator
+    entries = [format_numerators(row, den) + ["0"] * (size - len(row)) for row in array.rows]
     if fmt == "json":
-        _print_json(
-            {
-                "order": array.order,
-                "flavor": array.flavor,
-                "entries": _rows_to_strings(array.entries),
-            }
-        )
+        _print_json({"order": array.order, "flavor": array.flavor, "entries": entries})
     elif fmt == "csv":
-        _emit_csv(_rows_to_strings(array.entries))
+        _emit_csv(entries)
     else:
         print(f"riordan array   order {array.order}   flavor {array.flavor}")
-        _emit_pretty_table(_rows_to_strings(array.entries))
+        _emit_pretty_table(entries)
         if note:
             print(note)
 
 
 def render_polys(polys, fmt: str, label: str, basis_rows=None):
-    rows = [[format_rational(c) for c in p.coeffs] if not p.is_zero() else ["0"] for p in polys]
-    basis = None if basis_rows is None else _rows_to_strings(basis_rows)
-    if fmt == "json":
-        payload = {"label": label, "polys": rows}
-        if basis is not None:
-            payload["binomial-basis"] = basis
-        _print_json(payload)
-    elif fmt == "csv":
-        if basis is None:
-            _emit_csv(rows)
-        else:
-            _emit_csv([["monomial"] + row for row in rows])
-            _emit_csv([["binomial-basis"] + row for row in basis])
-    else:
+    """Polynomials, and optionally their binomial-basis rows given as
+    (numerators, denominator) pairs."""
+    basis = None if basis_rows is None else [format_numerators(*row) for row in basis_rows]
+    if fmt == "pretty":
         print(label)
         for n, p in enumerate(polys):
             print(f"  n={n}:  {p.pretty()}")
@@ -342,6 +313,18 @@ def render_polys(polys, fmt: str, label: str, basis_rows=None):
             print("binomial-basis rows (coefficient of binomial(x,k), k = 0..n)")
             for n, row in enumerate(basis):
                 print(f"  n={n}:  " + ", ".join(row))
+        return
+    rows = [format_numerators(p.numerators, p.denominator) if p.numerators else ["0"] for p in polys]
+    if fmt == "json":
+        payload = {"label": label, "polys": rows}
+        if basis is not None:
+            payload["binomial-basis"] = basis
+        _print_json(payload)
+    elif basis is None:
+        _emit_csv(rows)
+    else:
+        _emit_csv([["monomial"] + row for row in rows])
+        _emit_csv([["binomial-basis"] + row for row in basis])
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,20 @@ classical families are specializations of the slots (x, y; q, t):
 ``FAMILIES`` is the one place that knows them: name -> validated slot
 builder, the family's own generating function (to the given order), and
 whether it is ordinary-normalized (rows drop the n! of P_n).  The CLI,
-the verify suite and the named functions all go through it.
+the verify suite and the named functions all go through it.  The
+binomial-basis rows of ``family_table`` are integer numerators over one
+denominator per row, which the CLI prints without building ``Fraction``s.
 
 The weight binomial(n-k+t+kq-1, n-k) is entry (n, k) of the ordinary Riordan
 array d = ((1-z)^(-t), z(1-z)^(-q)).  ``master_table`` builds d once, down each
 column by d_{n+1,k} = d_{n,k} (n-k+t+kq)/(n-k+1), and V_k = binomial(y, k) x^k
 once for all rows: P_n = n! sum_k d_{n,k} V_k, on integers: row n of n! d over
-its own denominator, the V_k over one, each coefficient one dot product.
-Where y is the indeterminate,
+its own denominator, the V_k over one, each coefficient one dot product.  The
+basis runs on integers too: with xval = X/dx and y = Y/dy (Y = x, dy = 1 for the
+indeterminate), V_k = B_k/b_k with B_{k+1} = B_k X (Y - k dy) over
+b_k dx dy (k+1), each step reduced by ``lowest_terms``.  An ordinary-normalized
+family's row n goes over one more n! in the same constructor, so its n! is
+paid once, not folded in and divided back out.  Where y is the indeterminate,
 V_k is a degree-k polynomial in x (Meixner, Mittag-Leffler, Pidduck) and
 n! d_{n,k} x^k are the coefficients on binomial(x, k).  The independent route,
 ``gf_rows``, expands each family's own generating function once, as a series
@@ -44,8 +50,8 @@ from operator import mul
 from typing import Callable
 
 from . import series as ps
-from .polynomials import Polynomial
-from .rationals import exact, factorial, lowest_terms, shared_denominator
+from .polynomials import Polynomial, integer_product
+from .rationals import exact, factorial, lowest_terms
 from .series import TruncatedSeries
 
 __all__ = [
@@ -90,9 +96,10 @@ class MasterParams:
         return cls(xval, y, exact(q), exact(t))
 
 
-def master_table(nmax: int, p: MasterParams) -> tuple[list, list]:
-    """Rows P_0..P_nmax of the explicit sum, exact, and the Riordan array d they
-    are read from, row n of n! d_{n,0..n} as integer numerators over one denominator."""
+def master_table(nmax: int, p: MasterParams, ordinary: bool = False) -> tuple[list, list]:
+    """Rows P_0..P_nmax of the explicit sum, exact, each row n over an extra n!
+    when ``ordinary``, and the Riordan array d they are read from, row n of
+    n! d_{n,0..n} as integer numerators over one denominator."""
     if nmax < 0:
         raise ValueError("master polynomial needs n >= 0")
     s = lcm(p.t.denominator, p.q.denominator)  # n-1-k+t+kq = ((n-1-k)s + ts + kqs)/s
@@ -103,20 +110,33 @@ def master_table(nmax: int, p: MasterParams) -> tuple[list, list]:
         den *= s * f
         steps = [c * n * ((n - 1 - k) * s + ts + k * qs) * (f // (n - k)) for k, c in enumerate(num)]
         d.append(lowest_terms(steps + [f * den], den))
-    y = Polynomial.x() if p.y is None else Polynomial.constant(p.y)
-    basis, ybin, xpow = [], Polynomial.constant(1), Polynomial.constant(1)
-    for k in range(nmax + 1):  # binomial(y, k+1) = binomial(y, k) (y - k)/(k+1)
-        basis.append(ybin * xpow)
-        ybin, xpow = ybin * (y - k) / (k + 1), xpow * p.xval
-    lifted, vden = shared_denominator(basis)
-    scaled = ([c * s for c in num] for num, s in lifted)
+    basis = _basis(nmax, p)
+    vden = lcm(*(bden for _, bden in basis))
+    scaled = ([c * (vden // bden) for c in b] for b, bden in basis)
     columns = list(zip_longest(*scaled, fillvalue=0))
-    widths = list(accumulate((len(v.numerators) for v in basis), max))
+    widths = list(accumulate((len(b) for b, _ in basis), max))
     rows = [
-        Polynomial([sum(map(mul, num, col)) for col in columns[: widths[n]]], den * vden)
+        Polynomial.from_integers(
+            [sum(map(mul, num, col)) for col in columns[: widths[n]]],
+            den * vden * (factorial(n) if ordinary else 1),
+        )
         for n, (num, den) in enumerate(d)
     ]
     return rows, d
+
+
+def _basis(nmax: int, p: MasterParams) -> list:
+    """V_k = binomial(y, k) xval^k for k = 0..nmax, as (numerators, denominator):
+    with xval = X/dx and y = Y/dy, V_k = B_k/bden and
+    B_{k+1} = B_k X (Y - k dy) over bden dx dy (k+1), on integers."""
+    x, dx = p.xval.numerators, p.xval.denominator
+    y, dy = ((0, 1), 1) if p.y is None else ((p.y.numerator,), p.y.denominator)
+    basis = [((1,), 1)]
+    for k in range(nmax):
+        b, bden = basis[-1]
+        step = integer_product(x, (y[0] - k * dy,) + y[1:])
+        basis.append(lowest_terms(integer_product(b, step), bden * dx * dy * (k + 1)))
+    return basis
 
 
 def master_polynomial(n: int, p: MasterParams) -> Polynomial:
@@ -241,19 +261,21 @@ def family_polynomial(kind: str, n: int, **options) -> Polynomial:
 
 
 def family_table(kind: str, nmax: int, **options):
-    """Rows 0..nmax by the explicit route, normalized, and their coefficients
-    n! d_{n,k} xval^k on binomial(x, k) when the second slot is the
-    indeterminate (else None)."""
+    """Rows 0..nmax by the explicit route, normalized, and, when the second slot
+    is the indeterminate, their coefficients n! d_{n,k} c^k on binomial(x, k),
+    c the constant first slot, as integer rows over a denominator (else None)."""
     family, options = _lookup(kind, options)
     p = family.params(**options)
-    rows, d = master_table(nmax, p)
-    if family.ordinary:
-        rows = [row / factorial(n) for n, row in enumerate(rows)]
+    rows, d = master_table(nmax, p, family.ordinary)
     if p.y is not None:
         return rows, None
-    x0 = p.xval.coeff(0)
-    powers = [(x0.numerator**k, x0.denominator**k) for k in range(nmax + 1)]
-    return rows, [[Fraction(c * a, den * b) for c, (a, b) in zip(num, powers)] for num, den in d]
+    xn, xd = p.xval.numerators[0], p.xval.denominator
+    npow, dpow = [xn**k for k in range(nmax + 1)], [xd**k for k in range(nmax + 1)]
+    basis_rows = [
+        lowest_terms([c * npow[k] * dpow[n - k] for k, c in enumerate(num)], den * dpow[n])
+        for n, (num, den) in enumerate(d)
+    ]
+    return rows, basis_rows
 
 
 def gf_rows(kind: str, nmax: int, lam=None, b=None, c=None) -> list:

@@ -8,8 +8,9 @@ exact evaluation, and a readable rendering.
 
 A polynomial is a ``rationals.RationalVector`` (the canonical form is
 described there) whose last numerator is nonzero; arithmetic runs on the
-numerators, ``coeffs`` returns the ``Fraction``s, and a polynomial also
-compares equal to the scalar of a constant polynomial.
+numerators, ``coeffs`` returns the ``Fraction``s, ``pretty`` writes the
+numerators without building them, and a polynomial also compares equal to
+the scalar of a constant polynomial.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .rationals import RationalVector, factorial, format_rational
+from .rationals import RationalVector, factorial, format_numerators
 
-__all__ = ["Polynomial", "binomial_poly", "falling_factorial_poly"]
+__all__ = ["Polynomial", "binomial_poly", "falling_factorial_poly", "integer_product"]
 
 
 class Polynomial(RationalVector):
@@ -30,11 +31,12 @@ class Polynomial(RationalVector):
 
     def __init__(self, coeffs=(), denominator: int = 1):
         super().__init__(coeffs, denominator)
-        num = self._num
+
+    def _adopt(self, num: tuple, den: int):
         top = len(num)
         while top and not num[top - 1]:
             top -= 1
-        self._num = num[:top]
+        self._num, self._den = num[:top], den
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
@@ -72,7 +74,7 @@ class Polynomial(RationalVector):
             return NotImplemented
         da, db = self._den, other._den
         pairs = zip_longest(self._num, other._num, fillvalue=0)
-        return Polynomial([x * db + y * da for x, y in pairs], da * db)
+        return Polynomial.from_integers([x * db + y * da for x, y in pairs], da * db)
 
     __radd__ = __add__
 
@@ -83,28 +85,22 @@ class Polynomial(RationalVector):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial([-c for c in self._num], self._den)
+        return Polynomial.from_integers([-c for c in self._num], self._den)
 
     def __mul__(self, other):
         a, den = self._num, self._den
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other.numerator for c in a], den * other.denominator)
+            return Polynomial.from_integers([c * other.numerator for c in a], den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        b = other._num
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return Polynomial(out, den * other._den)
+        return Polynomial.from_integers(integer_product(a, other._num), den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             p, q = scalar.numerator, scalar.denominator
-            return Polynomial([c * q for c in self._num], self._den * p)
+            return Polynomial.from_integers([c * q for c in self._num], self._den * p)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -120,7 +116,7 @@ class Polynomial(RationalVector):
         return result
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self._num)][1:], self._den)
+        return Polynomial.from_integers([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -138,32 +134,36 @@ class Polynomial(RationalVector):
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable form like ``4x^2 - 1``; exact, never rounded."""
-        if self.is_zero():
+        num = self._num
+        if not num:
             return "0"
+        mags = format_numerators([abs(c) for c in num], self._den)
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
+        for k in range(len(num) - 1, -1, -1):
+            if not num[k]:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
+            mag = mags[k]
             if k == 0:
-                body = format_rational(mag)
+                body = mag
             else:
-                if mag == 1:
-                    factor = ""
-                elif mag.denominator == 1:
-                    factor = format_rational(mag)
-                else:
-                    factor = f"({format_rational(mag)})"
-                power = var if k == 1 else f"{var}^{k}"
-                body = f"{factor}{power}"
-            parts.append((sign, body))
+                factor = "" if mag == "1" else f"({mag})" if "/" in mag else mag
+                body = factor + (var if k == 1 else f"{var}^{k}")
+            parts.append(("-" if num[k] < 0 else "+", body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def integer_product(a, b) -> list:
+    """The coefficients of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def binomial_poly(k: int) -> Polynomial:

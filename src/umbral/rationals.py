@@ -26,7 +26,15 @@ Python integers with one gcd pass per result; ``Fraction``s are built once,
 on the first read of the values (``moments`` or ``coeffs``), and kept.
 ``shared_denominator`` lifts several such values onto one denominator, so
 sums of products across them (convolutions, matrix products) run on
-integers too.
+integers too.  A kernel whose output is a list of ``int``s by construction
+builds with ``from_integers``, which skips the per-value type test of the
+constructor; a subclass checks its own invariant (m_0 = 1, no trailing
+zero) in ``_adopt``, on both paths.
+
+Output reads the numerators as well: ``format_numerators`` writes each
+c_i / d as ``format_rational`` would write ``Fraction(c_i, d)``, from one
+gcd per value, so the CLI and ``Polynomial.pretty`` print a value without
+building its ``Fraction``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
     "exact",
     "falling_factorial",
     "factorial",
+    "format_numerators",
     "format_rational",
     "lowest_terms",
     "parse_rational",
@@ -112,9 +121,22 @@ class RationalVector:
         values = tuple(values)
         self._fractions = None
         if set(map(type, values)) <= {int}:
-            self._num, self._den = lowest_terms(values, denominator)
+            self._adopt(*lowest_terms(values, denominator))
         else:
-            self._num, self._den = self._admit(values, denominator)
+            self._adopt(*self._admit(values, denominator))
+
+    @classmethod
+    def from_integers(cls, numerators, denominator: int = 1):
+        """numerators[i] / denominator for a list of ``int``s, as the kernels
+        produce them: no value is tested, so the caller vouches for the types."""
+        vector = cls.__new__(cls)
+        vector._fractions = None
+        vector._adopt(*lowest_terms(numerators, denominator))
+        return vector
+
+    def _adopt(self, num: tuple, den: int):
+        """Store the canonical pair; a subclass checks or trims it here."""
+        self._num, self._den = num, den
 
     def _admit(self, values: tuple, denominator: int) -> tuple[tuple, int]:
         """The canonical pair of values that are not all ints."""
@@ -145,6 +167,18 @@ class RationalVector:
 
     def __hash__(self):
         return hash((self._num, self._den))
+
+
+def format_numerators(numerators, denominator: int) -> list:
+    """The text of each numerators[i] / denominator (denominator > 0), as
+    ``format_rational`` writes it, from one gcd per value and no ``Fraction``."""
+    if denominator == 1:
+        return list(map(str, numerators))
+    out = []
+    for c in numerators:
+        g = gcd(c, denominator)
+        out.append(str(c // g) if g == denominator else f"{c // g}/{denominator // g}")
+    return out
 
 
 def format_rational(value) -> str:

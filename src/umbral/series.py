@@ -39,7 +39,9 @@ f(g) = z on coefficients, not a Lagrange-type formula, and depends on
 nothing outside this module, so it can serve as the independent reference
 for the moment-side inversion formulas.  It keeps the powers of the
 partial inverse in a table, one column per new coefficient, in O(N^3)
-coefficient operations.
+coefficient operations, and solves on f(L z) with L = q^2, q the
+denominator of f_1, scaling the result back by L, so a non-integral f_1
+does not blow up the integers of the solve.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ class TruncatedSeries(RationalVector):
 
     __slots__ = ()
 
-    def __init__(self, coeffs, denominator: int = 1):
-        super().__init__(coeffs, denominator)
-        if not self._num:
+    def _adopt(self, num: tuple, den: int):
+        if not num:
             raise ValueError("a truncated series needs at least the constant coefficient")
+        self._num, self._den = num, den
 
     def _admit(self, coeffs: tuple, denominator: int) -> tuple[tuple, int]:
         """Rationals as the base admits them; with a non-constant polynomial,
@@ -331,11 +333,28 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
     R_m = -sum_{j=2..m} c_j c_1^(j-2) B_{m,j}(R).  The table B_{m,j}(R) gains
     one column per solved coefficient, from
     B_{m,j} = sum_i C(m-1, i-1) R_i B_{m-i,j-1}, with B_{m,1} = R_m.
+
+    The integers grow with c_1 and d even when the result is small, so the
+    solve runs on a rescaled input: revert(f) = L * revert(f(L z)) for any
+    nonzero L, and L = q^2, with q the denominator of f_1, makes the inverse
+    series of an umbra with integer moments an integer-moment series again.
+    An integral f_1 keeps L = 1.
     """
     if f._num[0] != 0:
         raise ValueError("revert needs a series with zero constant term")
     if f.order < 1 or f._num[1] == 0:
         raise ValueError("revert needs a nonzero linear coefficient")
+    q = f._den // gcd(f._num[1], f._den)
+    if q == 1:
+        return _solve_revert(f)
+    lam = q * q
+    powers = [lam**k for k in range(f.order + 1)]
+    g = _solve_revert(TruncatedSeries.from_integers(list(map(mul, f._num, powers)), f._den))
+    return TruncatedSeries.from_integers([lam * c for c in g._num], g._den)
+
+
+def _solve_revert(f: TruncatedSeries) -> TruncatedSeries:
+    """The triangular solve of ``revert`` on f as given."""
     n = f.order
     c, d = _exponential(f)
     lead = [0, 0] + [c[j] * c[1] ** (j - 2) for j in range(2, n + 1)]
@@ -360,4 +379,4 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
         r[m] = -residue
         bell[1][m] = r[m]
     lift = [d**m * c[1] ** (2 * (n - m)) * (factorial(n) // factorial(m)) for m in range(n + 1)]
-    return TruncatedSeries(list(map(mul, r, lift)), c[1] ** (2 * n - 1) * factorial(n))
+    return TruncatedSeries.from_integers(list(map(mul, r, lift)), c[1] ** (2 * n - 1) * factorial(n))

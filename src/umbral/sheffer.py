@@ -175,7 +175,7 @@ def row_polynomials(array: RiordanArray) -> tuple:
     """Row n of the array as the polynomial sum_k entry(n, k) x^k, n = 0..N;
     for the exponential array of a pair, its Sheffer sequence."""
     den = array.denominator
-    return tuple(Polynomial(row, den) for row in array.rows)
+    return tuple(Polynomial.from_integers(row, den) for row in array.rows)
 
 
 def sheffer_sequence(pair: UmbraPair) -> tuple:
@@ -218,7 +218,7 @@ def abel_representation(pair: UmbraPair) -> tuple:
             if w:
                 for i in range(n - j + 1):
                     coeffs[i] += w * comb(n - j, i) * k[n - j - i]
-        polys.append(Polynomial(coeffs, ds * dk))
+        polys.append(Polynomial.from_integers(coeffs, ds * dk))
     return tuple(polys)
 
 
@@ -313,7 +313,7 @@ def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
     if a.order != seq.order:
         raise ValueError(f"order mismatch: array {a.order} vs sequence {seq.order}")
     c = seq.numerators
-    return Umbra(
+    return Umbra.from_integers(
         [sum(e * m for e, m in zip(row, c)) for row in a.rows], a.denominator * seq.denominator
     )
 

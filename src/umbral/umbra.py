@@ -90,10 +90,10 @@ class Umbra(RationalVector):
 
     __slots__ = ("_dot_tables",)
 
-    def __init__(self, moments, denominator: int = 1):
-        super().__init__(moments, denominator)
-        if not self._num or self._num[0] != self._den:
+    def _adopt(self, num: tuple, den: int):
+        if not num or num[0] != den:
             raise ValueError("an umbra needs moments starting with m_0 = 1")
+        self._num, self._den = num, den
         self._dot_tables = None
 
     @property
@@ -132,7 +132,7 @@ def gf(u: Umbra) -> TruncatedSeries:
     """Generating function of an umbra, c_n (N!/n!) over d N!; exact inverse of from_series."""
     top = u.order
     lift = [factorial(top) // factorial(n) for n in range(top + 1)]
-    return TruncatedSeries(list(map(mul, u._num, lift)), u._den * factorial(top))
+    return TruncatedSeries.from_integers(list(map(mul, u._num, lift)), u._den * factorial(top))
 
 
 def _sum_weights(v: Umbra) -> list:
@@ -144,7 +144,7 @@ def _sum_weights(v: Umbra) -> list:
 
 def _add_weighted(u: Umbra, weights: list, den: int) -> Umbra:
     a = u._num
-    return Umbra([sum(map(mul, a, w)) for w in weights], u._den * den)
+    return Umbra.from_integers([sum(map(mul, a, w)) for w in weights], u._den * den)
 
 
 def add(u: Umbra, v: Umbra) -> Umbra:
@@ -223,9 +223,7 @@ def dot_scalar(a, u: Umbra) -> Umbra:
                 acc += ((p + q) * k - q * n) * comb(n, k) * weights[k] * scaled[n - k]
         scaled.append(acc // (n * q))
     scale = q * d
-    return Umbra(
-        [m * scale ** (n_max - n) for n, m in enumerate(scaled)], scale**n_max
-    )
+    return Umbra.from_integers([m * scale ** (n_max - n) for n, m in enumerate(scaled)], scale**n_max)
 
 
 def dot(g: Umbra, u: Umbra) -> Umbra:
@@ -237,7 +235,7 @@ def dot(g: Umbra, u: Umbra) -> Umbra:
 def derivative_umbra(u: Umbra) -> Umbra:
     """Moments n * m_{n-1}(u); generating function 1 + z f_u(z)."""
     c = u._num
-    return Umbra([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
+    return Umbra.from_integers([u._den] + [n * c[n - 1] for n in range(1, len(c))], u._den)
 
 
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
@@ -255,7 +253,7 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
         sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
         for n in range(u.order + 1)
     ]
-    return Umbra(out, g._den * big)
+    return Umbra.from_integers(out, g._den * big)
 
 
 def composition_umbra_series(g: Umbra, u: Umbra) -> Umbra:
@@ -289,7 +287,7 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
         m, s = dotted[n]
         acc = sum(comb(n - 1, j) * c[j + 1] * m[n - 1 - j] for j in range(n) if c[j + 1])
         out.append(acc * s)
-    return Umbra(out, g._den * big)
+    return Umbra.from_integers(out, g._den * big)
 
 
 def k_umbra_series(g: Umbra, u: Umbra) -> Umbra:

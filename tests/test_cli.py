@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -319,6 +320,56 @@ def test_family_pidduck_includes_binomial_basis(capsys):
     payload = json.loads(out)
     assert payload["polys"] == [["1"], ["1", "2"]]
     assert payload["binomial-basis"] == [["1"], ["1", "2"]]
+
+
+RENDERED = [
+    "family meixner1 --b 1/2 --c 3 --nmax 6",
+    "family chebyshev-u --nmax 5",
+    "umbra k(egf(1,1/2,-1/3),inv(egf(1,3/2,2))) --order 6",
+    "riordan egf(1,1/2,-1/3) dotscalar(-3/2,ubar) --order 5",
+    "riordan ubar egf(1,2/3) --order 4 inverse",
+    "riordan egf(1,1/2) bell --order 4 apply dotscalar(-1/2,ubar)",
+    "sheffer egf(1,1/2,-1/3) dotscalar(1/2,bell) --order 5",
+]
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+@pytest.mark.parametrize("command", RENDERED)
+def test_rendering_reads_numerators_only(capsys, monkeypatch, command, fmt):
+    # output is formatted from (numerators, denominator): a read of the
+    # Fraction views while a render_* function runs fails the command
+    from umbral.polynomials import Polynomial
+    from umbral.series import TruncatedSeries
+    from umbral.sheffer import RiordanArray
+
+    argv = command.split() + ["--format", fmt]
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0
+    rendering = []
+
+    def guard(view):
+        def get(self):
+            if rendering:
+                raise AssertionError(f"rendering read a Fraction view of {type(self).__name__}")
+            return view.__get__(self)
+
+        return property(get)
+
+    def track(render):
+        def run(*args, **kwargs):
+            rendering.append(render)
+            try:
+                return render(*args, **kwargs)
+            finally:
+                rendering.pop()
+
+        return run
+
+    for cls, name in ((Umbra, "moments"), (TruncatedSeries, "coeffs"), (Polynomial, "coeffs"), (RiordanArray, "entries")):
+        monkeypatch.setattr(cls, name, guard(inspect.getattr_static(cls, name)))
+    for name in ("render_umbra", "render_matrix", "render_polys"):
+        monkeypatch.setattr(cli, name, track(getattr(cli, name)))
+    assert run_cli(argv, capsys) == expected
 
 
 def test_family_meixner_invalid_c(capsys):

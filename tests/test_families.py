@@ -73,6 +73,39 @@ def test_master_explicit_matches_gf_route():
     assert master_polynomial(7, cases[-1]) == master_gf_rows(7, cases[-1])[7]
 
 
+SLOTS = {
+    "chebyshev-u": chebyshev_params(),
+    "gegenbauer": gegenbauer_params(F(5, 2)),
+    "meixner1": meixner_params(F(3, 2), F(1, 3)),
+    "mittag-leffler": mittag_leffler_params(),
+    "pidduck": pidduck_params(),
+    "rational": MasterParams.of(F(-2, 3), F(7, 2), F(1, 2), F(2)),
+    "integer-y": MasterParams.of(Polynomial((1, F(2, 5))), F(3), F(0), F(1)),
+    "polynomial": MasterParams.of(Polynomial((F(1, 2), -3, F(2, 7))), F(-5, 4), F(3), F(1, 3)),
+    "indeterminate": MasterParams.of(Polynomial((F(3, 4), 2)), None, F(2), F(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SLOTS)
+def test_integer_basis_matches_polynomial_products(name):
+    # V_k = binomial(y, k) xval^k, built here with Polynomial products
+    p = SLOTS[name]
+    y = X if p.y is None else Polynomial.constant(p.y)
+    ybin, xpow = Polynomial.constant(1), Polynomial.constant(1)
+    for k, (num, den) in enumerate(families._basis(9, p)):
+        assert Polynomial(num, den) == ybin * xpow
+        ybin, xpow = ybin * (y - k) / (k + 1), xpow * p.xval
+
+
+@pytest.mark.parametrize("name", SLOTS)
+def test_ordinary_rows_are_the_rows_over_n_factorial(name):
+    p = SLOTS[name]
+    rows, d = master_table(9, p)
+    ordinary, d_again = master_table(9, p, ordinary=True)
+    assert ordinary == [row / factorial(n) for n, row in enumerate(rows)]
+    assert d_again == d
+
+
 def test_master_degenerate_slots():
     # q = t = 0 collapses the weight to [n = k], leaving one monomial
     assert master_degenerate_slots_failure(6, (F(0), F(3), F(9, 4))) is None
@@ -196,8 +229,8 @@ def test_family_checks_report_a_broken_row(monkeypatch):
     # each shared check names its first counterexample once row 2 is off
     master = families.master_table
 
-    def broken(nmax, p):
-        rows, d = master(nmax, p)
+    def broken(nmax, p, ordinary=False):
+        rows, d = master(nmax, p, ordinary)
         return [row * (3 if n == 2 else 1) for n, row in enumerate(rows)], d
 
     monkeypatch.setattr(families, "master_table", broken)
@@ -211,12 +244,14 @@ def test_family_checks_report_a_broken_row(monkeypatch):
 
 
 def test_binomial_basis_rows_reconstruct_polynomials():
-    for kind in ("mittag-leffler", "pidduck"):
-        polys, basis_rows = family_table(kind, 6)
-        for row, poly in zip(basis_rows, polys, strict=True):
+    # each row is integer numerators over one denominator
+    for kind, options in (("mittag-leffler", {}), ("pidduck", {}), ("meixner1", {"b": F(1, 2), "c": 3})):
+        polys, basis_rows = family_table(kind, 6, **options)
+        for (row, den), poly in zip(basis_rows, polys, strict=True):
+            assert all(type(c) is int for c in row) and type(den) is int
             rebuilt = Polynomial()
             for k, coeff in enumerate(row):
-                rebuilt = rebuilt + binomial_poly(k) * coeff
+                rebuilt = rebuilt + binomial_poly(k) * F(coeff, den)
             assert rebuilt == poly
 
 

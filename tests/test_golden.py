@@ -11,9 +11,13 @@ lines at order 12 were recorded while ``abel_expression`` still multiplied
 out base * (base + s)^(n-1) and ``substitute`` still multiplied its way to
 each power of a bare atom.  The five ``family`` lines at ``--nmax 40`` and
 the order-24 ``sheffer`` line were recorded while polynomials still stored
-``Fraction`` coefficients and the family rows were summed on them.  A change
-that alters one of these outputs on purpose says so and records the new
-digest."""
+``Fraction`` coefficients and the family rows were summed on them.  The
+eight lines at order or ``--nmax`` 32 (``family meixner1`` in all three
+formats, ``family gegenbauer`` in csv, one ``umbra`` and one ``riordan``
+line in pretty and csv) were recorded while the CLI still formatted its
+output from ``Fraction``s and the family basis was built by ``Polynomial``
+products.  A change that alters one of these outputs on purpose says so and
+records the new digest."""
 
 import argparse
 import hashlib
@@ -88,6 +92,28 @@ GOLDEN = {
     ),
     "umbra k(dot(egf(1,1,-1/2,2),bell),inv(egf(1,-2,1/3,0,5))) --order 32 --format json": (
         "cf91a59927ff5830a878e9db85dd4fa977acedc6856a729c61104861e3d73ed7"
+    ),
+    "family meixner1 --b 1/2 --c 3 --nmax 32": "a5f17adcf9dd756bc6143262f09a5df4b9f8ee09325ccc42e61f634eba6f4673",
+    "family meixner1 --b 1/2 --c 3 --nmax 32 --format csv": (
+        "e47a551656c2b3bde78e72690912965044c4da2b0ab8d013e7c93fc33a1051c4"
+    ),
+    "family meixner1 --b 1/2 --c 3 --nmax 32 --format json": (
+        "e73ab07242de11771ce00bbb163ed1993a9f1a8e9f2cf5dde3992484f2767ec8"
+    ),
+    "family gegenbauer --lam 3/2 --nmax 32 --format csv": (
+        "7281f17e2240709dd76e87eb6deef0db3f6c4b4746f5ffb0d305b24c3bc967f4"
+    ),
+    "umbra k(egf(1,1/2,-1/3),inv(egf(1,3/2,2))) --order 32": (
+        "7ce4e8febaed7248f5731cc3603229f6051b63ba612e68310674da79f80f5150"
+    ),
+    "umbra k(egf(1,1/2,-1/3),inv(egf(1,3/2,2))) --order 32 --format csv": (
+        "9c4fc6b462c50735326925ebeb094d9d9c251041b0186da889ca3a107b154481"
+    ),
+    "riordan egf(1,1/2,-1/3) dotscalar(-3/2,ubar) --order 32": (
+        "ffecd41797324c34483e4422be6f1d5b0ac81db418c8ba05f15dd7062311e2d6"
+    ),
+    "riordan egf(1,1/2,-1/3) dotscalar(-3/2,ubar) --order 32 --format csv": (
+        "379f8c7586a55e91e7a3bfc01cab1dd1dacd8243340fbabc385d48e4d9fa4b84"
     ),
 }
 

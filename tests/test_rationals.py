@@ -2,11 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbral.rationals import (
     binomial,
     falling_factorial,
     factorial,
+    format_numerators,
     format_rational,
     parse_rational,
     shared_denominator,
@@ -162,3 +165,31 @@ def test_integer_values_skip_fractions_for_the_same_pair(cls):
     for values in ([], [3, 0], [Fraction(3), Fraction(0)]):
         with pytest.raises(ZeroDivisionError):
             cls(values, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=6),
+    st.integers(min_value=1, max_value=10**20) | st.sampled_from([1, 2, 6, 720]),
+)
+def test_format_numerators_writes_what_format_rational_writes(numerators, denominator):
+    numerators += [0, -denominator, denominator, -1]
+    expected = [format_rational(Fraction(c, denominator)) for c in numerators]
+    assert format_numerators(numerators, denominator) == expected
+
+
+@pytest.mark.parametrize("cls", VECTOR_TYPES, ids=lambda cls: cls.__name__)
+def test_from_integers_is_the_constructor_on_integer_lists(cls):
+    rng = Random(21)
+    for _ in range(20):
+        den = rng.choice([1, 2, 6, -4, 35])
+        values = [den] + [rng.randint(-40, 40) for _ in range(rng.randint(0, 5))] + [0]
+        built, fast = cls(values, den), cls.from_integers(values, den)
+        assert fast == built and fast.numerators == built.numerators
+        assert fast.denominator == built.denominator > 0
+    # the subclass invariants hold on this path too
+    with pytest.raises(ValueError):
+        Umbra.from_integers([2, 1], 1)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_integers([])
+    assert Polynomial.from_integers([3, 0, 0], 6).numerators == (1,)

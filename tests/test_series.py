@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbral import series as ps
 from umbral.polynomials import Polynomial
 from umbral.rationals import binomial, factorial
 from umbral.series import TruncatedSeries, compose, exp, log, multiply, power, revert
-from umbral.umbra import Umbra, from_series, gf
+from umbral.umbra import Umbra, from_series, gf, inverse_umbra
 
 try:
     from sympy import QQ
@@ -241,6 +242,39 @@ def test_revert_is_two_sided_inverse(order):
         g = revert(f)
         assert compose(f, g) == z
         assert compose(g, f) == z
+
+
+def _inverse_umbra_series(m1, order):
+    # f - 1 for the inverse of the umbra with moments m1^n n!: f_1 = 1/m1
+    return gf(inverse_umbra(Umbra([m1**n * factorial(n) for n in range(order + 1)]))) - 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 12, 24])
+def test_rescaled_revert_matches_the_plain_solve(order):
+    # revert solves on f(L z) with L = q^2; the solve on f itself must agree
+    rng = Random(64 + order)
+    inputs = [random_reversible(rng, order) for _ in range(4)]
+    inputs += [_inverse_umbra_series(m1, order) for m1 in (3, -2, 6)]
+    assert any(f[1].denominator > 1 for f in inputs)
+    for f in inputs:
+        assert revert(f) == ps._solve_revert(f)
+
+
+def test_revert_keeps_an_integral_linear_coefficient(monkeypatch):
+    solved = []
+    solve = ps._solve_revert
+
+    def spy(f):
+        solved.append(f)
+        return solve(f)
+
+    monkeypatch.setattr(ps, "_solve_revert", spy)
+    f = TruncatedSeries([0, F(2), F(-1, 3), F(5, 7)])
+    assert revert(f) == solve(f)
+    assert len(solved) == 1 and solved[0] is f
+    g = TruncatedSeries([0, F(2, 3), F(-1, 3), F(5, 7)])
+    revert(g)
+    assert solved[1] == TruncatedSeries([0, 6, -27, 3645 * F(1, 7)])
 
 
 # --- randomized invariants ----------------------------------------------------
