@@ -75,8 +75,8 @@ EXIT_BROKEN_PIPE = 141
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; at this order the slowest
 # of twenty command lines timed, umbra k(inv(egf(1,3/2,2)),inv(egf(1,2/3,1/5))),
-# takes 3.3 s as a subprocess on a shared 2-core Xeon VM (Python 3.11), and
-# riordan bell chi inverse 0.9 s
+# takes 2.2-3.7 s as a subprocess on a shared 2-core Xeon VM (Python 3.11; eight
+# runs, the spread is the host's load), and riordan bell chi inverse 0.9 s
 ORDER_CEILING = 128
 VERIFY_ORDER_CEILING = 48
 # far below the interpreter's recursion limit, which parsing and building

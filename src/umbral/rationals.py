@@ -185,9 +185,7 @@ def format_rational(value) -> str:
     """Render a rational as "p/q", or plain "p" when the denominator is 1."""
     if type(value) is not Fraction and type(value) is not int:
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_numerators((value.numerator,), value.denominator)[0]
 
 
 def parse_rational(text: str) -> Fraction:

@@ -39,9 +39,9 @@ f(g) = z on coefficients, not a Lagrange-type formula, and depends on
 nothing outside this module, so it can serve as the independent reference
 for the moment-side inversion formulas.  It keeps the powers of the
 partial inverse in a table, one column per new coefficient, in O(N^3)
-coefficient operations, and solves on f(L z) with L = q^2, q the
-denominator of f_1, scaling the result back by L, so a non-integral f_1
-does not blow up the integers of the solve.
+coefficient operations.  Where it makes the integers of the solve
+smaller, it solves on f(L z) with L = q^2, q the denominator of f_1, and
+scales the result back by L; ``revert`` states the test.
 """
 
 from __future__ import annotations
@@ -334,29 +334,30 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
     one column per solved coefficient, from
     B_{m,j} = sum_i C(m-1, i-1) R_i B_{m-i,j-1}, with B_{m,1} = R_m.
 
-    The integers grow with c_1 and d even when the result is small, so the
-    solve runs on a rescaled input: revert(f) = L * revert(f(L z)) for any
-    nonzero L, and L = q^2, with q the denominator of f_1, makes the inverse
-    series of an umbra with integer moments an integer-moment series again.
-    An integral f_1 keeps L = 1.
+    The integers R_m grow with c_1^2/d per step even when the result is
+    small.  As revert(f) = L * revert(f(L z)) for any nonzero L, and the
+    solve on f(L z), over the denominator d', has R'_m = (L^2 d'/d)^(m-1) R_m,
+    the solve runs on f(L z) with L = q^2, q the denominator of f_1, when
+    L^2 d' < d, and on f itself otherwise.  The rescale pays off when d is
+    large but the denominator of each k! f_k divides q^(2k), as on the inverse
+    series of an umbra with integer moments: there d' = 1.
     """
     if f._num[0] != 0:
         raise ValueError("revert needs a series with zero constant term")
     if f.order < 1 or f._num[1] == 0:
         raise ValueError("revert needs a nonzero linear coefficient")
-    q = f._den // gcd(f._num[1], f._den)
-    if q == 1:
-        return _solve_revert(f)
-    lam = q * q
-    powers = [lam**k for k in range(f.order + 1)]
-    g = _solve_revert(TruncatedSeries.from_integers(list(map(mul, f._num, powers)), f._den))
-    return TruncatedSeries.from_integers([lam * c for c in g._num], g._den)
-
-
-def _solve_revert(f: TruncatedSeries) -> TruncatedSeries:
-    """The triangular solve of ``revert`` on f as given."""
-    n = f.order
     c, d = _exponential(f)
+    lam = (d // gcd(c[1], d)) ** 2
+    scaled, scaled_den = lowest_terms([x * lam**k for k, x in enumerate(c)], d)
+    if lam * lam * scaled_den < d:
+        g = _solve_revert(scaled, scaled_den)
+        return TruncatedSeries.from_integers([lam * x for x in g._num], g._den)
+    return _solve_revert(c, d)
+
+
+def _solve_revert(c: list, d: int) -> TruncatedSeries:
+    """The triangular solve of ``revert`` on the series with k! f_k = c_k / d."""
+    n = len(c) - 1
     lead = [0, 0] + [c[j] * c[1] ** (j - 2) for j in range(2, n + 1)]
     r = [0] * (n + 1)
     r[1] = 1

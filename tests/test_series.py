@@ -10,7 +10,7 @@ from umbral import series as ps
 from umbral.polynomials import Polynomial
 from umbral.rationals import binomial, factorial
 from umbral.series import TruncatedSeries, compose, exp, log, multiply, power, revert
-from umbral.umbra import Umbra, from_series, gf, inverse_umbra
+from umbral.umbra import Umbra, dot_scalar, from_series, gf, inverse_umbra, ubar
 
 try:
     from sympy import QQ
@@ -244,37 +244,52 @@ def test_revert_is_two_sided_inverse(order):
         assert compose(g, f) == z
 
 
-def _inverse_umbra_series(m1, order):
-    # f - 1 for the inverse of the umbra with moments m1^n n!: f_1 = 1/m1
-    return gf(inverse_umbra(Umbra([m1**n * factorial(n) for n in range(order + 1)]))) - 1
+def _inverse_umbra_series(a, order):
+    # f - 1 for the inverse of a.ubar: k! f_k has a denominator a^k
+    return gf(inverse_umbra(dot_scalar(a, ubar(order)))) - 1
 
 
-@pytest.mark.parametrize("order", [1, 2, 12, 24])
-def test_rescaled_revert_matches_the_plain_solve(order):
-    # revert solves on f(L z) with L = q^2; the solve on f itself must agree
-    rng = Random(64 + order)
-    inputs = [random_reversible(rng, order) for _ in range(4)]
-    inputs += [_inverse_umbra_series(m1, order) for m1 in (3, -2, 6)]
-    assert any(f[1].denominator > 1 for f in inputs)
-    for f in inputs:
-        assert revert(f) == ps._solve_revert(f)
-
-
-def test_revert_keeps_an_integral_linear_coefficient(monkeypatch):
+def _spy_on_the_solve(monkeypatch):
+    # the denominator of each series the triangular solve runs on
     solved = []
     solve = ps._solve_revert
 
-    def spy(f):
-        solved.append(f)
-        return solve(f)
+    def spy(c, d):
+        solved.append(d)
+        return solve(c, d)
 
     monkeypatch.setattr(ps, "_solve_revert", spy)
-    f = TruncatedSeries([0, F(2), F(-1, 3), F(5, 7)])
-    assert revert(f) == solve(f)
-    assert len(solved) == 1 and solved[0] is f
-    g = TruncatedSeries([0, F(2, 3), F(-1, 3), F(5, 7)])
-    revert(g)
-    assert solved[1] == TruncatedSeries([0, 6, -27, 3645 * F(1, 7)])
+    return solved, solve
+
+
+@pytest.mark.parametrize("order", [1, 2, 12, 24])
+def test_rescaled_revert_matches_the_plain_solve(order, monkeypatch):
+    # revert may solve on f(L z) with L = q^2; the solve on f itself must agree
+    rng = Random(64 + order)
+    inputs = [random_reversible(rng, order) for _ in range(4)]
+    inputs += [_inverse_umbra_series(a, order) for a in (3, -2, 6)]
+    solved, solve = _spy_on_the_solve(monkeypatch)
+    for f in inputs:
+        c, d = ps._exponential(f)
+        assert revert(f) == solve(c, d)
+        if order >= 12 and f in inputs[4:]:
+            assert solved[-1] < d
+
+
+def test_revert_rescales_only_when_the_solve_shrinks(monkeypatch):
+    solved, _ = _spy_on_the_solve(monkeypatch)
+    # f_1 integral: L = 1
+    revert(TruncatedSeries([0, F(2), F(-1, 3), F(5, 7)]))
+    # L = 9 would give d' = 7 against d = 21, and 81 * 7 > 21
+    revert(TruncatedSeries([0, F(2, 3), F(-1, 3), F(5, 7)]))
+    # 3/2 z + z^2: L = 4 would give d' = 1 against d = 2, and 16 > 2
+    revert(TruncatedSeries([0, F(3, 2), F(1)]))
+    assert solved == [21, 21, 2]
+    # the series of inv(3.ubar): d' = 1 against d = 3^12
+    f = _inverse_umbra_series(3, 12)
+    assert ps._exponential(f)[1] == 3**12
+    revert(f)
+    assert solved[-1] == 1
 
 
 # --- randomized invariants ----------------------------------------------------
