@@ -22,9 +22,11 @@ all constant is stored as the series of their values, so each series has
 one form, whatever type its coefficients came in.  The product and
 every Horner step of the composition are the same convolution; as the inner
 series has no constant term, the Horner partial sum from f_i is read only
-to order N - i, and each step convolves only that far.  ``exp``, ``log``,
-``power`` and ``revert`` work on the exponential scale k! f_k, where the
-series of an umbra has its moments as coefficients: there the common
+to order N - i, and each step convolves only that far.  This module owns
+the exponential scale k! f_k, where the series of an umbra has its moments
+as coefficients: ``to_exponential`` and ``from_exponential`` cross it (they
+are ``umbra.from_series`` and ``umbra.gf``), and ``exp``, ``log``,
+``power`` and ``revert`` run from the one to the other: there the common
 denominator of an umbra's series is that of its moments, not
 lcm(1!, ..., N!), which would otherwise enter their recurrences to the N-th
 power.  ``compose`` cancels the content its Horner numerators share with
@@ -47,7 +49,8 @@ scales the result back by L; ``revert`` states the test.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, perm
+from itertools import accumulate
+from math import comb, gcd
 from operator import mul
 
 from .polynomials import Polynomial
@@ -55,6 +58,8 @@ from .rationals import RationalVector, factorial, lowest_terms
 
 __all__ = [
     "TruncatedSeries",
+    "to_exponential",
+    "from_exponential",
     "multiply",
     "exp",
     "log",
@@ -173,11 +178,19 @@ class TruncatedSeries(RationalVector):
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def _exponential(f: TruncatedSeries) -> tuple:
-    """k! f_k over their lowest common denominator: on the exponential scale
-    the numerators of an umbra's series are its moment numerators."""
+def to_exponential(f: TruncatedSeries) -> tuple:
+    """(numerators, denominator) of the k! f_k in lowest terms, over 1 for
+    ``Polynomial`` coefficients: for an umbra's series, its moment numerators."""
     c = [factorial(k) * x for k, x in enumerate(f._num)]
     return (c, 1) if f._den == 1 else lowest_terms(c, f._den)
+
+
+def from_exponential(numerators, denominator: int = 1, base: int = 1) -> TruncatedSeries:
+    """The g with n! g_n = numerators[n] / (denominator * base^n), integers or
+    ``Polynomial``s, lifted by (N!/n!) base^(N-n) over denominator * N! * base^N."""
+    steps = [n * base for n in range(len(numerators) - 1, 0, -1)]
+    lift = list(accumulate(steps, mul, initial=1))[::-1]
+    return TruncatedSeries(list(map(mul, numerators, lift)), denominator * lift[0])
 
 
 def _convolve(a, b) -> list:
@@ -208,11 +221,11 @@ def exp(f: TruncatedSeries) -> TruncatedSeries:
     The derivative recurrence g' = f'g on the exponential scale: with
     k! f_k = c_k/d and n! g_n = H_n / d^n, the integers
     H_n = sum_{k=1..n} C(n-1, k-1) c_k d^(k-1) H_{n-k}, H_0 = 1, so the loop
-    never divides; g_n = H_n / (n! d^n) is written over one denominator at the end.
+    never divides, and ``from_exponential`` writes g_n = H_n / (n! d^n).
     """
     if f._num[0] != 0:
         raise ValueError("exp needs a series with zero constant term")
-    c, d = _exponential(f)
+    c, d = to_exponential(f)
     terms = [(k, c[k] * d ** (k - 1)) for k in range(1, len(c)) if c[k] != 0]
     scaled = [1]
     for n in range(1, len(c)):
@@ -222,7 +235,7 @@ def exp(f: TruncatedSeries) -> TruncatedSeries:
                 break
             acc += comb(n - 1, k - 1) * w * scaled[n - k]
         scaled.append(acc)
-    return _from_exponential(scaled, d)
+    return from_exponential(scaled, 1, d)
 
 
 def log(f: TruncatedSeries) -> TruncatedSeries:
@@ -231,12 +244,11 @@ def log(f: TruncatedSeries) -> TruncatedSeries:
     Inverts the exp recurrence f g' = f' on the exponential scale: with
     k! f_k = c_k/d and n! g_n = K_n / d^n, the integers
     K_n = c_n d^(n-1) - sum_{k=1..n-1} C(n-1, k-1) K_k c_{n-k} d^(n-k-1),
-    so the loop never divides; g_n = K_n / (n! d^n) is written over one
-    denominator at the end.
+    so the loop never divides, and ``from_exponential`` writes g_n = K_n / (n! d^n).
     """
     if f._num[0] != f._den:
         raise ValueError("log needs a series with constant term 1")
-    c, d = _exponential(f)
+    c, d = to_exponential(f)
     lifts = [d**j for j in range(len(c))]
     scaled = [0]
     for n in range(1, len(c)):
@@ -246,14 +258,7 @@ def log(f: TruncatedSeries) -> TruncatedSeries:
             if y != 0 and scaled[k] != 0:
                 acc -= comb(n - 1, k - 1) * lifts[n - k - 1] * y * scaled[k]
         scaled.append(acc)
-    return _from_exponential(scaled, d)
-
-
-def _from_exponential(scaled: list, d: int) -> TruncatedSeries:
-    """The series with g_n = scaled[n] / (n! d^n), over the one denominator N! d^N."""
-    top = len(scaled) - 1
-    lift = [factorial(top) // factorial(n) * d ** (top - n) for n in range(top + 1)]
-    return TruncatedSeries(list(map(mul, scaled, lift)), factorial(top) * d**top)
+    return from_exponential(scaled, 1, d)
 
 
 def power(f: TruncatedSeries, a) -> TruncatedSeries:
@@ -263,15 +268,15 @@ def power(f: TruncatedSeries, a) -> TruncatedSeries:
     n*g_n = sum_{k=1..n} ((a+1)k - n) * f_k * g_{n-k}.  It runs on the
     exponential scale, where the coefficients of an umbra's generating
     function are its moments: with a = p/q and k! f_k = c_k/d, the scaled
-    coefficients G_n = g_n * (q d)^n * n!^2 are integers satisfying
-    G_n = sum_k ((p+q)k - q n) C(n,k) c_k (q d)^(k-1) (n-1)!/(n-k)! G_{n-k},
-    so the loop never divides; the g_n are written over one denominator at the end.
+    coefficients M_n = n! g_n (q d)^n are integers satisfying
+    n M_n = sum_k ((p+q)k - q n) C(n,k) c_k (q d)^(k-1) M_{n-k}, one exact
+    division by n per step, and ``from_exponential`` writes the g_n.
     A polynomial exponent runs with p = a, q = 1.
     """
     if f._num[0] != f._den:
         raise ValueError("power needs a series with constant term 1")
     p, q = (a, 1) if isinstance(a, Polynomial) else (a.numerator, a.denominator)
-    c, d = _exponential(f)
+    c, d = to_exponential(f)
     qd = q * d
     terms = [(k, c[k] * qd ** (k - 1)) for k in range(1, len(c)) if c[k] != 0]
     scaled = [1]
@@ -280,10 +285,9 @@ def power(f: TruncatedSeries, a) -> TruncatedSeries:
         for k, w in terms:
             if k > n:
                 break
-            acc += ((p + q) * k - q * n) * (comb(n, k) * perm(n - 1, k - 1) * w * scaled[n - k])
-        scaled.append(acc)
-    dens = [qd**n * factorial(n) ** 2 for n in range(len(c))]
-    return TruncatedSeries([g * (dens[-1] // e) for g, e in zip(scaled, dens)], dens[-1])
+            acc += ((p + q) * k - q * n) * (comb(n, k) * w * scaled[n - k])
+        scaled.append(acc // n if type(acc) is int else acc / n)
+    return from_exponential(scaled, 1, qd)
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -346,12 +350,11 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("revert needs a series with zero constant term")
     if f.order < 1 or f._num[1] == 0:
         raise ValueError("revert needs a nonzero linear coefficient")
-    c, d = _exponential(f)
+    c, d = to_exponential(f)
     lam = (d // gcd(c[1], d)) ** 2
     scaled, scaled_den = lowest_terms([x * lam**k for k, x in enumerate(c)], d)
     if lam * lam * scaled_den < d:
-        g = _solve_revert(scaled, scaled_den)
-        return TruncatedSeries.from_integers([lam * x for x in g._num], g._den)
+        return lam * _solve_revert(scaled, scaled_den)
     return _solve_revert(c, d)
 
 
@@ -379,5 +382,4 @@ def _solve_revert(c: list, d: int) -> TruncatedSeries:
                 residue += lead[j] * acc
         r[m] = -residue
         bell[1][m] = r[m]
-    lift = [d**m * c[1] ** (2 * (n - m)) * (factorial(n) // factorial(m)) for m in range(n + 1)]
-    return TruncatedSeries.from_integers(list(map(mul, r, lift)), c[1] ** (2 * n - 1) * factorial(n))
+    return from_exponential([c[1] * d**m * x for m, x in enumerate(r)], 1, c[1] ** 2)

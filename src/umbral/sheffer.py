@@ -203,7 +203,7 @@ def abel_representation(pair: UmbraPair) -> tuple:
     n.K(alpha, alpha) come from one ``dot_powers`` table, read to order
     n - 1.  Agrees with :func:`sheffer_sequence`, with which it shares only
     ``comb`` and the fixed-addend step that :func:`umbral.umbra.dot_powers`
-    and :func:`umbral.umbra.iterated_sums` both repeat.
+    and :func:`umbral.umbra.iterated_sums` both repeat; its oracle is the series array.
     """
     kga = k_umbra(pair.gamma, pair.alpha)
     k, dk = kga.numerators, kga.denominator

@@ -41,10 +41,10 @@ An umbra is a ``rationals.RationalVector`` of its moments (the canonical
 form is described there), so its numerators c_0..c_N over d have c_0 = d.
 The moment routes above read and write these numerators directly, and
 ``moments`` and ``moment`` return the ``Fraction``s.  The series routes
-read the stored numerators as their input (``gf`` writes c_n (N!/n!) over
-d N!) but share no kernel with the moment routes: no weight rows, sum
-kernel or dot-power table.  Moments and scalar parameters are exact: a
-``float`` raises ``TypeError``.
+read the stored numerators as their input (``gf`` and ``from_series`` are
+the n! bridge of ``series``) but share no kernel with the moment routes:
+no weight rows, sum kernel or dot-power table.  Moments and scalar
+parameters are exact: a ``float`` raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -122,17 +122,14 @@ class Umbra(RationalVector):
 
 def from_series(f: TruncatedSeries) -> Umbra:
     """The umbra of a generating function: m_n = n! * [z^n] f(z)."""
-    num, den = f._num, f._den
-    if num[0] != den:
+    if f._num[0] != f._den:
         raise ValueError("an umbra's generating function must have constant term 1")
-    return Umbra([factorial(n) * c for n, c in enumerate(num)], den)
+    return Umbra(*ps.to_exponential(f))
 
 
 def gf(u: Umbra) -> TruncatedSeries:
-    """Generating function of an umbra, c_n (N!/n!) over d N!; exact inverse of from_series."""
-    top = u.order
-    lift = [factorial(top) // factorial(n) for n in range(top + 1)]
-    return TruncatedSeries.from_integers(list(map(mul, u._num, lift)), u._den * factorial(top))
+    """Generating function of an umbra, n! [z^n] = m_n; exact inverse of from_series."""
+    return ps.from_exponential(u._num, u._den)
 
 
 def _sum_weights(v: Umbra) -> list:
@@ -312,10 +309,7 @@ def singleton(order: int) -> Umbra:
 
 def bell(order: int) -> Umbra:
     """The umbra of exp(e^z - 1); its moments are the Bell numbers."""
-    inner = TruncatedSeries(
-        tuple(Fraction(1, factorial(n)) if n else Fraction(0) for n in range(order + 1))
-    )
-    return from_series(ps.exp(inner))
+    return from_series(ps.exp(ps.from_exponential([0] + [1] * order)))
 
 
 def ubar(order: int) -> Umbra:

@@ -512,6 +512,34 @@ def test_abel_identity_reads_the_moment_transform(capsys, monkeypatch):
     assert [line for line in lines if line.startswith("FAIL")] == ["FAIL abel-identity"]
 
 
+def test_abel_identity_reads_the_series_product(capsys, monkeypatch):
+    # the left side of the Abel identity is the umbra of f_delta * f_gamma:
+    # a broken moment sum leaves it passing, a broken series product fails it
+    from umbral import series
+    from umbral.series import TruncatedSeries, multiply
+    from umbral.umbra import add
+
+    argv = ["verify", "abel", "--order", "6", "--seed", "3"]
+    monkeypatch.setattr(verify, "add", _off_by_one_in_m3(add))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert "PASS abel-identity\n" in out
+
+    def broken(f, g):
+        h = multiply(f, g)
+        num = list(h.numerators)
+        num[-1] += 1
+        return TruncatedSeries(num, h.denominator)
+
+    monkeypatch.setattr(series, "multiply", broken)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL abel-identity"]
+    detail = lines[lines.index("FAIL abel-identity") + 1]
+    assert detail.startswith("  counterexample: trial=0 n=6 lhs=")
+
+
 def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
     # one numerator off in k.u for k = 2 of every shared table: the moment
     # routes that read it fail against their series oracles, and a suite
@@ -592,8 +620,9 @@ def test_composition_oracles_read_the_series_compose(capsys, monkeypatch):
 
 
 def test_coefficient_extraction_reads_the_series_array(capsys, monkeypatch):
-    # one numerator off in every series-extraction array: the extraction
-    # check fails alone, since no other sheffer check reads that array
+    # one numerator off in every series-extraction array: the two checks that
+    # take it as their oracle, the extraction and the Abel form, fail; the
+    # checks that read only the kernel-built array still pass
     from umbral.sheffer import RiordanArray, riordan_array_series
 
     def broken(pair):
@@ -607,12 +636,37 @@ def test_coefficient_extraction_reads_the_series_array(capsys, monkeypatch):
     assert code == cli.EXIT_VERIFY
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL sheffer-coefficient-extraction"
+        "FAIL sheffer-coefficient-extraction",
+        "FAIL sheffer-abel-representation",
     ]
-    detail = lines[lines.index("FAIL sheffer-coefficient-extraction") + 1]
-    assert detail.startswith("  counterexample: trial=0 gamma=[")
-    assert detail.endswith("; repro: umbral verify sheffer --order 6 --seed 0")
+    for name in ("sheffer-coefficient-extraction", "sheffer-abel-representation"):
+        detail = lines[lines.index(f"FAIL {name}") + 1]
+        assert detail.startswith("  counterexample: trial=0 gamma=[")
+        assert detail.endswith("; repro: umbral verify sheffer --order 6 --seed 0")
     assert "PASS sheffer-monic" in lines
+
+
+def test_abel_representation_reads_the_series_array(capsys, monkeypatch):
+    # one numerator off in the iterated sums that build the coefficient
+    # table: the kernel-built array fails its extraction check, and the Abel
+    # form, whose oracle is the series array, still passes
+    import umbral.sheffer
+    from umbral.umbra import iterated_sums
+
+    def broken(start, v):
+        sums = iterated_sums(start, v)
+        last = sums[1]
+        num = list(last.numerators)
+        num[-1] += 1
+        return [sums[0], Umbra(num, last.denominator)] + sums[2:]
+
+    monkeypatch.setattr(umbral.sheffer, "iterated_sums", broken)
+    code, out, _ = run_cli(["verify", "sheffer", "--order", "6"], capsys)
+    assert code == cli.EXIT_VERIFY
+    lines = out.splitlines()
+    detail = lines[lines.index("FAIL sheffer-coefficient-extraction") + 1]
+    assert detail.endswith("; repro: umbral verify sheffer --order 6 --seed 0")
+    assert "PASS sheffer-abel-representation" in lines
 
 
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):

@@ -16,8 +16,11 @@ eight lines at order or ``--nmax`` 32 (``family meixner1`` in all three
 formats, ``family gegenbauer`` in csv, one ``umbra`` and one ``riordan``
 line in pretty and csv) were recorded while the CLI still formatted its
 output from ``Fraction``s and the family basis was built by ``Polynomial``
-products.  A change that alters one of these outputs on purpose says so and
-records the new digest."""
+products.  The last two ``umbra`` lines (the rescaled ``revert`` at order
+48; ``bell``, ``exp``, ``log``, ``compose`` and ``gf`` at order 32) were
+recorded while ``umbra`` and ``series`` still each wrote their own n! lift
+and ``power`` still scaled by n!^2.  A change that alters one of these
+outputs on purpose says so and records the new digest."""
 
 import argparse
 import hashlib
@@ -114,6 +117,12 @@ GOLDEN = {
     ),
     "riordan egf(1,1/2,-1/3) dotscalar(-3/2,ubar) --order 32 --format csv": (
         "379f8c7586a55e91e7a3bfc01cab1dd1dacd8243340fbabc385d48e4d9fa4b84"
+    ),
+    "umbra inv(inv(dotscalar(3,ubar))) --order 48 --format csv": (
+        "f4acb7bf08722e7f550db384a4e00e864df315b99e2edb5878d3b479f498295e"
+    ),
+    "umbra dot(bell,egf(1,1/2,-1/3)) --order 32 --format json": (
+        "1bc46633009ed1208f2d2de8dbd6c5e245a876f768405af62edeb6cf545db78a"
     ),
 }
 

@@ -8,14 +8,24 @@ Every name in a module's ``__all__`` is bound at the module's top level.
 An import or a helper left behind when its last use is deleted, or an
 export left behind when its definition is, fails here, with the module and
 the name.
+
+The benchmark harness in ``benchmarks/`` names package functions as data:
+the layers its tracer wraps, the metrics it reports inclusive time and
+growth for, and what it imports from ``umbral`` and reads off the imported
+modules.  Each of those names must resolve in the package, so renaming a
+traced function fails here instead of only when the harness runs.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import umbral
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "umbral"
+BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -147,3 +157,97 @@ def test_the_check_sees_a_dead_helper():
         ),
     }
     assert _unreferenced_helpers(sources) == ["series.py line 1: _numerators"]
+
+
+def _assigned(tree: ast.Module, name: str):
+    """The literal value of the module-level assignment to ``name``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no module-level {name}")
+
+
+def _harness_names(sources: dict) -> list:
+    """Dotted names below ``umbral`` that the harness (file name -> source
+    text) reads: ``LAYERS`` of tracer.py, ``INCLUSIVE`` and ``GROWTH`` of
+    run.py, every name imported from ``umbral`` and every attribute read off
+    an imported ``umbral`` module, in every file."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    layers = _assigned(trees["tracer.py"], "LAYERS")
+    names = [f"{module}.{qual}" for module, quals in layers.items() for qual in quals]
+    names += [*_assigned(trees["run.py"], "INCLUSIVE"), *_assigned(trees["run.py"], "GROWTH")]
+    for tree in trees.values():
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "umbral":
+                base = node.module.partition(".")[2]
+                for alias in node.names:
+                    name = f"{base}.{alias.name}" if base else alias.name
+                    names.append(name)
+                    modules[alias.asname or alias.name] = name
+            elif isinstance(node, ast.Import):
+                imported = [a.name for a in node.names if a.name.startswith("umbral.")]
+                names += [name.partition(".")[2] for name in imported]
+        names += [
+            f"{modules[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ]
+    return names
+
+
+def _missing_in_package(names) -> list:
+    """The names that do not resolve as submodules and attributes of
+    ``umbral``; a metric name may drop a method's dunders (``Polynomial.mul``)."""
+    missing = []
+    for name in names:
+        obj = umbral
+        for part in name.split("."):
+            for attr in (part, f"__{part}__"):
+                if hasattr(obj, attr):
+                    obj = getattr(obj, attr)
+                    break
+            else:
+                try:
+                    obj = importlib.import_module(f"{obj.__name__}.{part}")
+                except (AttributeError, ImportError):
+                    missing.append(name)
+                    break
+    return missing
+
+
+def test_the_harness_reads_names_the_package_has():
+    sources = {path.name: path.read_text() for path in sorted(BENCHMARKS.glob("*.py"))}
+    names = _harness_names(sources)
+    traced = {"umbra.gf", "umbra.from_series", "series.power", "polynomials.Polynomial.mul"}
+    assert traced <= set(names)
+    assert _missing_in_package(names) == []
+
+
+def test_the_check_sees_a_missing_harness_name():
+    sources = {
+        "tracer.py": (
+            "LAYERS = {'umbra': ('gf', 'generating_function'),\n"
+            "          'polynomials': ('Polynomial.__mul__',)}\n"
+        ),
+        "run.py": (
+            "INCLUSIVE = ('series.revert', 'series.invert')\n"
+            "GROWTH = ('polynomials.Polynomial.mul',)\n"
+        ),
+        "workloads.py": (
+            "def ops():\n"
+            "    from umbral.umbra import gf, to_series\n"
+            "    from umbral import series as ps\n"
+            "    return ps.power, ps.exponential_lift, gf, to_series\n"
+        ),
+    }
+    assert _missing_in_package(_harness_names(sources)) == [
+        "umbra.generating_function",
+        "series.invert",
+        "umbra.to_series",
+        "series.exponential_lift",
+    ]

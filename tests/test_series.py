@@ -270,7 +270,7 @@ def test_rescaled_revert_matches_the_plain_solve(order, monkeypatch):
     inputs += [_inverse_umbra_series(a, order) for a in (3, -2, 6)]
     solved, solve = _spy_on_the_solve(monkeypatch)
     for f in inputs:
-        c, d = ps._exponential(f)
+        c, d = ps.to_exponential(f)
         assert revert(f) == solve(c, d)
         if order >= 12 and f in inputs[4:]:
             assert solved[-1] < d
@@ -287,7 +287,7 @@ def test_revert_rescales_only_when_the_solve_shrinks(monkeypatch):
     assert solved == [21, 21, 2]
     # the series of inv(3.ubar): d' = 1 against d = 3^12
     f = _inverse_umbra_series(3, 12)
-    assert ps._exponential(f)[1] == 3**12
+    assert ps.to_exponential(f)[1] == 3**12
     revert(f)
     assert solved[-1] == 1
 
@@ -594,6 +594,34 @@ def test_umbra_and_series_round_trip(f, data):
     assert_canonical(gf(u))
     assert from_series(gf(u)) == u
     assert gf(from_series(f)) == f
+
+
+integer_numerators = st.integers(min_value=-60, max_value=60)
+
+
+def _over(c, den):
+    return c / den if isinstance(c, Polynomial) else F(c, den)
+
+
+@canonical_laws
+@given(
+    st.one_of(
+        st.lists(integer_numerators, min_size=1, max_size=13),
+        st.lists(st.lists(integer_numerators, max_size=3).map(Polynomial), min_size=1, max_size=13),
+    ),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=40),
+)
+def test_the_exponential_bridge(numerators, d, b):
+    # n! g_n = c_n / (d b^n), and to_exponential reads the n! g_n back
+    g = ps.from_exponential(numerators, d, b)
+    scaled = [_over(c, d * b**n) for n, c in enumerate(numerators)]
+    assert g == TruncatedSeries([_over(c, factorial(n)) for n, c in enumerate(scaled)])
+    c, e = ps.to_exponential(g)
+    assert [_over(x, e) for x in c] == scaled
+    assert ps.from_exponential(c, e) == g
+    if b == 1 and d == 1:
+        assert ps.from_exponential(numerators) == g
 
 
 @canonical_laws
