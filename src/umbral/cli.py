@@ -167,10 +167,18 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
+    def shown(self, i: int) -> str:
+        """Token i quoted as the user typed it, or ``end of input``."""
+        kind, _, at = self.tokens[i]
+        if kind == "end":
+            return "end of input"
+        return repr(self.text[at : self.tokens[i + 1][2]].rstrip())
+
     def take(self, kind=None):
         token = self.tokens[self.pos]
         if kind is not None and token[0] != kind:
-            raise SpecParseError(f"expected {kind}, found {token[1]!r}", token[2] + 1)
+            wanted = kind if kind.isalpha() else repr(kind)
+            raise SpecParseError(f"expected {wanted}, found {self.shown(self.pos)}", token[2] + 1)
         self.pos += 1
         return token
 
@@ -178,13 +186,14 @@ class _Parser:
         expr = self.expr()
         end = self.peek()
         if end[0] != "end":
-            raise SpecParseError(f"unexpected trailing input {end[1]!r}", end[2] + 1)
+            raise SpecParseError(f"unexpected trailing input {self.shown(self.pos)}", end[2] + 1)
         return expr
 
     def expr(self, depth=1):
         kind, value, at = self.take()
         if kind != "name":
-            raise SpecParseError(f"expected an umbra expression, found {value!r}", at + 1)
+            found = self.shown(self.pos - 1)
+            raise SpecParseError(f"expected an umbra expression, found {found}", at + 1)
         if value not in _GRAMMAR:
             raise SpecParseError(f"unknown umbra constructor {value!r}", at + 1)
         kinds = _GRAMMAR[value][0]

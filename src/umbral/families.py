@@ -150,8 +150,7 @@ def master_gf_rows(nmax: int, p: MasterParams) -> list:
     with x carried exactly."""
     inner = _pole(nmax, p.q).shift_up() * p.xval + 1
     exponent = Polynomial.x() if p.y is None else p.y
-    series = ps.multiply(_pole(nmax, p.t), ps.power(inner, exponent))
-    return [_as_polynomial(coeff) * factorial(n) for n, coeff in enumerate(series.coeffs)]
+    return _exponential_rows(ps.multiply(_pole(nmax, p.t), ps.power(inner, exponent)))
 
 
 def chebyshev_params() -> MasterParams:
@@ -217,6 +216,12 @@ def _meixner_gf(order: int, b, c) -> TruncatedSeries:
 
 def _as_polynomial(coeff) -> Polynomial:
     return coeff if isinstance(coeff, Polynomial) else Polynomial.constant(coeff)
+
+
+def _exponential_rows(series: TruncatedSeries) -> list:
+    """The n! [z^n] of a series as polynomials, read through ``series.to_exponential``."""
+    num, den = ps.to_exponential(series)
+    return [_as_polynomial(c if den == 1 else Fraction(c, den)) for c in num]
 
 
 @dataclass(frozen=True)
@@ -287,8 +292,10 @@ def gf_rows(kind: str, nmax: int, lam=None, b=None, c=None) -> list:
     engine.
     """
     family, options = _lookup(kind, {"lam": lam, "b": b, "c": c})
-    rows = [_as_polynomial(coeff) for coeff in family.gf(nmax, **options).coeffs]
-    return rows if family.ordinary else [row * factorial(n) for n, row in enumerate(rows)]
+    series = family.gf(nmax, **options)
+    if family.ordinary:
+        return [_as_polynomial(coeff) for coeff in series.coeffs]
+    return _exponential_rows(series)
 
 
 def gf_oracle(kind: str, n: int, lam=None, b=None, c=None) -> Polynomial:

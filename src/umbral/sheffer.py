@@ -240,20 +240,20 @@ def riordan_array_series(pair: UmbraPair) -> RiordanArray:
     """Series oracle for the array: s_{n,k} = n! [z^n] A(z) (z B(z))^k / k!.
 
     Column k is the series A (z B)^k, one product with z B after column
-    k - 1, so its numerators c_n over D_k give s_{n,k} = n! c_n / (k! D_k);
-    the rows are written over the lcm L of the k! D_k as the integers
-    n! c_n (L / (k! D_k)), k <= n.
+    k - 1; ``series.to_exponential`` reads it on the n! scale as e_n / D_k,
+    so s_{n,k} = e_n / (k! D_k), and the rows are written over the lcm L of
+    the k! D_k as the integers e_n (L / (k! D_k)), k <= n.
     """
     n_max = pair.order
     zb = gf(pair.alpha).shift_up()
-    facts = [factorial(n) for n in range(n_max + 1)]
     columns = [gf(pair.gamma)]
     while len(columns) <= n_max:
         columns.append(ps.multiply(columns[-1], zb))
-    dens = [f * col.denominator for f, col in zip(facts, columns)]
+    lifted = [ps.to_exponential(col) for col in columns]
+    dens = [factorial(k) * den for k, (_, den) in enumerate(lifted)]
     big = lcm(*dens)
-    lifts = [(col.numerators, big // den) for col, den in zip(columns, dens)]
-    rows = [[f * c[n] * s for c, s in lifts[: n + 1]] for n, f in enumerate(facts)]
+    lifts = [(e, big // den) for (e, _), den in zip(lifted, dens)]
+    rows = [[e[n] * s for e, s in lifts[: n + 1]] for n in range(n_max + 1)]
     return RiordanArray(pair, rows, big, "exponential")
 
 
@@ -305,8 +305,8 @@ def riordan_inverse(a: RiordanArray) -> RiordanArray:
 def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
     """Apply the array to a moment vector: the matrix-vector product.
 
-    It equals the moments of gamma + seq.bell.alpha' (the composition-umbra
-    route); the riordan-group suite checks the two routes against each other.
+    It equals the moments of gamma + seq.bell.alpha'; the riordan-group
+    suite checks it against their series f_gamma(z) f_seq(z f_alpha(z)).
     """
     if a.flavor != "exponential":
         raise ValueError("the moment transform is stated for exponential arrays")

@@ -17,8 +17,21 @@ sheffer suite reads its Sheffer sequence off the Riordan array it checks,
 with ``sheffer.row_polynomials`` (the step ``sheffer_sequence`` itself
 takes), and its series array as the oracle of both the array and the Abel
 form; the riordan-group suite reuses the product of each trial's first
-two arrays in the associativity and flavor checks.  Each identity still
-compares two routes that share no kernel.
+two arrays in the associativity and flavor checks.
+
+``ROUTES`` says what each printed identity compares, keyed by (suite,
+identity).  A route row is two computations of one value, given as the
+names each side reads, down to the series operations and the moment
+kernels; a law row, ``("law", names)``, is a property or a closed form
+that the computations it names must satisfy.  A name is the binding the
+call looks up, ``module.name``: a ``from`` import copies a function, so
+``verify.k_umbra`` and ``sheffer.k_umbra`` are two bindings.  Of the
+bindings the table names, a row names exactly those whose wrong result
+fails its check, and no name appears on both sides of a route; a law that
+holds whatever its functions return (the two sides of
+``gegenbauer-reduces-to-chebyshev`` build the same table) names nothing.
+``tests/test_routes.py`` perturbs each name in turn and sees exactly the
+rows that name it fail.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ from .umbra import (
 __all__ = [
     "CheckResult",
     "SUITE_NAMES",
+    "ROUTES",
     "run_suite",
     "run_suites",
     "random_umbra",
@@ -163,12 +177,14 @@ def abel_identity_failure(alpha: Umbra, gamma: Umbra, delta: Umbra):
 
 def abel_polynomial_form_failure(alpha: Umbra, gamma: Umbra, delta: Umbra, qs):
     """First ``q#i=… lhs=… rhs=…`` where E[q(delta+gamma)] != sum_k
-    E[q^(k)(delta+k.alpha)] E[gamma(gamma-k.alpha)^(k-1)] / k!, else None."""
+    E[q^(k)(delta+k.alpha)] E[gamma(gamma-k.alpha)^(k-1)] / k!, else None:
+    the left side reads the moments of f_delta f_gamma, the right side
+    expands symbolically."""
     weights = _abel_weights(gamma, alpha, max(q.degree for q in qs))
     dotted = dot_powers(alpha)
-    d_plus_g = atom(UmbralSymbol(delta)) + atom(UmbralSymbol(gamma))
+    sums = from_series(ps.multiply(gf(delta), gf(gamma))).moments  # E[(delta + gamma)^j]
     for qi, q in enumerate(qs):
-        lhs = substitute(q, d_plus_g).evaluate().constant_value()
+        lhs = sum(c * m for c, m in zip(q.coeffs, sums))
         rhs = Fraction(0)
         deriv = q
         for k in range(q.degree + 1):
@@ -204,7 +220,7 @@ def abel_binomial_identity_failure(u: Umbra, n_max: int):
     return None if bad is None else f"n={bad}"
 
 
-def suite_abel(order: int = 10, seed: int = 0) -> list[CheckResult]:
+def suite_abel(order: int, seed: int) -> list[CheckResult]:
     """The Abel expansion of binomial moments and its polynomial corollaries."""
     rng = Random(seed)
     rec = _Recorder()
@@ -248,7 +264,7 @@ def suite_abel(order: int = 10, seed: int = 0) -> list[CheckResult]:
     return list(rec.results.values())
 
 
-def suite_lif(order: int = 12, seed: int = 0) -> list[CheckResult]:
+def suite_lif(order: int, seed: int) -> list[CheckResult]:
     """Lagrange inversion: moment route vs series reversion, plus corollaries."""
     rng = Random(seed)
     rec = _Recorder()
@@ -266,20 +282,21 @@ def suite_lif(order: int = 12, seed: int = 0) -> list[CheckResult]:
             f"gamma={_fmt(g)} alpha={_fmt(a)}",
         )
 
-        # coefficient form: n [z^n] f_g(revert(z f_a)) = [z^(n-1)] f_g' / f_a^n,
+        # coefficient form: n [z^n] f_g(revert(z f_a)) = m_n / (n-1)! = [z^(n-1)] f_g' / f_a^n,
         # the right side one integer dot product over the product of the denominators
         if order >= 1:
             fgd, fa = gf(g).derivative(), gf(a)
-            kcoeffs = gf(moment_route)
-            k, dk = kcoeffs.numerators, kcoeffs.denominator
+            k, dk = moment_route.numerators, moment_route.denominator
             for n in range(1, order + 1):
                 neg_power = ps.power(fa.truncate(n - 1), -n)  # f_a^(-n) up to z^(n-1)
                 rhs = sum(map(mul, fgd.numerators[:n], reversed(neg_power.numerators)))
                 den = fgd.denominator * neg_power.denominator
+                lhs_den = dk * factorial(n - 1)
                 rec.check(
                     "lagrange-inversion-coefficients",
-                    n * k[n] * den == rhs * dk,
-                    lambda: f"trial={trial} n={n} lhs={n * kcoeffs[n]} rhs={Fraction(rhs, den)}",
+                    k[n] * den == rhs * lhs_den,
+                    lambda: f"trial={trial} n={n} lhs={Fraction(k[n], lhs_den)} "
+                    f"rhs={Fraction(rhs, den)}",
                 )
 
         # composition umbra: binomial moment expansion vs series composition
@@ -305,7 +322,7 @@ def suite_lif(order: int = 12, seed: int = 0) -> list[CheckResult]:
     return list(rec.results.values())
 
 
-def suite_duality(order: int = 12, seed: int = 0) -> list[CheckResult]:
+def suite_duality(order: int, seed: int) -> list[CheckResult]:
     """Singleton/Bell duality and the small moment-algebra laws."""
     rng = Random(seed)
     rec = _Recorder()
@@ -370,7 +387,7 @@ def suite_duality(order: int = 12, seed: int = 0) -> list[CheckResult]:
     return list(rec.results.values())
 
 
-def suite_sheffer(order: int = 12, seed: int = 0) -> list[CheckResult]:
+def suite_sheffer(order: int, seed: int) -> list[CheckResult]:
     """Sheffer coefficients, the Abel form, and the two-variable identities."""
     rng = Random(seed)
     rec = _Recorder()
@@ -417,7 +434,7 @@ def suite_sheffer(order: int = 12, seed: int = 0) -> list[CheckResult]:
     return list(rec.results.values())
 
 
-def suite_riordan_group(order: int = 12, seed: int = 0) -> list[CheckResult]:
+def suite_riordan_group(order: int, seed: int) -> list[CheckResult]:
     """The array group: composition, inverses, named arrays, conversions."""
     rng = Random(seed)
     rec = _Recorder()
@@ -495,11 +512,12 @@ def suite_riordan_group(order: int = 12, seed: int = 0) -> list[CheckResult]:
             f"trial={trial}",
         )
 
+        # the matrix route against the series of gamma + seq.bell.alpha': f_gamma f_seq(z f_alpha)
         seq = random_umbra(rng, order)
-        transformed = ftra_apply(ap, seq)  # the matrix route
+        via_series = ps.multiply(gf(p.gamma), ps.compose(gf(seq), gf(p.alpha).shift_up()))
         rec.check(
             "moment-transform-two-routes",
-            transformed == add(p.gamma, composition_umbra(seq, p.alpha)),
+            ftra_apply(ap, seq) == from_series(via_series),
             f"trial={trial}",
         )
 
@@ -566,7 +584,7 @@ def master_degenerate_slots_failure(n_max: int, ys):
     return None
 
 
-def suite_families(order: int = 10, seed: int = 0) -> list[CheckResult]:
+def suite_families(order: int, seed: int) -> list[CheckResult]:
     """Explicit sums vs generating functions for the five families."""
     rec = _Recorder()
     n_max = order
@@ -636,6 +654,95 @@ _SUITES = {
     "sheffer": suite_sheffer,
     "riordan-group": suite_riordan_group,
     "families": suite_families,
+}
+
+# (suite, identity) -> (names one route reads, names the other reads), or
+# ("law", names the check reads); see the module docstring
+_ARRAY = "verify.riordan_array sheffer.iterated_sums"
+_SERIES_ARRAY = "verify.riordan_array_series series.multiply series.to_exponential"
+_GF = "families.gf_rows series.power series.to_exponential"
+_EGF = _GF + " series.multiply series.exp series.log"
+_BELL_DOT = "verify.dot series.compose series.exp series.log series.to_exponential"
+ROUTES = {
+    ("abel", "abel-identity"): (
+        "series.multiply series.to_exponential",
+        "verify.ftra_apply verify._abel_weights verify.dot_scalar umbra._dot_power_table " + _ARRAY),
+    ("abel", "abel-identity-polynomial-form"): (
+        "series.multiply series.to_exponential",
+        "verify.substitute verify.dot_powers verify._abel_weights verify.dot_scalar "
+        "umbra._dot_power_table"),
+    ("abel", "abel-derivative-rule"): ("law", "verify.abel_expression umbra._dot_power_table"),
+    ("abel", "abel-binomial-identity"): ("law", "verify.abel_expression umbra._dot_power_table"),
+    ("lif", "lagrange-inversion-moments"): (
+        "verify.k_umbra umbra._dot_power_table",
+        "verify.k_umbra_series series.compose series.revert series.to_exponential"),
+    ("lif", "lagrange-inversion-coefficients"): (
+        "verify.k_umbra umbra._dot_power_table",
+        "series.power series.to_exponential"),
+    ("lif", "composition-two-routes"): (
+        "verify.composition_umbra umbra._dot_power_table",
+        "verify.composition_umbra_series series.compose series.to_exponential"),
+    ("lif", "derivative-inverse-relation"): ("law",
+        "verify.derivative_umbra verify.inverse_umbra verify.k_umbra verify.dot_scalar "
+        "series.revert series.to_exponential umbra._dot_power_table"),
+    ("duality", "singleton-bell-duality"): ("law", _BELL_DOT),
+    ("duality", "bell-singleton-duality"): ("law", _BELL_DOT),
+    ("duality", "bell-moments"): ("law", "series.exp series.to_exponential"),
+    ("duality", "additive-identity"): ("law", "verify.add"),
+    ("duality", "scalar-dot-multiplicative"): ("law", "verify.dot_scalar"),
+    ("duality", "integer-dot-is-iterated-sum"): ("verify.dot_scalar", "verify.add"),
+    ("duality", "dot-cancellation"): ("law", "verify.dot_scalar verify.add"),
+    ("duality", "inverse-involution"): ("law",
+        "verify.inverse_umbra series.revert series.to_exponential"),
+    ("duality", "dot-scalar-right"): ("law",
+        "verify.dot series.compose series.log series.to_exponential"),
+    ("sheffer", "sheffer-coefficient-extraction"): (_ARRAY, _SERIES_ARRAY),
+    ("sheffer", "sheffer-monic"): ("law", "verify.row_polynomials"),
+    ("sheffer", "sheffer-abel-representation"): (
+        "verify.abel_representation sheffer.k_umbra umbra._dot_power_table",
+        "verify.row_polynomials " + _SERIES_ARRAY),
+    ("sheffer", "sheffer-identity"): ("law",
+        "verify.row_polynomials verify.sheffer_sequence verify.substitute " + _ARRAY),
+    ("sheffer", "binomial-identity"): ("law",
+        "verify.sheffer_sequence verify.substitute sheffer.iterated_sums"),
+    ("riordan-group", "identity-array"): ("law", _ARRAY),
+    ("riordan-group", "pascal-array"): ("law", _ARRAY),
+    ("riordan-group", "signed-pascal-inverse"): ("law",
+        "verify.riordan_inverse sheffer.k_umbra sheffer.iterated_sums umbra._dot_power_table"),
+    ("riordan-group", "pascal-squared"): ("law", "verify.riordan_multiply " + _ARRAY),
+    ("riordan-group", "pair-composition-matches-matrix-product"): ("law",
+        "verify.riordan_multiply sheffer.composition_umbra umbra._dot_power_table " + _ARRAY),
+    ("riordan-group", "identity-laws"): ("law", "verify.riordan_multiply " + _ARRAY),
+    ("riordan-group", "inverse-two-sided"): ("law",
+        "verify.riordan_multiply verify.riordan_inverse sheffer.k_umbra umbra._dot_power_table "
+        + _ARRAY),
+    ("riordan-group", "inverse-involution"): ("law",
+        "verify.riordan_array verify.riordan_inverse sheffer.k_umbra umbra._dot_power_table"),
+    ("riordan-group", "associativity"): ("law", "verify.riordan_multiply"),
+    ("riordan-group", "flavor-conversion-multiplicative"): ("law",
+        "verify.riordan_multiply verify.flavor_convert"),
+    ("riordan-group", "flavor-conversion-involution"): ("law", "verify.flavor_convert"),
+    ("riordan-group", "moment-transform-two-routes"): (
+        "verify.ftra_apply " + _ARRAY,
+        "series.multiply series.compose series.to_exponential"),
+    ("riordan-group", "pascal-shifts-bell"): ("law",
+        "verify.ftra_apply series.exp series.to_exponential " + _ARRAY),
+    ("riordan-group", "pascal-row-sums"): ("law", "verify.ftra_apply " + _ARRAY),
+    ("families", "explicit-vs-gf:chebyshev-u"): ("families.master_table", _GF),
+    ("families", "explicit-vs-gf:gegenbauer"): ("families.master_table", _GF),
+    ("families", "explicit-vs-gf:meixner1"): ("families.master_table", _EGF),
+    ("families", "explicit-vs-gf:mittag-leffler"): ("families.master_table", _EGF),
+    ("families", "explicit-vs-gf:pidduck"): ("families.master_table", _EGF),
+    ("families", "chebyshev-recurrence"): ("law", "families.master_table"),
+    ("families", "gegenbauer-reduces-to-chebyshev"): ("law", ""),
+    ("families", "mittag-leffler-meixner-specialization"): ("law", ""),
+    ("families", "pidduck-mittag-leffler-quotient"): ("law", "families.master_table"),
+    ("families", "chebyshev-shifted-basis-display"): ("law", "verify.binomial"),
+    ("families", "master-degenerate-slots"): ("law", "families.master_table verify.binomial"),
+    ("families", "master-degenerate-slots-indeterminate"): ("law", "families.master_table"),
+    ("families", "master-explicit-vs-gf"): (
+        "families.master_table",
+        "families.master_gf_rows series.multiply series.power series.to_exponential"),
 }
 
 

@@ -14,8 +14,7 @@ import pytest
 import umbral
 from umbral import cli, verify
 from umbral.rationals import parse_rational
-from umbral.umbra import Umbra, bell, composition_umbra, dot, singleton
-from umbral.verify import CheckResult
+from umbral.umbra import Umbra, bell, dot, singleton
 
 
 def run_cli(args, capsys):
@@ -58,6 +57,20 @@ def test_parse_errors_carry_position():
         cli.parse_umbra_spec("scalar(x)")
     with pytest.raises(cli.SpecParseError):
         cli.parse_umbra_spec("chi extra")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("3", "position 1: expected an umbra expression, found '3'"),
+        ("egf(1 2)", "position 7: expected ')', found '2'"),
+        ("inv(chi", "position 8: expected ')', found end of input"),
+        ("add(eps)", "position 8: expected ',', found ')'"),
+        ("add(1/2,eps)", "position 5: expected an umbra expression, found '1/2'"),
+    ],
+)
+def test_parse_errors_quote_what_was_typed(spec, message, capsys):
+    assert run_cli(["umbra", spec], capsys) == (cli.EXIT_PARSE, "", f"error: parse error at {message}\n")
 
 
 LITERAL = re.compile(r"[-0-9][0-9/]*")
@@ -413,17 +426,6 @@ def test_verify_duality_passes(capsys):
     assert "PASS singleton-bell-duality" in out
 
 
-def test_verify_reports_failures(capsys, monkeypatch):
-    def fake_run_suites(names, order, seed):
-        return [CheckResult("made-up-identity", False, "lhs=0 rhs=1")]
-
-    monkeypatch.setattr(cli, "run_suites", fake_run_suites)
-    code, out, _ = run_cli(["verify", "abel"], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "FAIL made-up-identity" in out
-    assert "lhs=0 rhs=1" in out
-
-
 def test_verify_failure_carries_repro_command(capsys, monkeypatch):
     monkeypatch.setattr(verify, "abel_identity_failure", lambda a, g, d: "n=1 lhs=0 rhs=1")
     repro = "; repro: umbral verify abel --order 4 --seed 7"
@@ -437,236 +439,6 @@ def test_verify_failure_carries_repro_command(capsys, monkeypatch):
     details = [r["detail"] for r in json.loads(out)]
     assert details[0].endswith(repro)
     assert details[1:] == [""] * (len(details) - 1)
-
-
-def _off_by_one_in_m3(route):
-    def broken(*args):
-        moments = list(route(*args).moments)
-        moments[3] += 1
-        return Umbra(moments)
-
-    return broken
-
-
-def test_moment_transform_compares_two_routes(capsys, monkeypatch):
-    # a broken composition umbra is a FAIL line with its repro, not an exception
-    import umbral.sheffer
-
-    monkeypatch.setattr(umbral.sheffer, "composition_umbra", _off_by_one_in_m3(composition_umbra))
-    repro = "; repro: umbral verify riordan-group --order 4 --seed 1\n"
-    code, out, _ = run_cli(["verify", "riordan-group", "--order", "4", "--seed", "1"], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert "FAIL pair-composition-matches-matrix-product\n" in out
-    assert out.count(repro) == 1
-    # the suite's umbra route is checked against the matrix route of ftra_apply
-    monkeypatch.setattr(verify, "composition_umbra", _off_by_one_in_m3(composition_umbra))
-    code, out, _ = run_cli(["verify", "riordan-group", "--order", "4", "--seed", "1"], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert f"FAIL moment-transform-two-routes\n  counterexample: trial=0{repro}" in out
-
-
-def test_riordan_checks_report_a_broken_product(capsys, monkeypatch):
-    # array equality decides the group checks: one numerator off in every
-    # matrix product is a FAIL line with its repro
-    from umbral.sheffer import RiordanArray, riordan_multiply
-
-    argv = ["verify", "riordan-group", "--order", "4", "--seed", "1"]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == cli.EXIT_OK and "FAIL" not in out
-
-    def broken(a, b):
-        product = riordan_multiply(a, b)
-        rows = [list(row) for row in product.rows]
-        rows[-1][0] += 1
-        return RiordanArray(product.pair, rows, product.denominator, product.flavor)
-
-    monkeypatch.setattr(verify, "riordan_multiply", broken)
-    code, out, _ = run_cli(argv, capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    detail = lines[lines.index("FAIL pair-composition-matches-matrix-product") + 1]
-    assert detail.startswith("  counterexample: trial=0 gamma=[")
-    assert detail.endswith("; repro: umbral verify riordan-group --order 4 --seed 1")
-
-
-def test_abel_identity_reads_the_moment_transform(capsys, monkeypatch):
-    # the right side of the Abel identity is the array of (delta, alpha)
-    # applied to the Abel weights: one numerator off in every moment
-    # transform fails that identity alone
-    from umbral.sheffer import ftra_apply
-
-    def broken(a, seq):
-        image = ftra_apply(a, seq)
-        num = list(image.numerators)
-        num[-1] += 1
-        return Umbra(num, image.denominator)
-
-    monkeypatch.setattr(verify, "ftra_apply", broken)
-    code, out, _ = run_cli(["verify", "abel", "--order", "6", "--seed", "3"], capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    detail = lines[lines.index("FAIL abel-identity") + 1]
-    assert detail.startswith("  counterexample: trial=0 n=6 lhs=")
-    assert detail.endswith("; repro: umbral verify abel --order 6 --seed 3")
-    assert "PASS abel-binomial-identity" in lines
-    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL abel-identity"]
-
-
-def test_abel_identity_reads_the_series_product(capsys, monkeypatch):
-    # the left side of the Abel identity is the umbra of f_delta * f_gamma:
-    # a broken moment sum leaves it passing, a broken series product fails it
-    from umbral import series
-    from umbral.series import TruncatedSeries, multiply
-    from umbral.umbra import add
-
-    argv = ["verify", "abel", "--order", "6", "--seed", "3"]
-    monkeypatch.setattr(verify, "add", _off_by_one_in_m3(add))
-    code, out, _ = run_cli(argv, capsys)
-    assert code == cli.EXIT_OK
-    assert "PASS abel-identity\n" in out
-
-    def broken(f, g):
-        h = multiply(f, g)
-        num = list(h.numerators)
-        num[-1] += 1
-        return TruncatedSeries(num, h.denominator)
-
-    monkeypatch.setattr(series, "multiply", broken)
-    code, out, _ = run_cli(argv, capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL abel-identity"]
-    detail = lines[lines.index("FAIL abel-identity") + 1]
-    assert detail.startswith("  counterexample: trial=0 n=6 lhs=")
-
-
-def test_no_oracle_reads_the_dot_power_table(capsys, monkeypatch):
-    # one numerator off in k.u for k = 2 of every shared table: the moment
-    # routes that read it fail against their series oracles, and a suite
-    # whose checks never read it still passes
-    import umbral.umbra
-
-    build = umbral.umbra._dot_power_table
-
-    def broken(u, sign):
-        table = list(build(u, sign))
-        if len(table) > 2:
-            num = list(table[2].numerators)
-            num[1] += 1
-            table[2] = Umbra(num, table[2].denominator)
-        return tuple(table)
-
-    monkeypatch.setattr(umbral.umbra, "_dot_power_table", broken)
-    code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
-    assert code == cli.EXIT_VERIFY
-    repro = "; repro: umbral verify lif --order 6 --seed 0"
-    lines = out.splitlines()
-    for name in ("lagrange-inversion-moments", "composition-two-routes"):
-        detail = lines[lines.index(f"FAIL {name}") + 1]
-        assert detail.startswith("  counterexample: trial=")
-        assert detail.endswith(repro)
-    code, out, _ = run_cli(["verify", "duality", "--order", "6"], capsys)
-    assert code == cli.EXIT_OK
-    assert "FAIL" not in out
-
-
-def test_lagrange_coefficients_read_the_series_power(capsys, monkeypatch):
-    # one added to the constant coefficient of every series power: the
-    # coefficient check reads f_a^(-n) off series.power and fails; the checks
-    # that never raise a series to a power still pass
-    from umbral import series
-    from umbral.series import TruncatedSeries, power
-
-    def broken(f, a):
-        coeffs = list(power(f, a).coeffs)
-        coeffs[0] += 1
-        return TruncatedSeries(coeffs)
-
-    monkeypatch.setattr(series, "power", broken)
-    code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    detail = lines[lines.index("FAIL lagrange-inversion-coefficients") + 1]
-    assert detail.startswith("  counterexample: trial=0 n=")
-    assert detail.endswith("; repro: umbral verify lif --order 6 --seed 0")
-    assert "PASS lagrange-inversion-moments" in lines
-    assert "PASS composition-two-routes" in lines
-    assert "PASS derivative-inverse-relation" in lines
-
-
-def test_composition_oracles_read_the_series_compose(capsys, monkeypatch):
-    # one added to the last numerator of every series composition: the two
-    # lif checks whose oracle is f_g(revert(z f_a)) or f_g(z f_a) fail, and
-    # the checks that compose no series still pass
-    from umbral import series
-    from umbral.series import TruncatedSeries, compose
-
-    def broken(f, g):
-        h = compose(f, g)
-        num = list(h.numerators)
-        num[-1] += 1
-        return TruncatedSeries(num, h.denominator)
-
-    monkeypatch.setattr(series, "compose", broken)
-    code, out, _ = run_cli(["verify", "lif", "--order", "6"], capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    for name in ("lagrange-inversion-moments", "composition-two-routes"):
-        detail = lines[lines.index(f"FAIL {name}") + 1]
-        assert detail.startswith("  counterexample: trial=0 moment=[")
-        assert detail.endswith("; repro: umbral verify lif --order 6 --seed 0")
-    assert "PASS lagrange-inversion-coefficients" in lines
-    assert "PASS derivative-inverse-relation" in lines
-
-
-def test_coefficient_extraction_reads_the_series_array(capsys, monkeypatch):
-    # one numerator off in every series-extraction array: the two checks that
-    # take it as their oracle, the extraction and the Abel form, fail; the
-    # checks that read only the kernel-built array still pass
-    from umbral.sheffer import RiordanArray, riordan_array_series
-
-    def broken(pair):
-        array = riordan_array_series(pair)
-        rows = [list(row) for row in array.rows]
-        rows[-1][0] += 1
-        return RiordanArray(pair, rows, array.denominator, array.flavor)
-
-    monkeypatch.setattr(verify, "riordan_array_series", broken)
-    code, out, _ = run_cli(["verify", "sheffer", "--order", "6"], capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL sheffer-coefficient-extraction",
-        "FAIL sheffer-abel-representation",
-    ]
-    for name in ("sheffer-coefficient-extraction", "sheffer-abel-representation"):
-        detail = lines[lines.index(f"FAIL {name}") + 1]
-        assert detail.startswith("  counterexample: trial=0 gamma=[")
-        assert detail.endswith("; repro: umbral verify sheffer --order 6 --seed 0")
-    assert "PASS sheffer-monic" in lines
-
-
-def test_abel_representation_reads_the_series_array(capsys, monkeypatch):
-    # one numerator off in the iterated sums that build the coefficient
-    # table: the kernel-built array fails its extraction check, and the Abel
-    # form, whose oracle is the series array, still passes
-    import umbral.sheffer
-    from umbral.umbra import iterated_sums
-
-    def broken(start, v):
-        sums = iterated_sums(start, v)
-        last = sums[1]
-        num = list(last.numerators)
-        num[-1] += 1
-        return [sums[0], Umbra(num, last.denominator)] + sums[2:]
-
-    monkeypatch.setattr(umbral.sheffer, "iterated_sums", broken)
-    code, out, _ = run_cli(["verify", "sheffer", "--order", "6"], capsys)
-    assert code == cli.EXIT_VERIFY
-    lines = out.splitlines()
-    detail = lines[lines.index("FAIL sheffer-coefficient-extraction") + 1]
-    assert detail.endswith("; repro: umbral verify sheffer --order 6 --seed 0")
-    assert "PASS sheffer-abel-representation" in lines
 
 
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):

@@ -225,21 +225,6 @@ def test_pidduck_mittag_leffler_quotient():
     assert pidduck_quotient_failure(8) is None
 
 
-def test_family_checks_report_a_broken_row(monkeypatch):
-    # each shared check names its first counterexample once row 2 is off
-    master = families.master_table
-
-    def broken(nmax, p, ordinary=False):
-        rows, d = master(nmax, p, ordinary)
-        return [row * (3 if n == 2 else 1) for n, row in enumerate(rows)], d
-
-    monkeypatch.setattr(families, "master_table", broken)
-    assert chebyshev_recurrence_failure(10) == "n=2 got=12x^2 - 3 expected=4x^2 - 1"
-    assert pidduck_quotient_failure(8) == "n=2"
-    assert master_degenerate_slots_failure(6, (F(0), F(3))) == "n=2 y=3"
-    assert master_degenerate_slots_failure(6, (None,)) == "n=2"
-
-
 # --- binomial-basis rows ---------------------------------------------------------------
 
 
