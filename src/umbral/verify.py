@@ -20,18 +20,16 @@ form; the riordan-group suite reuses the product of each trial's first
 two arrays in the associativity and flavor checks.
 
 ``ROUTES`` says what each printed identity compares, keyed by (suite,
-identity).  A route row is two computations of one value, given as the
-names each side reads, down to the series operations and the moment
-kernels; a law row, ``("law", names)``, is a property or a closed form
-that the computations it names must satisfy.  A name is the binding the
-call looks up, ``module.name``: a ``from`` import copies a function, so
-``verify.k_umbra`` and ``sheffer.k_umbra`` are two bindings.  Of the
-bindings the table names, a row names exactly those whose wrong result
-fails its check, and no name appears on both sides of a route; a law that
-holds whatever its functions return (the two sides of
-``gegenbauer-reduces-to-chebyshev`` build the same table) names nothing.
-``tests/test_routes.py`` perturbs each name in turn and sees exactly the
-rows that name it fail.
+identity).  A route row is two computations of one value, each side given
+as the names it reads, down to the series operations, the umbra/series
+bridge (``gf``, ``from_series``, ``series.to_exponential`` and
+``from_exponential``) and the moment kernels; a law row, ``("law",
+names)``, is a property or closed form that the names it reads must
+satisfy.  A name is the binding a call looks up: a ``from`` import copies
+a function, so ``verify.k_umbra`` and ``sheffer.k_umbra`` are two names.
+A row names exactly those of the table's names whose wrong result fails
+it, and no name is on both sides of a route.  ``tests/test_routes.py``
+perturbs each name in turn and sees exactly the rows that name it fail.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ from .umbra import (
 __all__ = [
     "CheckResult",
     "SUITE_NAMES",
-    "ROUTES",
     "run_suite",
     "run_suites",
     "random_umbra",
@@ -659,47 +656,45 @@ _SUITES = {
 # (suite, identity) -> (names one route reads, names the other reads), or
 # ("law", names the check reads); see the module docstring
 _ARRAY = "verify.riordan_array sheffer.iterated_sums"
-_SERIES_ARRAY = "verify.riordan_array_series series.multiply series.to_exponential"
-_GF = "families.gf_rows series.power series.to_exponential"
+_BRIDGE = "series.to_exponential series.from_exponential"
+_LIBRARY_GF = "umbra.gf umbra.from_series " + _BRIDGE  # umbra functions built on series
+_VERIFY_GF = "series.multiply verify.gf verify.from_series " + _BRIDGE
+_TABLE = "umbra._dot_power_table"
+_WEIGHTS = "verify._abel_weights verify.dot_scalar " + _TABLE
+_INVERSE = "verify.riordan_inverse sheffer.k_umbra " + _TABLE
+_SERIES_ARRAY = "verify.riordan_array_series sheffer.gf series.multiply " + _BRIDGE
+_GF = "families.gf_rows series.power " + _BRIDGE
 _EGF = _GF + " series.multiply series.exp series.log"
-_BELL_DOT = "verify.dot series.compose series.exp series.log series.to_exponential"
+_BELL_DOT = "verify.dot verify.bell series.compose series.exp series.log " + _LIBRARY_GF
 ROUTES = {
-    ("abel", "abel-identity"): (
-        "series.multiply series.to_exponential",
-        "verify.ftra_apply verify._abel_weights verify.dot_scalar umbra._dot_power_table " + _ARRAY),
+    ("abel", "abel-identity"): (_VERIFY_GF, f"verify.ftra_apply {_WEIGHTS} {_ARRAY}"),
     ("abel", "abel-identity-polynomial-form"): (
-        "series.multiply series.to_exponential",
-        "verify.substitute verify.dot_powers verify._abel_weights verify.dot_scalar "
-        "umbra._dot_power_table"),
-    ("abel", "abel-derivative-rule"): ("law", "verify.abel_expression umbra._dot_power_table"),
-    ("abel", "abel-binomial-identity"): ("law", "verify.abel_expression umbra._dot_power_table"),
+        _VERIFY_GF, f"verify.substitute verify.dot_powers {_WEIGHTS}"),
+    ("abel", "abel-derivative-rule"): ("law", "verify.abel_expression " + _TABLE),
+    ("abel", "abel-binomial-identity"): ("law", "verify.abel_expression " + _TABLE),
     ("lif", "lagrange-inversion-moments"): (
-        "verify.k_umbra umbra._dot_power_table",
-        "verify.k_umbra_series series.compose series.revert series.to_exponential"),
+        "verify.k_umbra " + _TABLE, "verify.k_umbra_series series.compose series.revert "
+        + _LIBRARY_GF),
     ("lif", "lagrange-inversion-coefficients"): (
-        "verify.k_umbra umbra._dot_power_table",
-        "series.power series.to_exponential"),
+        "verify.k_umbra " + _TABLE, "verify.gf series.power " + _BRIDGE),
     ("lif", "composition-two-routes"): (
-        "verify.composition_umbra umbra._dot_power_table",
-        "verify.composition_umbra_series series.compose series.to_exponential"),
-    ("lif", "derivative-inverse-relation"): ("law",
-        "verify.derivative_umbra verify.inverse_umbra verify.k_umbra verify.dot_scalar "
-        "series.revert series.to_exponential umbra._dot_power_table"),
+        "verify.composition_umbra " + _TABLE,
+        "verify.composition_umbra_series series.compose " + _LIBRARY_GF),
+    ("lif", "derivative-inverse-relation"): ("law", "verify.derivative_umbra verify.inverse_umbra "
+        f"verify.k_umbra verify.dot_scalar series.revert {_TABLE} {_LIBRARY_GF}"),
     ("duality", "singleton-bell-duality"): ("law", _BELL_DOT),
     ("duality", "bell-singleton-duality"): ("law", _BELL_DOT),
-    ("duality", "bell-moments"): ("law", "series.exp series.to_exponential"),
+    ("duality", "bell-moments"): ("law", "verify.bell series.exp umbra.from_series " + _BRIDGE),
     ("duality", "additive-identity"): ("law", "verify.add"),
     ("duality", "scalar-dot-multiplicative"): ("law", "verify.dot_scalar"),
     ("duality", "integer-dot-is-iterated-sum"): ("verify.dot_scalar", "verify.add"),
     ("duality", "dot-cancellation"): ("law", "verify.dot_scalar verify.add"),
-    ("duality", "inverse-involution"): ("law",
-        "verify.inverse_umbra series.revert series.to_exponential"),
-    ("duality", "dot-scalar-right"): ("law",
-        "verify.dot series.compose series.log series.to_exponential"),
+    ("duality", "inverse-involution"): ("law", "verify.inverse_umbra series.revert " + _LIBRARY_GF),
+    ("duality", "dot-scalar-right"): ("law", "verify.dot series.compose series.log " + _LIBRARY_GF),
     ("sheffer", "sheffer-coefficient-extraction"): (_ARRAY, _SERIES_ARRAY),
     ("sheffer", "sheffer-monic"): ("law", "verify.row_polynomials"),
     ("sheffer", "sheffer-abel-representation"): (
-        "verify.abel_representation sheffer.k_umbra umbra._dot_power_table",
+        "verify.abel_representation sheffer.k_umbra " + _TABLE,
         "verify.row_polynomials " + _SERIES_ARRAY),
     ("sheffer", "sheffer-identity"): ("law",
         "verify.row_polynomials verify.sheffer_sequence verify.substitute " + _ARRAY),
@@ -707,26 +702,22 @@ ROUTES = {
         "verify.sheffer_sequence verify.substitute sheffer.iterated_sums"),
     ("riordan-group", "identity-array"): ("law", _ARRAY),
     ("riordan-group", "pascal-array"): ("law", _ARRAY),
-    ("riordan-group", "signed-pascal-inverse"): ("law",
-        "verify.riordan_inverse sheffer.k_umbra sheffer.iterated_sums umbra._dot_power_table"),
+    ("riordan-group", "signed-pascal-inverse"): ("law", _INVERSE + " sheffer.iterated_sums"),
     ("riordan-group", "pascal-squared"): ("law", "verify.riordan_multiply " + _ARRAY),
     ("riordan-group", "pair-composition-matches-matrix-product"): ("law",
-        "verify.riordan_multiply sheffer.composition_umbra umbra._dot_power_table " + _ARRAY),
+        f"verify.riordan_multiply sheffer.composition_umbra {_TABLE} {_ARRAY}"),
     ("riordan-group", "identity-laws"): ("law", "verify.riordan_multiply " + _ARRAY),
     ("riordan-group", "inverse-two-sided"): ("law",
-        "verify.riordan_multiply verify.riordan_inverse sheffer.k_umbra umbra._dot_power_table "
-        + _ARRAY),
-    ("riordan-group", "inverse-involution"): ("law",
-        "verify.riordan_array verify.riordan_inverse sheffer.k_umbra umbra._dot_power_table"),
+        f"verify.riordan_multiply {_INVERSE} {_ARRAY}"),
+    ("riordan-group", "inverse-involution"): ("law", "verify.riordan_array " + _INVERSE),
     ("riordan-group", "associativity"): ("law", "verify.riordan_multiply"),
     ("riordan-group", "flavor-conversion-multiplicative"): ("law",
         "verify.riordan_multiply verify.flavor_convert"),
     ("riordan-group", "flavor-conversion-involution"): ("law", "verify.flavor_convert"),
     ("riordan-group", "moment-transform-two-routes"): (
-        "verify.ftra_apply " + _ARRAY,
-        "series.multiply series.compose series.to_exponential"),
+        "verify.ftra_apply " + _ARRAY, "series.compose " + _VERIFY_GF),
     ("riordan-group", "pascal-shifts-bell"): ("law",
-        "verify.ftra_apply series.exp series.to_exponential " + _ARRAY),
+        f"verify.ftra_apply verify.bell series.exp umbra.from_series {_BRIDGE} {_ARRAY}"),
     ("riordan-group", "pascal-row-sums"): ("law", "verify.ftra_apply " + _ARRAY),
     ("families", "explicit-vs-gf:chebyshev-u"): ("families.master_table", _GF),
     ("families", "explicit-vs-gf:gegenbauer"): ("families.master_table", _GF),
@@ -741,8 +732,7 @@ ROUTES = {
     ("families", "master-degenerate-slots"): ("law", "families.master_table verify.binomial"),
     ("families", "master-degenerate-slots-indeterminate"): ("law", "families.master_table"),
     ("families", "master-explicit-vs-gf"): (
-        "families.master_table",
-        "families.master_gf_rows series.multiply series.power series.to_exponential"),
+        "families.master_table", "families.master_gf_rows series.multiply series.power " + _BRIDGE),
 }
 
 

@@ -15,6 +15,7 @@ import umbral
 from umbral import cli, verify
 from umbral.rationals import parse_rational
 from umbral.umbra import Umbra, bell, dot, singleton
+from umbral.verify import CheckResult
 
 
 def run_cli(args, capsys):
@@ -424,6 +425,17 @@ def test_verify_duality_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS singleton-bell-duality" in out
+
+
+def test_verify_reports_failures(capsys, monkeypatch):
+    def fake_run_suites(names, order, seed):
+        return [CheckResult("made-up-identity", False, "lhs=0 rhs=1")]
+
+    monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+    code, out, _ = run_cli(["verify", "abel"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert "FAIL made-up-identity" in out
+    assert "lhs=0 rhs=1" in out
 
 
 def test_verify_failure_carries_repro_command(capsys, monkeypatch):

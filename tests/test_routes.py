@@ -10,6 +10,7 @@ identity printed at orders 0, 1 and 6 and a binding for every name.
 
 import importlib
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -26,6 +27,8 @@ def _names(row) -> set:
 
 
 TARGETS = sorted({name for row in verify.ROUTES.values() for name in _names(row)})
+# targets returning a (values, extra) pair, bumped in their values only
+PAIRS = {"families.master_table", "series.to_exponential"}
 # how the shared ``*_failure`` checks name their first counterexample
 COUNTEREXAMPLES = {
     "families.master_table": {
@@ -48,8 +51,7 @@ COUNTEREXAMPLES = {
 def _bump(value):
     """A number moves one away from zero; a vector of numbers (the numerators
     of an umbra, series or polynomial) at index 1; an array at entry (1, 0);
-    a (values, extra) pair in its values; other sequences in every item; a
-    symbolic expression gains 1."""
+    other sequences in every item; a symbolic expression gains 1."""
     if isinstance(value, (int, Fraction)):
         return value + 1 if value >= 0 else value - 1
     if isinstance(value, RiordanArray):
@@ -60,8 +62,6 @@ def _bump(value):
         return type(value)(_bump(list(value.numerators)), value.denominator)
     if isinstance(value, UmbralPolynomial):
         return value + 1
-    if isinstance(value, tuple) and len(value) == 2:
-        return (_bump(value[0]), value[1])
     items = list(value)
     if not items or not isinstance(items[0], (int, Fraction)):
         return type(value)(map(_bump, items))
@@ -69,6 +69,7 @@ def _bump(value):
     return type(value)(items)
 
 
+@cache
 def _printed(order: int) -> set:
     return {(s, r.name) for s in verify.SUITE_NAMES for r in verify.run_suite(s, order, 0)}
 
@@ -117,7 +118,8 @@ def test_exactly_the_rows_naming_a_target_fail(target, capsys, monkeypatch):
     module, _, attr = target.partition(".")
     module = importlib.import_module(f"umbral.{module}")
     original = getattr(module, attr)
-    monkeypatch.setattr(module, attr, lambda *args, **kwargs: _bump(original(*args, **kwargs)))
+    bump = (lambda pair: (_bump(pair[0]), pair[1])) if target in PAIRS else _bump
+    monkeypatch.setattr(module, attr, lambda *args, **kwargs: bump(original(*args, **kwargs)))
     code = cli.main(["verify", "all", "--order", str(ORDER)])
     lines = capsys.readouterr().out.splitlines()
     failed = set()
