@@ -34,6 +34,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -120,10 +121,9 @@ def _tokenize(text: str):
             while j < len(text) and (text[j].isdigit() or text[j] == "/"):
                 j += 1
             literal = text[i:j]
-            num, slash, den = literal.partition("/")
             try:
-                value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            except (ValueError, ZeroDivisionError):
+                value = parse_rational(literal)
+            except ValueError:
                 raise SpecParseError(f"bad rational literal {literal!r}", i + 1)
             tokens.append(("rational", value, i))
             i = j
@@ -297,7 +297,7 @@ def render_umbra(u: Umbra, fmt: str, label: str):
 
 
 def render_matrix(array, fmt: str, note: str = ""):
-    size, den = len(array.rows), array.denominator
+    size, den = array.order + 1, array.denominator
     entries = [format_numerators(row, den) + ["0"] * (size - len(row)) for row in array.rows]
     if fmt == "json":
         _print_json({"order": array.order, "flavor": array.flavor, "entries": entries})
@@ -496,8 +496,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_rational_options(argv: list) -> list:
+    """argparse reads a value that starts with "-" as an option unless it looks
+    like a negative integer or decimal, so "--lam -1/2" would lose its value:
+    on ``family``, each rational option is joined to such a value, "--lam=-1/2"."""
+    if next((a for a in argv if not a.startswith("-")), None) != "family":
+        return argv
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    for i in range(end - 1, 0, -1):
+        if argv[i - 1] in ("--lam", "--b", "--c") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_rational_options(sys.argv[1:] if argv is None else argv)
     # riordan's action may follow an option: "riordan G A --order 3 inverse"
     args, extra = parser.parse_known_args(argv)
     if extra and args.command == "riordan" and not any(a.startswith("-") for a in extra):

@@ -11,7 +11,8 @@ Integer tops, by far the common case, take an exact integer fast path.
 scalar into the package: a ``float`` raises ``TypeError``.
 
 The canonical form.  An umbra (moments), a truncated series and a
-polynomial (coefficients) are each a vector of exact values, and each is a
+polynomial (coefficients) are each a vector of exact values, and so is a
+Riordan array (its entries (n, k), k <= n, row by row); each is a
 ``RationalVector``: integer numerators c_i over one denominator d, with
 d > 0 and gcd(d, c_0, c_1, ...) = 1, as ``lowest_terms`` leaves them, so
 equal vectors give equal (numerators, denominator) pairs.  It is built
@@ -19,17 +20,18 @@ from values v_i and an integer denominator D (default 1) as the vector
 v_i / D: integer values go straight to ``lowest_terms``, and any other
 value passes ``exact`` and is brought over the lcm of the denominators,
 so a ``float`` is refused and a ``str`` such as "1/2" is read as
-``Fraction`` reads it.  ``==`` and
-``hash`` compare the pair, between values of the same type only.  The
-arithmetic of the three types runs on the numerators, sums of products on
+``Fraction`` reads it.  ``==`` and ``hash`` compare the pair, between
+values of the same type only; an array compares its flavor as well.  The
+arithmetic of the four types runs on the numerators, sums of products on
 Python integers with one gcd pass per result; ``Fraction``s are built once,
-on the first read of the values (``moments`` or ``coeffs``), and kept.
-``shared_denominator`` lifts several such values onto one denominator, so
-sums of products across them (convolutions, matrix products) run on
-integers too.  A kernel whose output is a list of ``int``s by construction
-builds with ``from_integers``, which skips the per-value type test of the
-constructor; a subclass checks its own invariant (m_0 = 1, no trailing
-zero) in ``_adopt``, on both paths.
+on the first read of the values (``moments``, ``coeffs`` or an array's
+``entries``), and kept.  ``shared_denominator`` lifts several such values
+onto one denominator, so sums of products across them (convolutions,
+matrix products) run on integers too.  A kernel whose output is a list of
+``int``s by construction builds with ``from_integers``, which skips the
+per-value type test of the constructor; a subclass checks its own
+invariant (m_0 = 1, no trailing zero) in ``_adopt``, on both paths.  An
+array is built with its pair and flavor, and refuses ``from_integers``.
 
 Output reads the numerators as well: ``format_numerators`` writes each
 c_i / d as ``format_rational`` would write ``Fraction(c_i, d)``, from one
@@ -189,8 +191,13 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" back into an exact rational."""
+    """Parse "p" or "p/q" back into an exact rational; any other text goes to
+    ``Fraction``'s own parser, which reads "0.5" and "1e3" as well."""
+    num, slash, den = text.partition("/")
     try:
+        # "p" and "p/q", every literal of an umbra spec, skip Fraction's slower parser
+        if num.lstrip("-").isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc

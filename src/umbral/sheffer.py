@@ -20,9 +20,8 @@ carry their defining pair so every group operation can be verified on both
 the matrix side and the umbra side.  A product's pair (the composed pair)
 and a flavor conversion's pair are computed on first access, so matrix
 arithmetic that only reads entries never pays for pair composition.
-Like an umbra, an array is integer rows over one canonical denominator;
-every operation runs on the integers, and ``entries`` builds ``Fraction``s
-on first access.
+An array is a ``RationalVector`` of its entries, row by row, like an umbra
+of its moments, and every operation runs on its integer rows.
 
 The Abel form s_n(x) = E[(x + K)(x + K + n.K(alpha, alpha))^(n-1)], with
 K = K(gamma, alpha), is expanded through the moments of the two K umbrae
@@ -42,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import comb, lcm
+from itertools import chain, islice
+from math import comb, isqrt, lcm
 from operator import mul
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import factorial, lowest_terms, shared_denominator
+from .rationals import RationalVector, factorial, shared_denominator
 from .umbra import (
     Umbra,
     add,
@@ -98,27 +97,27 @@ class UmbraPair:
         return self.gamma.order
 
 
-class RiordanArray:
+class RiordanArray(RationalVector):
     """Exact lower-triangular matrix with its defining pair.
 
-    Entry (n, k) is ``rows[n][k] / denominator`` for k <= n, reduced to
-    denominator > 0 sharing no factor with all numerators, so ``==`` and
-    ``hash`` compare (flavor, rows, denominator).  The exponential flavor
-    has unit diagonal; the ordinary flavor rescales entry (n, k) by k!/n!.
-    ``pair`` may be given as a zero-argument callable; it is then called
-    on the first access of ``.pair``.
+    A ``RationalVector`` of the entries (n, k), k <= n, row by row: row n of
+    ``rows`` is a slice of n + 1 numerators over ``denominator``.  ``==``
+    compares the base's pair and the flavor.  The exponential flavor has
+    unit diagonal; the ordinary flavor rescales entry (n, k) by k!/n!.
+    ``pair`` may be given as a zero-argument callable, called on first access.
     """
 
-    __slots__ = ("_pair", "rows", "denominator", "flavor", "_entries")
+    __slots__ = ("_pair", "flavor")
 
     def __init__(self, pair, rows, denominator: int, flavor: str):
-        rows = tuple(map(tuple, rows))
-        flat, self.denominator = lowest_terms([c for row in rows for c in row], denominator)
-        entries = iter(flat)
-        self._pair = pair
-        self.rows = tuple(tuple(islice(entries, len(row))) for row in rows)
-        self.flavor = flavor
-        self._entries = None
+        if any(len(row) != n + 1 for n, row in enumerate(rows)):
+            raise ValueError("row n of a Riordan array holds the n + 1 entries (n, 0..n)")
+        super().__init__(chain.from_iterable(rows), denominator)
+        self._pair, self.flavor = pair, flavor
+
+    @classmethod
+    def from_integers(cls, numerators, denominator: int = 1):
+        raise TypeError("a Riordan array is built as RiordanArray(pair, rows, denominator, flavor)")
 
     @property
     def pair(self) -> UmbraPair:
@@ -128,30 +127,29 @@ class RiordanArray:
 
     @property
     def order(self) -> int:
-        return len(self.rows) - 1
+        return (isqrt(8 * len(self._num) + 1) - 3) // 2
+
+    @property
+    def rows(self) -> tuple:
+        num = self._num
+        return tuple(num[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(self.order + 1))
 
     @property
     def entries(self) -> tuple:
-        """The square table of entries as ``Fraction``s, built on first access."""
-        if self._entries is None:
-            d, size = self.denominator, len(self.rows)
-            zero = (Fraction(0),)
-            self._entries = tuple(
-                tuple(Fraction(c, d) for c in row) + zero * (size - len(row)) for row in self.rows
-            )
-        return self._entries
+        """The square table of entries as ``Fraction``s, zero above the diagonal."""
+        values, size, zero = iter(self._values), self.order + 1, (Fraction(0),)
+        return tuple(tuple(islice(values, n + 1)) + zero * (size - n - 1) for n in range(size))
 
     def entry(self, n: int, k: int) -> Fraction:
-        return self.entries[n][k]
-
-    def _key(self):
-        return self.denominator, self.flavor, self.rows
+        return self._values[n * (n + 1) // 2 + k] if k <= n else Fraction(0)
 
     def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, RiordanArray) else NotImplemented
+        if type(other) is not RiordanArray:
+            return NotImplemented
+        return self.flavor == other.flavor and super().__eq__(other)
 
-    def __hash__(self):
-        return hash(self._key())
+    # a class that defines __eq__ drops the inherited __hash__
+    __hash__ = RationalVector.__hash__
 
 
 def identity_pair(order: int) -> UmbraPair:
@@ -174,8 +172,7 @@ def _coefficient_table(pair: UmbraPair):
 def row_polynomials(array: RiordanArray) -> tuple:
     """Row n of the array as the polynomial sum_k entry(n, k) x^k, n = 0..N;
     for the exponential array of a pair, its Sheffer sequence."""
-    den = array.denominator
-    return tuple(Polynomial.from_integers(row, den) for row in array.rows)
+    return tuple(Polynomial.from_integers(row, array.denominator) for row in array.rows)
 
 
 def sheffer_sequence(pair: UmbraPair) -> tuple:
@@ -280,7 +277,8 @@ def riordan_multiply(a: RiordanArray, b: RiordanArray) -> RiordanArray:
         raise ValueError(f"Riordan flavor mismatch: {a.flavor} vs {b.flavor}")
     if a.order != b.order:
         raise ValueError(f"Riordan order mismatch: {a.order} vs {b.order}")
-    columns = [[row[k] for row in b.rows[k:]] for k in range(len(b.rows))]
+    b_rows = b.rows
+    columns = [[row[k] for row in b_rows[k:]] for k in range(len(b_rows))]
     rows = [
         [sum(map(mul, row[k : n + 1], columns[k])) for k in range(n + 1)]
         for n, row in enumerate(a.rows)

@@ -410,6 +410,40 @@ def test_family_bad_rational_option(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gegenbauer", "--lam", "-1/2"],
+        ["meixner1", "--b", "-1/2", "--c", "3"],
+        ["meixner1", "--b", "1", "--c", "-1/3"],
+        ["gegenbauer", "--lam", "-1"],
+        ["gegenbauer", "--lam", "-1/0"],
+    ],
+)
+def test_family_option_takes_a_negative_rational_after_a_space(capsys, argv):
+    # "--lam -1/2" prints what "--lam=-1/2" prints, though argparse alone
+    # reads "-1/2" as an option
+    joined = [argv[0]] + [f"{option}={value}" for option, value in zip(argv[1::2], argv[2::2])]
+    expected = run_cli(["family", *joined, "--nmax", "3"], capsys)
+    assert expected[0] in (cli.EXIT_OK, cli.EXIT_PARSE)
+    assert run_cli(["family", *argv, "--nmax", "3"], capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        ("family gegenbauer --lam --c -1/2", "family gegenbauer --lam --c=-1/2"),
+        ("family meixner1 --b -.5 --c -3", "family meixner1 --b=-.5 --c=-3"),
+        ("family gegenbauer --lam -x", None),
+        ("family gegenbauer --nmax -1 --lam 1/2", None),
+        ("family gegenbauer -- --lam -1/2", None),
+        ("umbra chi --lam -1/2", None),
+    ],
+)
+def test_only_a_family_rational_option_is_joined(argv, joined):
+    assert cli._join_rational_options(argv.split()) == (joined or argv).split()
+
+
 def test_family_negative_nmax(capsys):
     code, out, err = run_cli(["family", "chebyshev-u", "--nmax", "-3"], capsys)
     assert code == cli.EXIT_PRECONDITION

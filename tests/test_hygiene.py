@@ -7,7 +7,9 @@ in the module's ``__all__``.  Every module-level private function or class
 Every name in a module's ``__all__`` is bound at the module's top level.
 An import or a helper left behind when its last use is deleted, or an
 export left behind when its definition is, fails here, with the module and
-the name.
+the name.  Every class with a ``denominator`` (a method or property, a
+class attribute, a slot or a ``self.denominator`` store) derives from
+``rationals.RationalVector``, so exact values keep one canonical form.
 
 The benchmark harness in ``benchmarks/`` names package functions as data:
 the layers its tracer wraps, the metrics it reports inclusive time and
@@ -157,6 +159,89 @@ def test_the_check_sees_a_dead_helper():
         ),
     }
     assert _unreferenced_helpers(sources) == ["series.py line 1: _numerators"]
+
+
+def _class_attributes(node: ast.ClassDef) -> set:
+    """The attribute names a class binds: its methods, the names assigned in
+    its body (and the strings of its ``__slots__``), and ``self.name`` stores."""
+    names = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if "__slots__" in bound:
+                bound.update(ast.literal_eval(stmt.value))
+            names |= bound
+    return names | {
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and ast.unparse(n.value) == "self"
+    }
+
+
+def _classes_off_the_base(sources: dict) -> list:
+    """``module line n: name`` for each class of ``sources`` (module name ->
+    source text) that has a ``denominator`` but does not derive from
+    ``RationalVector`` through classes of ``sources``."""
+    classes = {
+        node.name: (module, node)
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def derives(name: str) -> bool:
+        bases = classes[name][1].bases if name in classes else ()
+        return name == "RationalVector" or any(derives(ast.unparse(b).rpartition(".")[2]) for b in bases)
+
+    return [
+        f"{module} line {node.lineno}: {name}"
+        for name, (module, node) in classes.items()
+        if "denominator" in _class_attributes(node) and not derives(name)
+    ]
+
+
+def test_every_exact_value_is_a_rational_vector():
+    # one canonical form: a class with a denominator is a rationals.RationalVector
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _classes_off_the_base(sources) == []
+
+
+def test_the_check_sees_a_stray_class():
+    sources = {
+        "rationals.py": (
+            "class RationalVector:\n"
+            "    __slots__ = ('_num', '_den')\n"
+            "    @property\n"
+            "    def denominator(self):\n"
+            "        return self._den\n"
+        ),
+        "umbra.py": (
+            "from .rationals import RationalVector\n"
+            "class Umbra(RationalVector):\n"
+            "    pass\n"
+            "class Moments(Umbra):\n"
+            "    denominator: int = 1\n"
+        ),
+        "sheffer.py": (
+            "from . import rationals\n"
+            "class Array(rationals.RationalVector):\n"
+            "    def scale(self, denominator):\n"
+            "        self.denominator = denominator\n"
+            "class Table:\n"
+            "    __slots__ = ('rows', 'denominator')\n"
+            "class Grid:\n"
+            "    def __init__(self, rows, d):\n"
+            "        self.rows, self.denominator = rows, d\n"
+            "class Pair:\n"
+            "    def scale(self, other):\n"
+            "        denominator = 2\n"
+            "        other.denominator = denominator\n"
+        ),
+    }
+    assert _classes_off_the_base(sources) == ["sheffer.py line 5: Table", "sheffer.py line 7: Grid"]
 
 
 def _assigned(tree: ast.Module, name: str):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from umbral import cli
 from umbral.families import FAMILY_NAMES, family_polynomial, family_table, gf_oracle, gf_rows
 from umbral.polynomials import Polynomial
+from umbral.rationals import lowest_terms
 from umbral.series import TruncatedSeries, exp, log, power
 from umbral.sheffer import (
     RiordanArray,
@@ -386,18 +387,23 @@ def test_flavor_conversion_is_involutive_and_multiplicative(us):
 
 
 def assert_canonical_array(r):
+    # a RationalVector of the entries row by row: the rows are slices of its numerators
     assert r.denominator > 0
-    assert gcd(r.denominator, *(c for row in r.rows for c in row)) == 1
+    assert gcd(r.denominator, *r.numerators) == 1
     assert [len(row) for row in r.rows] == list(range(1, r.order + 2))
+    assert sum(r.rows, ()) == r.numerators
 
 
 @settings(max_examples=25, deadline=None)
 @given(umbra_lists(4, 4), st.integers(min_value=1, max_value=10**6))
 def test_array_equality_is_equality_of_entries(us, s):
     # arrays drawn from products, inverses and both flavors, with pairs that
-    # are equal (a group law holds) and pairs that differ in entries or flavor
+    # are equal (a group law holds) and pairs that differ in entries or flavor;
+    # the identity has the same values in both flavors
     a, b = riordan_array(UmbraPair(us[0], us[1])), riordan_array(UmbraPair(us[2], us[3]))
     product, inverse = riordan_multiply(a, b), riordan_inverse(a)
+    identity = riordan_array(identity_pair(a.order))
+    ordinary_identity = flavor_convert(identity)
     arrays = [
         a,
         b,
@@ -405,7 +411,8 @@ def test_array_equality_is_equality_of_entries(us, s):
         inverse,
         riordan_inverse(inverse),
         riordan_multiply(a, inverse),
-        riordan_array(identity_pair(a.order)),
+        identity,
+        ordinary_identity,
         flavor_convert(a),
         flavor_convert(product),
         riordan_multiply(flavor_convert(a), flavor_convert(b)),
@@ -419,8 +426,19 @@ def test_array_equality_is_equality_of_entries(us, s):
         ),
     ]
     assert arrays[-1] == product
+    assert (product.numerators, product.denominator) == lowest_terms(
+        [-s * c for c in product.numerators], -s * product.denominator
+    )
+    assert ordinary_identity.numerators == identity.numerators and ordinary_identity != identity
+    size = a.order + 1
     for x in arrays:
         assert_canonical_array(x)
+        assert [[x.entry(n, k) for k in range(size)] for n in range(size)] == list(map(list, x.entries))
+        # the same pair in another type of the base is another value
+        for cls in (Umbra, TruncatedSeries, Polynomial):
+            twin = cls(x.numerators, x.denominator)
+            assert (twin.numerators, twin.denominator) == (x.numerators, x.denominator)
+            assert x != twin and twin != x
         for y in arrays:
             same = (x.flavor, x.entries) == (y.flavor, y.entries)
             assert (x == y) is same and (x != y) is not same

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -11,14 +12,18 @@ from umbral.rationals import (
     factorial,
     format_numerators,
     format_rational,
+    lowest_terms,
     parse_rational,
     shared_denominator,
 )
 from umbral.polynomials import Polynomial
 from umbral.series import TruncatedSeries
+from umbral.sheffer import RiordanArray
 from umbral.umbra import Umbra
 
 VECTOR_TYPES = (Umbra, TruncatedSeries, Polynomial)
+# vector length -> rows of the array whose entries, row by row, it holds
+TRIANGLES = {n * (n + 1) // 2: n for n in range(1, 5)}
 
 
 def product_oracle(top, k):
@@ -114,10 +119,12 @@ def test_format_parse_roundtrip():
         assert parse_rational(format_rational(v)) == v
     assert format_rational(Fraction(6, 3)) == "2"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
-    with pytest.raises(ValueError):
-        parse_rational("not-a-number")
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
+    # "p" and "p/q" skip Fraction's parser; every text reads as Fraction reads it
+    for text in ("-0/5", "007/014", " 3/4 ", "+3", "0.5", "-1e3", "1_000", "١٢/٣"):
+        assert parse_rational(text) == Fraction(text.strip())
+    for text in ("not-a-number", "1/0", "-0/0", "--3", "3/-4", "-", "1/", "/2", "1//2", ""):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_format_rational_other_inputs():
@@ -154,17 +161,37 @@ def test_integer_values_skip_fractions_for_the_same_pair(cls):
         assert values_of(v) == tuple(Fraction(c, v.denominator) for c in v.numerators)
         assert values_of(v) is values_of(v) and all(type(x) is Fraction for x in values_of(v))
         if ints[-1]:  # no trailing zero for the polynomial to trim
-            for other in VECTOR_TYPES:
-                if other is not cls:
-                    twin = other(ints, d)
-                    assert (twin.numerators, twin.denominator) == pair
-                    assert v != twin and twin != v
+            twins = [other(ints, d) for other in VECTOR_TYPES if other is not cls]
+            if len(ints) in TRIANGLES:  # the entries of an array, row by row
+                rows = [ints[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] for n in range(TRIANGLES[len(ints)])]
+                twins.append(RiordanArray(None, rows, d, "exponential"))
+            for twin in twins:
+                assert (twin.numerators, twin.denominator) == pair
+                assert v != twin and twin != v
     for floats in ([1, 0.5], [1.0], [1, 0.0]):
         with pytest.raises(TypeError):
             cls(floats)
     for values in ([], [3, 0], [Fraction(3), Fraction(0)]):
         with pytest.raises(ZeroDivisionError):
             cls(values, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=6),
+    st.integers(min_value=-(10**6), max_value=10**6).filter(bool) | st.sampled_from([-720, 6, 2**40]),
+)
+def test_lowest_terms_matches_the_fraction_reference(numerators, denominator):
+    # Fraction reduces each value on its own: the canonical denominator is the
+    # lcm of theirs, and each numerator the value over it
+    values = [Fraction(c, denominator) for c in numerators]
+    den = 1
+    for v in values:
+        den = den * v.denominator // gcd(den, v.denominator)
+    expected = tuple(v.numerator * (den // v.denominator) for v in values)
+    assert lowest_terms(numerators, denominator) == (expected, den)
+    with pytest.raises(ZeroDivisionError):
+        lowest_terms(numerators, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,3 +220,12 @@ def test_from_integers_is_the_constructor_on_integer_lists(cls):
     with pytest.raises(ValueError):
         TruncatedSeries.from_integers([])
     assert Polynomial.from_integers([3, 0, 0], 6).numerators == (1,)
+    # an array is built with its pair and flavor, and row n holds n + 1 entries
+    with pytest.raises(TypeError):
+        RiordanArray.from_integers([1, 0, 1], 1)
+    with pytest.raises(TypeError):
+        RiordanArray([1, 0, 1], 1)
+    with pytest.raises(ValueError):
+        RiordanArray(None, [[1], [0, 1, 0]], 1, "exponential")
+    with pytest.raises(ValueError):
+        RiordanArray(None, [[1], [0], [0, 0, 1]], 1, "exponential")

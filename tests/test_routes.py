@@ -54,7 +54,7 @@ def _bump(value):
     other sequences in every item; a symbolic expression gains 1."""
     if isinstance(value, (int, Fraction)):
         return value + 1 if value >= 0 else value - 1
-    if isinstance(value, RiordanArray):
+    if isinstance(value, RiordanArray):  # before its base: an array needs its pair and flavor
         rows = [list(row) for row in value.rows]
         rows[1][0] += 1
         return RiordanArray(value._pair, rows, value.denominator, value.flavor)
