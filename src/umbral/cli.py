@@ -499,13 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_rational_options(argv: list) -> list:
     """argparse reads a value that starts with "-" as an option unless it looks
     like a negative integer or decimal, so "--lam -1/2" would lose its value:
-    on ``family``, each rational option is joined to such a value, "--lam=-1/2"."""
+    on ``family``, each rational option is joined to such a value, "--lam=-1/2".
+    "--l" and "--la" are the prefixes argparse resolves to "--lam"; "--b" and
+    "--c" have none shorter."""
     if next((a for a in argv if not a.startswith("-")), None) != "family":
         return argv
     argv = list(argv)
     end = argv.index("--") if "--" in argv else len(argv)
     for i in range(end - 1, 0, -1):
-        if argv[i - 1] in ("--lam", "--b", "--c") and re.match(r"-[\d.]", argv[i]):
+        if argv[i - 1] in ("--l", "--la", "--lam", "--b", "--c") and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     return argv
 

@@ -191,13 +191,8 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" back into an exact rational; any other text goes to
-    ``Fraction``'s own parser, which reads "0.5" and "1e3" as well."""
-    num, slash, den = text.partition("/")
+    """Parse "p" or "p/q" back into an exact rational."""
     try:
-        # "p" and "p/q", every literal of an umbra spec, skip Fraction's slower parser
-        if num.lstrip("-").isdecimal() and (den.isdecimal() or not slash):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc

@@ -414,6 +414,8 @@ def test_family_bad_rational_option(capsys, argv):
     "argv",
     [
         ["gegenbauer", "--lam", "-1/2"],
+        ["gegenbauer", "--la", "-1/2"],
+        ["gegenbauer", "--l", "-1/2"],
         ["meixner1", "--b", "-1/2", "--c", "3"],
         ["meixner1", "--b", "1", "--c", "-1/3"],
         ["gegenbauer", "--lam", "-1"],
