@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .rationals import RationalVector, factorial, format_numerators
+from .rationals import RationalVector, exact, factorial, format_numerators
 
 __all__ = ["Polynomial", "binomial_poly", "falling_factorial_poly", "integer_product"]
 
@@ -62,6 +62,9 @@ class Polynomial(RationalVector):
         return not self._num
 
     def __call__(self, value):
+        """The value at an exact rational, or the composition with a polynomial."""
+        if not isinstance(value, Polynomial):
+            value = exact(value)
         result = 0
         for c in reversed(self._num):
             result = result * value + c

@@ -54,7 +54,7 @@ from math import comb, gcd
 from operator import mul
 
 from .polynomials import Polynomial
-from .rationals import RationalVector, factorial, lowest_terms
+from .rationals import RationalVector, exact, factorial, lowest_terms
 
 __all__ = [
     "TruncatedSeries",
@@ -275,7 +275,7 @@ def power(f: TruncatedSeries, a) -> TruncatedSeries:
     """
     if f._num[0] != f._den:
         raise ValueError("power needs a series with constant term 1")
-    p, q = (a, 1) if isinstance(a, Polynomial) else (a.numerator, a.denominator)
+    p, q = (a, 1) if type(a) is int or isinstance(a, Polynomial) else exact(a).as_integer_ratio()
     c, d = to_exponential(f)
     qd = q * d
     terms = [(k, c[k] * qd ** (k - 1)) for k in range(1, len(c)) if c[k] != 0]

@@ -12,6 +12,14 @@ written once, as an ``<identity>_failure`` function that returns the first
 counterexample (as ``n=… lhs=… rhs=…`` text) or None; the suites and the
 tests call the same functions on their own draws.
 
+A suite is a generator of checks ``(identity, ok, detail)``, where
+``detail`` is the counterexample text or a zero-argument callable that
+builds it.  ``run_suite`` folds the stream into one ``CheckResult`` per
+identity, in the order first checked, and keeps the first counterexample:
+it calls ``detail`` at that failure, while the suite waits at the check and
+its draw is still current, so a passing run never builds the text.  A crash
+anywhere in the stream is the suite's one failed check.
+
 A suite builds each value once and reads it wherever it is needed: the
 sheffer suite reads its Sheffer sequence off the Riordan array it checks,
 with ``sheffer.row_polynomials`` (the step ``sheffer_sequence`` itself
@@ -46,6 +54,7 @@ and ``math.comb`` (every binomial weight) by
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -109,27 +118,12 @@ __all__ = [
     "master_degenerate_slots_failure",
 ]
 
-SUITE_NAMES = ("abel", "lif", "duality", "sheffer", "riordan-group", "families")
-
 
 @dataclass
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-class _Recorder:
-    """Collects per-identity outcomes; keeps only the first counterexample."""
-
-    def __init__(self):
-        self.results: dict[str, CheckResult] = {}  # in the order first checked
-
-    def check(self, name: str, ok: bool, detail=""):
-        """``detail`` is a string, or a callable that builds it at the first failure."""
-        entry = self.results.setdefault(name, CheckResult(name, True))
-        if not ok and entry.passed:
-            entry.passed, entry.detail = False, detail() if callable(detail) else detail
 
 
 def random_umbra(rng: Random, order: int) -> Umbra:
@@ -229,15 +223,14 @@ def abel_binomial_identity_failure(u: Umbra, n_max: int):
     return None if bad is None else f"n={bad}"
 
 
-def suite_abel(order: int, seed: int) -> list[CheckResult]:
+def suite_abel(order: int, seed: int) -> Iterator[tuple]:
     """The Abel expansion of binomial moments and its polynomial corollaries."""
     rng = Random(seed)
-    rec = _Recorder()
 
     for trial in range(25):
         a, g, d = (random_umbra(rng, order) for _ in range(3))
         bad = abel_identity_failure(a, g, d)
-        rec.check(
+        yield (
             "abel-identity",
             bad is None,
             lambda: f"trial={trial} {bad} alpha={_fmt(a)} gamma={_fmt(g)} delta={_fmt(d)}",
@@ -253,30 +246,25 @@ def suite_abel(order: int, seed: int) -> list[CheckResult]:
         polys += [_random_polynomial(rng_q, rng_q.randint(1, max_deg)) for _ in range(4)]
     a, g, d = (random_umbra(rng_q, order) for _ in range(3))
     bad = abel_polynomial_form_failure(a, g, d, polys)
-    rec.check("abel-identity-polynomial-form", bad is None, lambda: f"{bad} alpha={_fmt(a)}")
+    yield "abel-identity-polynomial-form", bad is None, lambda: f"{bad} alpha={_fmt(a)}"
 
     if order >= 1:  # the rule starts at degree 1; order 0 does not list it
         rng_d = Random(seed + 2)
         for trial in range(10):
             u = random_umbra(rng_d, order)
             bad = abel_derivative_rule_failure(u, min(order, 10))
-            rec.check(
-                "abel-derivative-rule", bad is None, lambda: f"trial={trial} {bad} u={_fmt(u)}"
-            )
+            yield "abel-derivative-rule", bad is None, lambda: f"trial={trial} {bad} u={_fmt(u)}"
 
     rng_b = Random(seed + 3)
     for trial in range(10):
         u = random_umbra(rng_b, order)
         bad = abel_binomial_identity_failure(u, min(order, 8))
-        rec.check("abel-binomial-identity", bad is None, lambda: f"trial={trial} {bad} u={_fmt(u)}")
-
-    return list(rec.results.values())
+        yield "abel-binomial-identity", bad is None, lambda: f"trial={trial} {bad} u={_fmt(u)}"
 
 
-def suite_lif(order: int, seed: int) -> list[CheckResult]:
+def suite_lif(order: int, seed: int) -> Iterator[tuple]:
     """Lagrange inversion: moment route vs series reversion, plus corollaries."""
     rng = Random(seed)
-    rec = _Recorder()
 
     for trial in range(25):
         g = random_umbra(rng, order)
@@ -284,7 +272,7 @@ def suite_lif(order: int, seed: int) -> list[CheckResult]:
 
         moment_route = k_umbra(g, a)
         series_route = k_umbra_series(g, a)
-        rec.check(
+        yield (
             "lagrange-inversion-moments",
             moment_route == series_route,
             lambda: f"trial={trial} moment={_fmt(moment_route)} series={_fmt(series_route)} "
@@ -301,7 +289,7 @@ def suite_lif(order: int, seed: int) -> list[CheckResult]:
                 rhs = sum(map(mul, fgd.numerators[:n], reversed(neg_power.numerators)))
                 den = fgd.denominator * neg_power.denominator
                 lhs_den = dk * factorial(n - 1)
-                rec.check(
+                yield (
                     "lagrange-inversion-coefficients",
                     k[n] * den == rhs * lhs_den,
                     lambda: f"trial={trial} n={n} lhs={Fraction(k[n], lhs_den)} "
@@ -311,7 +299,7 @@ def suite_lif(order: int, seed: int) -> list[CheckResult]:
         # composition umbra: binomial moment expansion vs series composition
         comp_m = composition_umbra(g, a)
         comp_s = composition_umbra_series(g, a)
-        rec.check(
+        yield (
             "composition-two-routes",
             comp_m == comp_s,
             lambda: f"trial={trial} moment={_fmt(comp_m)} series={_fmt(comp_s)}",
@@ -322,28 +310,25 @@ def suite_lif(order: int, seed: int) -> list[CheckResult]:
         if order >= 1:
             lhs = derivative_umbra(a)
             rhs = inverse_umbra(derivative_umbra(dot_scalar(-1, k_umbra(a, a))))
-            rec.check(
+            yield (
                 "derivative-inverse-relation",
                 lhs == rhs,
                 lambda: f"trial={trial} lhs={_fmt(lhs)} rhs={_fmt(rhs)} u={_fmt(a)}",
             )
 
-    return list(rec.results.values())
 
-
-def suite_duality(order: int, seed: int) -> list[CheckResult]:
+def suite_duality(order: int, seed: int) -> Iterator[tuple]:
     """Singleton/Bell duality and the small moment-algebra laws."""
     rng = Random(seed)
-    rec = _Recorder()
     chi = singleton(order)
     b = bell(order)
     unity = scalar_umbra(1, order)
     eps = augmentation(order)
 
-    rec.check("singleton-bell-duality", dot(chi, b) == unity, lambda: f"got {_fmt(dot(chi, b))}")
-    rec.check("bell-singleton-duality", dot(b, chi) == unity, lambda: f"got {_fmt(dot(b, chi))}")
+    yield "singleton-bell-duality", dot(chi, b) == unity, lambda: f"got {_fmt(dot(chi, b))}"
+    yield "bell-singleton-duality", dot(b, chi) == unity, lambda: f"got {_fmt(dot(b, chi))}"
     bell5 = bell(5)
-    rec.check(
+    yield (
         "bell-moments",
         bell5.moments == (1, 1, 2, 5, 15, 52),
         lambda: f"got {_fmt(bell5)}",
@@ -351,12 +336,12 @@ def suite_duality(order: int, seed: int) -> list[CheckResult]:
 
     for trial in range(10):
         u = random_umbra(rng, order)
-        rec.check("additive-identity", add(u, eps) == u, lambda: f"trial={trial} u={_fmt(u)}")
+        yield "additive-identity", add(u, eps) == u, lambda: f"trial={trial} u={_fmt(u)}"
 
         x, y = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         lhs = dot_scalar(x, dot_scalar(y, u))
         rhs = dot_scalar(x * y, u)
-        rec.check(
+        yield (
             "scalar-dot-multiplicative",
             lhs == rhs,
             lambda: f"trial={trial} a={x} b={y} u={_fmt(u)}",
@@ -366,19 +351,19 @@ def suite_duality(order: int, seed: int) -> list[CheckResult]:
         iterated = eps
         for _ in range(k):
             iterated = add(iterated, u)
-        rec.check(
+        yield (
             "integer-dot-is-iterated-sum",
             dot_scalar(k, u) == iterated,
             lambda: f"trial={trial} k={k} u={_fmt(u)}",
         )
-        rec.check(
+        yield (
             "dot-cancellation",
             add(dot_scalar(k, u), dot_scalar(-k, u)) == eps,
             lambda: f"trial={trial} k={k} u={_fmt(u)}",
         )
 
         if order >= 1 and u.moment(1) != 0:
-            rec.check(
+            yield (
                 "inverse-involution",
                 inverse_umbra(inverse_umbra(u)) == u,
                 lambda: f"trial={trial} u={_fmt(u)}",
@@ -387,26 +372,23 @@ def suite_duality(order: int, seed: int) -> list[CheckResult]:
         a = Fraction(rng.randint(-3, 3))
         scaled = dot(u, scalar_umbra(a, order))
         expected = Umbra([u.moment(n) * a**n for n in range(order + 1)])
-        rec.check(
+        yield (
             "dot-scalar-right",
             scaled == expected,
             lambda: f"trial={trial} a={a} u={_fmt(u)}",
         )
 
-    return list(rec.results.values())
 
-
-def suite_sheffer(order: int, seed: int) -> list[CheckResult]:
+def suite_sheffer(order: int, seed: int) -> Iterator[tuple]:
     """Sheffer coefficients, the Abel form, and the two-variable identities."""
     rng = Random(seed)
-    rec = _Recorder()
 
     for trial in range(10):
         pair = UmbraPair(random_umbra(rng, order), random_umbra(rng, order))
 
         array, oracle = riordan_array(pair), riordan_array_series(pair)
         seq = row_polynomials(array)
-        rec.check(
+        yield (
             "sheffer-coefficient-extraction",
             array == oracle,
             lambda: f"trial={trial} gamma={_fmt(pair.gamma)} alpha={_fmt(pair.alpha)}",
@@ -414,10 +396,10 @@ def suite_sheffer(order: int, seed: int) -> list[CheckResult]:
         monic = all(
             p.degree == n and p.numerators[n] == p.denominator for n, p in enumerate(seq)
         )
-        rec.check("sheffer-monic", monic, f"trial={trial}")
+        yield "sheffer-monic", monic, f"trial={trial}"
 
         # the Abel form shares the sum kernel with ``array``: check it on the series rows
-        rec.check(
+        yield (
             "sheffer-abel-representation",
             abel_representation(pair) == row_polynomials(oracle),
             lambda: f"trial={trial} gamma={_fmt(pair.gamma)} alpha={_fmt(pair.alpha)}",
@@ -428,25 +410,22 @@ def suite_sheffer(order: int, seed: int) -> list[CheckResult]:
         assoc = sheffer_sequence(UmbraPair(augmentation(order), pair.alpha))
         n_max = min(order, 8)
         bad = sheffer_identity_failure(seq, assoc, n_max)
-        rec.check(
+        yield (
             "sheffer-identity",
             bad is None,
             lambda: f"trial={trial} n={bad} gamma={_fmt(pair.gamma)} alpha={_fmt(pair.alpha)}",
         )
         bad = sheffer_identity_failure(assoc, assoc, n_max)
-        rec.check(
+        yield (
             "binomial-identity",
             bad is None,
             lambda: f"trial={trial} n={bad} alpha={_fmt(pair.alpha)}",
         )
 
-    return list(rec.results.values())
 
-
-def suite_riordan_group(order: int, seed: int) -> list[CheckResult]:
+def suite_riordan_group(order: int, seed: int) -> Iterator[tuple]:
     """The array group: composition, inverses, named arrays, conversions."""
     rng = Random(seed)
-    rec = _Recorder()
 
     def written_out(entry):
         """The exponential array with integer entry(n, k) at k <= n; it carries
@@ -456,16 +435,16 @@ def suite_riordan_group(order: int, seed: int) -> list[CheckResult]:
 
     ident = riordan_array(identity_pair(order))
     identity = written_out(lambda n, k: int(n == k))
-    rec.check("identity-array", ident == identity, "")
+    yield "identity-array", ident == identity, ""
 
     pascal = riordan_array(UmbraPair(scalar_umbra(1, order), augmentation(order)))
-    rec.check("pascal-array", pascal == written_out(comb), "")
-    rec.check(
+    yield "pascal-array", pascal == written_out(comb), ""
+    yield (
         "signed-pascal-inverse",
         riordan_inverse(pascal) == written_out(lambda n, k: (-1) ** (n - k) * comb(n, k)),
         "",
     )
-    rec.check(
+    yield (
         "pascal-squared",
         riordan_multiply(pascal, pascal) == written_out(lambda n, k: comb(n, k) * 2 ** (n - k)),
         "",
@@ -479,26 +458,26 @@ def suite_riordan_group(order: int, seed: int) -> list[CheckResult]:
 
         composed = riordan_array(umbral_compose(p, q))
         product = riordan_multiply(ap, aq)
-        rec.check(
+        yield (
             "pair-composition-matches-matrix-product",
             composed == product,
             lambda: f"trial={trial} gamma={_fmt(p.gamma)} alpha={_fmt(p.alpha)} "
             f"eta={_fmt(q.gamma)} delta={_fmt(q.alpha)}",
         )
 
-        rec.check(
+        yield (
             "identity-laws",
             riordan_multiply(ap, ident) == ap and riordan_multiply(ident, ap) == ap,
             f"trial={trial}",
         )
 
         inv = riordan_inverse(ap)
-        rec.check(
+        yield (
             "inverse-two-sided",
             riordan_multiply(ap, inv) == identity and riordan_multiply(inv, ap) == identity,
             lambda: f"trial={trial} gamma={_fmt(p.gamma)} alpha={_fmt(p.alpha)}",
         )
-        rec.check(
+        yield (
             "inverse-involution",
             riordan_inverse(inv) == ap,
             f"trial={trial}",
@@ -506,16 +485,16 @@ def suite_riordan_group(order: int, seed: int) -> list[CheckResult]:
 
         assoc_l = riordan_multiply(product, ar)
         assoc_r = riordan_multiply(ap, riordan_multiply(aq, ar))
-        rec.check("associativity", assoc_l == assoc_r, f"trial={trial}")
+        yield "associativity", assoc_l == assoc_r, f"trial={trial}"
 
         conv_prod = flavor_convert(product)
         prod_conv = riordan_multiply(flavor_convert(ap), flavor_convert(aq))
-        rec.check(
+        yield (
             "flavor-conversion-multiplicative",
             conv_prod == prod_conv,
             f"trial={trial}",
         )
-        rec.check(
+        yield (
             "flavor-conversion-involution",
             flavor_convert(flavor_convert(ap)) == ap,
             f"trial={trial}",
@@ -524,26 +503,24 @@ def suite_riordan_group(order: int, seed: int) -> list[CheckResult]:
         # the matrix route against the series of gamma + seq.bell.alpha': f_gamma f_seq(z f_alpha)
         seq = random_umbra(rng, order)
         via_series = ps.multiply(gf(p.gamma), ps.compose(gf(seq), gf(p.alpha).shift_up()))
-        rec.check(
+        yield (
             "moment-transform-two-routes",
             ftra_apply(ap, seq) == from_series(via_series),
             f"trial={trial}",
         )
 
     bell_seq = bell(order)
-    rec.check(
+    yield (
         "pascal-shifts-bell",
         ftra_apply(pascal, bell_seq).moments == bell(order + 1).moments[1:],
         "",
     )
-    rec.check(
+    yield (
         "pascal-row-sums",
         ftra_apply(pascal, scalar_umbra(1, order)).moments
         == tuple(Fraction(2) ** n for n in range(order + 1)),
         "",
     )
-
-    return list(rec.results.values())
 
 
 def chebyshev_recurrence_failure(n_max: int):
@@ -593,9 +570,8 @@ def master_degenerate_slots_failure(n_max: int, ys):
     return None
 
 
-def suite_families(order: int, seed: int) -> list[CheckResult]:
+def suite_families(order: int, seed: int) -> Iterator[tuple]:
     """Explicit sums vs generating functions for the five families."""
-    rec = _Recorder()
     n_max = order
 
     # each family takes the options it names and ignores the rest
@@ -604,7 +580,7 @@ def suite_families(order: int, seed: int) -> list[CheckResult]:
     via_gf = {kind: fam.gf_rows(kind, n_max, **options) for kind in fam.FAMILY_NAMES}
     for kind, rows in explicit.items():
         for n, (lhs, rhs) in enumerate(zip(rows, via_gf[kind])):
-            rec.check(
+            yield (
                 f"explicit-vs-gf:{kind}",
                 lhs == rhs,
                 lambda: f"n={n} explicit={lhs} gf={rhs}",
@@ -612,7 +588,7 @@ def suite_families(order: int, seed: int) -> list[CheckResult]:
 
     if n_max >= 2:  # the recurrence starts at n = 2; lower orders do not list it
         bad = chebyshev_recurrence_failure(n_max)
-        rec.check("chebyshev-recurrence", bad is None, bad)
+        yield "chebyshev-recurrence", bad is None, bad
 
     # the explicit sums at the specializing slots against the generating
     # functions of the families they reduce to (chebyshev-u and mittag-leffler
@@ -626,17 +602,17 @@ def suite_families(order: int, seed: int) -> list[CheckResult]:
     )
     for name, kind, rows in specializations:
         for n, (lhs, rhs) in enumerate(zip(rows, via_gf[kind], strict=True)):
-            rec.check(name, lhs == rhs, f"n={n}")
+            yield name, lhs == rhs, f"n={n}"
 
     bad = pidduck_quotient_failure(min(n_max, 8))
-    rec.check("pidduck-mittag-leffler-quotient", bad is None, bad)
+    yield "pidduck-mittag-leffler-quotient", bad is None, bad
     bad = chebyshev_shifted_basis_failure()
-    rec.check("chebyshev-shifted-basis-display", bad is None, bad)
+    yield "chebyshev-shifted-basis-display", bad is None, bad
     ys = (Fraction(0), Fraction(2), Fraction(7, 2))
     bad = master_degenerate_slots_failure(min(n_max, 6), ys)
-    rec.check("master-degenerate-slots", bad is None, bad)
+    yield "master-degenerate-slots", bad is None, bad
     bad = master_degenerate_slots_failure(min(n_max, 6), (None,))
-    rec.check("master-degenerate-slots-indeterminate", bad is None, bad)
+    yield "master-degenerate-slots-indeterminate", bad is None, bad
 
     # master explicit sum vs master generating function on generic slots
     generic = [
@@ -648,9 +624,7 @@ def suite_families(order: int, seed: int) -> list[CheckResult]:
     for pi, p in enumerate(generic):
         pairs = zip(fam.master_table(top, p)[0], fam.master_gf_rows(top, p), strict=True)
         for n, (row, via_gf) in enumerate(pairs):
-            rec.check("master-explicit-vs-gf", row == via_gf, f"params#{pi} n={n}")
-
-    return list(rec.results.values())
+            yield "master-explicit-vs-gf", row == via_gf, f"params#{pi} n={n}"
 
 
 _SUITES = {
@@ -661,6 +635,7 @@ _SUITES = {
     "riordan-group": suite_riordan_group,
     "families": suite_families,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 # (suite, identity) -> (names one route reads, names the other reads), or
 # ("law", names the check reads); see the module docstring
@@ -746,21 +721,27 @@ ROUTES = {
 
 
 def run_suite(name: str, order: int, seed: int) -> list[CheckResult]:
-    """Run one suite; each failed identity's detail ends with the command that repeats it."""
+    """Run one suite: one result per identity, in the order first checked, failed
+    at its first counterexample, whose detail ends with the command that repeats it."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite: {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    results: dict[str, CheckResult] = {}
     try:
-        results = _SUITES[name](order=order, seed=seed)
+        for identity, ok, detail in _SUITES[name](order=order, seed=seed):
+            entry = results.setdefault(identity, CheckResult(identity, True))
+            if not ok and entry.passed:  # the suite waits here, so detail reads its current draw
+                entry.passed, entry.detail = False, detail() if callable(detail) else detail
     except Exception as exc:  # a crash inside a suite is a failed check, never a traceback
-        results = [CheckResult(f"suite-error:{name}", False, f"{type(exc).__name__}: {exc}")]
+        error = CheckResult(f"suite-error:{name}", False, f"{type(exc).__name__}: {exc}")
+        results = {error.name: error}
     repro = f"repro: umbral verify {name} --order {order} --seed {seed}"
-    for r in results:
+    for r in results.values():
         if not r.passed:
             r.detail = f"{r.detail}; {repro}" if r.detail else repro
-    return results
+    return list(results.values())
 
 
-def run_suites(names, order: int = 12, seed: int = 0) -> list[CheckResult]:
+def run_suites(names, order: int, seed: int) -> list[CheckResult]:
     results = []
     for name in names:
         results.extend(run_suite(name, order, seed))

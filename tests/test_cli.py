@@ -493,20 +493,25 @@ def test_verify_reports_a_suite_exception(capsys, monkeypatch):
     def crash(order, seed):
         raise ValueError("boom")
 
-    monkeypatch.setitem(verify._SUITES, "duality", crash)
+    def crash_mid_stream(order, seed):
+        yield "additive-identity", True, ""
+        raise ValueError("boom")
+
     repro = "repro: umbral verify duality --order 4 --seed 7"
-    code, out, _ = run_cli(["verify", "duality", "--order", "4", "--seed", "7"], capsys)
-    assert code == cli.EXIT_VERIFY
-    assert out == (
-        f"FAIL suite-error:duality\n  counterexample: ValueError: boom; {repro}\n"
-        "0/1 identities hold (order=4, seed=7)\n"
-    )
-    args = ["verify", "duality", "--order", "4", "--seed", "7", "--format", "json"]
-    code, out, _ = run_cli(args, capsys)
-    assert code == cli.EXIT_VERIFY
-    assert json.loads(out) == [
-        {"name": "suite-error:duality", "passed": False, "detail": f"ValueError: boom; {repro}"}
-    ]
+    for suite in (crash, crash_mid_stream):
+        monkeypatch.setitem(verify._SUITES, "duality", suite)
+        code, out, _ = run_cli(["verify", "duality", "--order", "4", "--seed", "7"], capsys)
+        assert code == cli.EXIT_VERIFY
+        assert out == (
+            f"FAIL suite-error:duality\n  counterexample: ValueError: boom; {repro}\n"
+            "0/1 identities hold (order=4, seed=7)\n"
+        )
+        args = ["verify", "duality", "--order", "4", "--seed", "7", "--format", "json"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [
+            {"name": "suite-error:duality", "passed": False, "detail": f"ValueError: boom; {repro}"}
+        ]
 
 
 def test_verify_order_ceiling(capsys):

@@ -19,7 +19,9 @@ output from ``Fraction``s and the family basis was built by ``Polynomial``
 products.  The last two ``umbra`` lines (the rescaled ``revert`` at order
 48; ``bell``, ``exp``, ``log``, ``compose`` and ``gf`` at order 32) were
 recorded while ``umbra`` and ``series`` still each wrote their own n! lift
-and ``power`` still scaled by n!^2.  A change that alters one of these
+and ``power`` still scaled by n!^2.  The ``verify all`` line at order 12 was
+recorded while each suite still collected its own results, before the
+suites streamed their checks to ``run_suite``.  A change that alters one of these
 outputs on purpose says so and records the new digest."""
 
 import argparse
@@ -36,6 +38,7 @@ from umbral import cli
 GOLDEN = {
     "verify all --order 6 --seed 42": "c64fc8b1c8eca8d66b408cdf0d1fec79da915dc80dbc3dad383f618386d86e98",
     "verify all --order 6 --seed 42 --format json": "69ecfc2cf3bf9c4cb13900ab6c15925ed2ac5349c187e1b1069a30326d0fd890",
+    "verify all --order 12 --seed 42": "416d75779d8a825de2d7ba242b988d06eea12a5e4812254d3e78c141f415686c",
     "verify abel --order 12 --seed 42": "e2892a13f5bcbf33104af23ea1e05799f9b81371ff7dd65fa513e0c64488b17f",
     "verify abel --order 12 --seed 42 --format json": (
         "127ff0ce3c436e307b7c711be87eac6bda41fa4c3cf738e88115977ca9e1ad9c"

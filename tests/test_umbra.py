@@ -86,6 +86,8 @@ def test_floats_are_refused():
         lambda: gf_rows("gegenbauer", 2, lam=0.1),
         lambda: family_table("meixner1", 2, b=0.5, c=3),
         lambda: family_table("meixner1", 2, b=1, c=0.5),
+        lambda: power(TruncatedSeries((1, 2, 3)), 0.5),
+        lambda: Polynomial((1, 2))(0.5),
     ]
     for entry_point in refused:
         with pytest.raises(TypeError):
