@@ -426,6 +426,8 @@ def cmd_verify(args) -> int:
                 for r in results
             ]
         )
+    elif args.format == "csv":
+        _emit_csv([r.name, "true" if r.passed else "false", r.detail] for r in results)
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")

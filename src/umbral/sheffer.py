@@ -110,6 +110,7 @@ class RiordanArray(RationalVector):
     __slots__ = ("_pair", "flavor")
 
     def __init__(self, pair, rows, denominator: int, flavor: str):
+        rows = list(rows)  # read once: an iterator is used up by the check
         if any(len(row) != n + 1 for n, row in enumerate(rows)):
             raise ValueError("row n of a Riordan array holds the n + 1 entries (n, 0..n)")
         super().__init__(chain.from_iterable(rows), denominator)

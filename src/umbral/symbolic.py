@@ -28,9 +28,12 @@ re-encoded onto the sorted union of their atoms.  An exponent above the
 slot bound 2^15 - 1 = 32767 would carry into the next slot, so each
 polynomial carries a bound on its exponents, and the constructor and any
 product whose operands' bounds sum past the slot raise ``ValueError``.
-Coefficients stay exact: a Python int while integral, a ``Fraction``
-otherwise.  ``constant_value`` and ``to_univariate`` hand back
-``Fraction``s, as everywhere else in the package.
+Coefficients are the package's one exact form: integer numerators over
+one positive denominator, in lowest terms by ``rationals.lowest_terms``.
+Evaluation reads each bound umbra's numerators over its denominator d as
+they are; m_0 = d, so a term gains one d for each symbol it lacks, and an
+umbra with d = 1 costs nothing extra.  ``constant_value`` and
+``to_univariate`` hand back ``Fraction``s.
 
 Powers are built by repeated multiplication, p^n = p^(n-1) * p, not by
 repeated squaring.  The bases here are sparse (two or three atoms, such as
@@ -49,11 +52,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from operator import attrgetter
 
 from .polynomials import Polynomial
-from .rationals import exact
+from .rationals import exact, lowest_terms
 from .umbra import Umbra, dot_powers
 
 __all__ = [
@@ -113,37 +116,21 @@ class UmbralSymbol:
 _atom_id = attrgetter("_id")
 
 
-def _exact(c):
-    """c as an int when integral, else as a Fraction; a float raises ``TypeError``."""
-    if type(c) is not Fraction:
-        if isinstance(c, int):
-            return int(c)
-        c = exact(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _moment_values(u) -> tuple:
-    """An umbra's moments as ints when integral, else as Fractions."""
-    if u.denominator == 1:
-        return u.numerators
-    return tuple(map(_exact, u.moments))
-
-
-def _nonzero(terms: dict) -> dict:
-    """Drop zero coefficients and write integral Fractions as ints."""
-    return {
-        m: c if type(c) is int or c.denominator != 1 else c.numerator
-        for m, c in terms.items()
-        if c
-    }
-
-
-def _make(atoms: tuple, terms: dict, top: int) -> "UmbralPolynomial":
+def _make(atoms: tuple, terms: dict, top: int, den: int = 1) -> "UmbralPolynomial":
+    """A polynomial from nonzero numerators already in lowest terms over den."""
     p = object.__new__(UmbralPolynomial)
-    p._atoms = atoms
-    p._terms = terms
-    p._top = top
+    p._atoms, p._terms, p._top, p._den = atoms, terms, top, den
     return p
+
+
+def _reduced(atoms: tuple, terms: dict, top: int, den: int) -> "UmbralPolynomial":
+    """A polynomial from integer numerators over den > 0: zeros dropped, then
+    brought to lowest terms by ``lowest_terms``."""
+    terms = {m: c for m, c in terms.items() if c}
+    if den != 1:
+        num, den = lowest_terms(terms.values(), den)
+        terms = dict(zip(terms, num))
+    return _make(atoms, terms, top, den)
 
 
 def _onto(p: "UmbralPolynomial", atoms: tuple) -> dict:
@@ -184,11 +171,12 @@ class UmbralPolynomial:
     """Sparse polynomial over {x, y} and umbral symbols, rationals as scalars.
 
     Built from ``{((atom, exponent), ...): coefficient}``; held as packed
-    monomials over a sorted atom tuple (see the module docstring).  Zero
+    monomials over a sorted atom tuple, each mapped to an integer numerator
+    over the one denominator ``_den`` (see the module docstring).  Zero
     coefficients are never stored.
     """
 
-    __slots__ = ("_atoms", "_terms", "_top")
+    __slots__ = ("_atoms", "_terms", "_top", "_den")
 
     def __init__(self, terms: dict | None = None):
         terms = terms or {}
@@ -206,26 +194,30 @@ class UmbralPolynomial:
                     raise ValueError(f"exponent {e} of {a!r} outside 0..{_SLOT_MAX}")
                 packed += e << slot[a]
                 top = max(top, e)
-            out[packed] = out.get(packed, 0) + _exact(c)
-        self._atoms = atoms
-        self._terms = _nonzero(out)
-        self._top = top
+            out[packed] = out.get(packed, 0) + exact(c)
+        den = lcm(*(c.denominator for c in out.values()))
+        num, self._den = lowest_terms([c.numerator * (den // c.denominator) for c in out.values()], den)
+        self._atoms, self._top = atoms, top
+        self._terms = {m: c for m, c in zip(out, num) if c}
 
     def __add__(self, other):
         other = _coerce_operand(other)
         if other is None:
             return NotImplemented
         atoms, a, b = _aligned(self, other)
-        out = dict(a)
+        den = lcm(self._den, other._den)
+        lift, other_lift = den // self._den, den // other._den
+        out = {m: c * lift for m, c in a.items()} if lift != 1 else dict(a)
         get = out.get
         # touch only b's terms: sums grow by small pieces (substitute, verify)
         for m, c in b.items():
-            s = get(m, 0) + c
+            s = get(m, 0) + c * other_lift
             if s:
-                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                out[m] = s
             else:
                 del out[m]
-        return _make(atoms, out, max(self._top, other._top))
+        top = max(self._top, other._top)
+        return _make(atoms, out, top) if den == 1 else _reduced(atoms, out, top, den)
 
     __radd__ = __add__
 
@@ -239,12 +231,9 @@ class UmbralPolynomial:
         return (-self) + other
 
     def __neg__(self):
-        return _make(self._atoms, {m: -c for m, c in self._terms.items()}, self._top)
+        return _make(self._atoms, {m: -c for m, c in self._terms.items()}, self._top, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scaled = {m: c * other for m, c in self._terms.items()}
-            return _make(self._atoms, _nonzero(scaled), self._top)
         other = _coerce_operand(other)
         if other is None:
             return NotImplemented
@@ -258,7 +247,7 @@ class UmbralPolynomial:
             for m2, c2 in b.items():
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-        return _make(atoms, _nonzero(out), top)
+        return _reduced(atoms, out, top, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -275,7 +264,7 @@ class UmbralPolynomial:
         if other is None:
             return NotImplemented
         _, a, b = _aligned(self, other)
-        return a == b
+        return self._den == other._den and a == b
 
     def __hash__(self):
         return hash(frozenset(self._decoded().items()))
@@ -299,7 +288,7 @@ class UmbralPolynomial:
                 e = (m >> (i * _SLOT_BITS)) & _SLOT_MAX
                 if e:
                     mono.append((a, e))
-            out[tuple(mono)] = c
+            out[tuple(mono)] = Fraction(c, self._den)
         return out
 
     def evaluate(self) -> "UmbralPolynomial":
@@ -307,7 +296,7 @@ class UmbralPolynomial:
         atoms = self._atoms
         nvars = sum(a._id < 0 for a in atoms)  # the variables sort first
         symbols = [
-            (i * _SLOT_BITS, a, _moment_values(a.binding))
+            (i * _SLOT_BITS, a, a.binding.numerators, a.binding.denominator)
             for i, a in enumerate(atoms[nvars:], nvars)
         ]
         keep = (1 << (nvars * _SLOT_BITS)) - 1
@@ -315,7 +304,7 @@ class UmbralPolynomial:
         get = out.get
         for m, c in self._terms.items():
             value = c
-            for shift, a, moments in symbols:
+            for shift, a, moments, d in symbols:
                 e = (m >> shift) & _SLOT_MAX
                 if e:
                     if e >= len(moments):
@@ -323,10 +312,13 @@ class UmbralPolynomial:
                             f"symbol {a.label} raised to {e} exceeds its moment order {a.binding.order}"
                         )
                     value *= moments[e]
+                elif d != 1:  # E[s^0] = m_0/d with m_0 = d
+                    value *= d
             if value:
                 key = m & keep
                 out[key] = get(key, 0) + value
-        return _make(atoms[:nvars], _nonzero(out), self._top)
+        den = prod((d for *_, d in symbols), start=self._den)
+        return _reduced(atoms[:nvars], out, self._top, den)
 
     def formal_derivative(self, wrt) -> "UmbralPolynomial":
         """Termwise power-rule derivative in one atom (a variable or symbol)."""
@@ -339,14 +331,14 @@ class UmbralPolynomial:
             e = (m >> shift) & _SLOT_MAX
             if e:
                 out[m - unit] = c * e
-        return _make(self._atoms, _nonzero(out), self._top)
+        return _reduced(self._atoms, out, self._top, self._den)
 
     def constant_value(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) != 1 or 0 not in self._terms:
             raise ValueError("not a constant expression")
-        return Fraction(self._terms[0])
+        return Fraction(self._terms[0], self._den)
 
     def to_univariate(self, var: FormalVariable = X) -> Polynomial:
         """Convert to a dense polynomial in one variable; others must be absent."""
@@ -359,7 +351,7 @@ class UmbralPolynomial:
             if m & ~own:
                 raise ValueError(f"expression is not univariate in {var!r}: {self!r}")
             coeffs[m >> shift] = c
-        return Polynomial(tuple(coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)))
+        return Polynomial.from_integers([coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)], self._den)
 
 
 def atom(a) -> UmbralPolynomial:
@@ -368,41 +360,42 @@ def atom(a) -> UmbralPolynomial:
 
 
 def constant(c) -> UmbralPolynomial:
-    c = _exact(c)
-    return _make((), {0: c} if c else {}, 0)
+    c = exact(c)
+    return _make((), {0: c.numerator} if c else {}, 0, c.denominator)
 
 
 def substitute(poly: Polynomial, arg) -> UmbralPolynomial:
     """poly(arg) for an umbral polynomial, variable or symbol ``arg``.
 
-    For a bare atom a, c_k a^k is one packed monomial, so the coefficients
+    For a bare atom a, c_k a^k is one packed monomial, so the numerators
     are written straight onto a's exponents.  Otherwise c_k arg^k is added
     into one dict, arg^k by repeated multiplication, rather than nested
     Horner-style: for arg = x + y the power has k + 1 monomials, a Horner
-    partial sum (k+1)(k+2)/2.
+    partial sum (k+1)(k+2)/2.  Each arg^k is lifted onto the denominator
+    of poly times that of arg^degree.
     """
     arg = _coerce_operand(arg)
     if arg is None:
         raise TypeError("substitute needs an umbral polynomial, variable, symbol or rational")
-    num, den = poly.numerators, poly.denominator
-    coeffs = num if den == 1 else [_exact(Fraction(c, den)) for c in num]
-    degree = len(coeffs) - 1
-    if len(arg._atoms) == 1 and arg._terms == {1: 1}:
+    num, pden = poly.numerators, poly.denominator
+    degree = len(num) - 1
+    if len(arg._atoms) == 1 and arg._terms == {1: 1} and arg._den == 1:
         if degree > _SLOT_MAX:
             raise ValueError(f"a power exponent may reach {degree}, past the slot bound {_SLOT_MAX}")
-        terms = {k: c for k, c in enumerate(coeffs) if c}
-        return _make(arg._atoms, terms, max(degree, 0))
-    out = {0: coeffs[0]} if coeffs and coeffs[0] else {}
+        return _make(arg._atoms, {k: c for k, c in enumerate(num) if c}, max(degree, 0), pden)
+    den = pden * arg._den ** max(degree, 0)
+    out = {0: num[0] * (den // pden)} if num else {}
     get = out.get
     power = arg
     for k in range(1, degree + 1):
         if k > 1:
             power = power * arg
-        c = coeffs[k]
+        c = num[k]
         if c:
+            c *= den // (pden * power._den)
             for m, pc in power._terms.items():
                 out[m] = get(m, 0) + c * pc
-    return _make(arg._atoms, _nonzero(out), max(degree, 0) * arg._top)
+    return _reduced(arg._atoms, out, max(degree, 0) * arg._top, den)
 
 
 def binomial_sum(xs, ys, n: int) -> UmbralPolynomial:
@@ -410,10 +403,12 @@ def binomial_sum(xs, ys, n: int) -> UmbralPolynomial:
 
     Each operand is packed once onto the union of the operands' atoms, and
     every monomial product is added straight into one term dict, so no
-    partial sum is copied.  A product whose operands' exponent bounds sum
+    partial sum is copied; each product is lifted onto the lcm of the
+    products' denominators.  A product whose operands' exponent bounds sum
     past the slot raises ``ValueError``, as the operators would.
     """
     pairs = [(comb(n, k), xs[k], ys[n - k]) for k in range(n + 1)]
+    den = lcm(*(p._den * q._den for _, p, q in pairs))
     atoms = tuple(sorted({a for _, p, q in pairs for a in p._atoms + q._atoms}, key=_atom_id))
     top = max(p._top + q._top for _, p, q in pairs)
     if top > _SLOT_MAX:
@@ -421,13 +416,14 @@ def binomial_sum(xs, ys, n: int) -> UmbralPolynomial:
     out: dict = {}
     get = out.get
     for weight, p, q in pairs:
+        weight *= den // (p._den * q._den)
         right = _onto(q, atoms).items()
         for m1, c1 in _onto(p, atoms).items():
             c1 *= weight
             for m2, c2 in right:
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-    return _make(atoms, _nonzero(out), top)
+    return _reduced(atoms, out, top, den)
 
 
 def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomial:
@@ -440,8 +436,9 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
     takes the last slot, so base^(j+1) keeps its packed monomials and the
     terms of different j never merge; the only products are the powers of
     ``base``, and on a bare atom a each term a^(j+1) s^(n-1-j) is written
-    directly.  The exponent bound is that of the product, and past the slot
-    it raises ``ValueError`` as the product would.  Returns 1 for n = 0.
+    directly.  Each base^(j+1) is lifted onto the denominator of base^n.
+    The exponent bound is that of the product, and past the slot it raises
+    ``ValueError`` as the product would.  Returns 1 for n = 0.
     """
     if n < 0:
         raise ValueError("Abel polynomials need n >= 0")
@@ -455,17 +452,18 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
         raise ValueError(f"a product exponent may reach {top}, past the slot bound {_SLOT_MAX}")
     slot = len(base._atoms) * _SLOT_BITS
     atoms = base._atoms + (shift,)
-    if len(base._atoms) == 1 and base._terms == {1: 1}:  # a^(j+1) s^(n-1-j) is one monomial
+    if len(base._atoms) == 1 and base._terms == {1: 1} and base._den == 1:  # a^(j+1) s^(n-1-j) is one monomial
         return _make(atoms, {j + 1 + ((n - 1 - j) << slot): comb(n - 1, j) for j in range(n)}, top)
+    den = base._den**n
     out = {}
     power = base
     for j in range(n):
         if j:
             power = power * base
-        weight, lift = comb(n - 1, j), (n - 1 - j) << slot
+        weight, lift = comb(n - 1, j) * (den // power._den), (n - 1 - j) << slot
         for m, c in power._terms.items():
             out[m + lift] = c * weight
-    return _make(atoms, _nonzero(out), top)
+    return _reduced(atoms, out, top, den)
 
 
 def abel(n: int, g, u: Umbra):

@@ -489,6 +489,22 @@ def test_verify_failure_carries_repro_command(capsys, monkeypatch):
     assert details[1:] == [""] * (len(details) - 1)
 
 
+def test_verify_csv_writes_one_row_per_identity(capsys, monkeypatch):
+    repro = "repro: umbral verify abel --order 4 --seed 7"
+
+    def fake_run_suites(names, order, seed):
+        return [
+            CheckResult("abel-identity", True),
+            CheckResult("made-up-identity", False, f"n=1 lhs=0, rhs=1; {repro}"),
+        ]
+
+    monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+    code, out, _ = run_cli(["verify", "abel", "--order", "4", "--seed", "7", "--format", "csv"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert out == f'abel-identity,true,\nmade-up-identity,false,"n=1 lhs=0, rhs=1; {repro}"\n'
+    assert list(csv.reader(io.StringIO(out)))[1] == ["made-up-identity", "false", f"n=1 lhs=0, rhs=1; {repro}"]
+
+
 def test_verify_reports_a_suite_exception(capsys, monkeypatch):
     def crash(order, seed):
         raise ValueError("boom")

@@ -21,8 +21,11 @@ products.  The last two ``umbra`` lines (the rescaled ``revert`` at order
 recorded while ``umbra`` and ``series`` still each wrote their own n! lift
 and ``power`` still scaled by n!^2.  The ``verify all`` line at order 12 was
 recorded while each suite still collected its own results, before the
-suites streamed their checks to ``run_suite``.  A change that alters one of these
-outputs on purpose says so and records the new digest."""
+suites streamed their checks to ``run_suite``.  The ``verify all`` csv line at
+order 6 was recorded when ``verify --format csv`` began to write one CSV row
+per identity (name, passed as true/false, detail); before, that output was
+the pretty report.  A change that alters one of these outputs on purpose says
+so and records the new digest."""
 
 import argparse
 import hashlib
@@ -38,6 +41,7 @@ from umbral import cli
 GOLDEN = {
     "verify all --order 6 --seed 42": "c64fc8b1c8eca8d66b408cdf0d1fec79da915dc80dbc3dad383f618386d86e98",
     "verify all --order 6 --seed 42 --format json": "69ecfc2cf3bf9c4cb13900ab6c15925ed2ac5349c187e1b1069a30326d0fd890",
+    "verify all --order 6 --seed 42 --format csv": "f41ef122b554418b66f1fa394ddb53a2446a704f2654e135b6a7cbd7f8e37304",
     "verify all --order 12 --seed 42": "416d75779d8a825de2d7ba242b988d06eea12a5e4812254d3e78c141f415686c",
     "verify abel --order 12 --seed 42": "e2892a13f5bcbf33104af23ea1e05799f9b81371ff7dd65fa513e0c64488b17f",
     "verify abel --order 12 --seed 42 --format json": (

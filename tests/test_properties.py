@@ -2,7 +2,7 @@
 the umbra-spec parser, and on every registered polynomial family."""
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from random import Random
 
 import pytest
@@ -26,7 +26,17 @@ from umbral.sheffer import (
     riordan_multiply,
     umbral_compose,
 )
-from umbral.symbolic import UmbralPolynomial, UmbralSymbol, X, Y, abel, atom
+from umbral.symbolic import (
+    UmbralPolynomial,
+    UmbralSymbol,
+    X,
+    Y,
+    abel,
+    abel_expression,
+    atom,
+    binomial_sum,
+    substitute,
+)
 from umbral.umbra import (
     Umbra,
     add,
@@ -226,6 +236,35 @@ def ref_derivative(p: dict, wrt) -> dict:
     return ref_collect(pairs)
 
 
+def ref_power(p: dict, k: int) -> dict:
+    out = {(): 1}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_substitute(coeffs, p: dict) -> dict:
+    return ref_collect((m, c * pc) for k, c in enumerate(coeffs) for m, pc in ref_power(p, k).items())
+
+
+def ref_binomial_sum(xs, ys, n: int) -> dict:
+    return ref_collect(
+        (m, comb(n, k) * c) for k in range(n + 1) for m, c in ref_mul(xs[k], ys[n - k]).items()
+    )
+
+
+def ref_abel_evaluated(n: int, base: dict, u: Umbra) -> dict:
+    """E[base (base + s)^(n-1)], s bound to n.u: sum_j C(n-1, j) E[base^(j+1)] m_(n-1-j)(n.u)."""
+    if n == 0:
+        return {(): 1}
+    shift = dot_scalar(n, u)
+    return ref_collect(
+        (m, comb(n - 1, j) * shift.moment(n - 1 - j) * c)
+        for j in range(n)
+        for m, c in ref_evaluate(ref_power(base, j + 1)).items()
+    )
+
+
 def ref_repr(p: dict) -> str:
     bits = []
     for m in sorted(p, key=lambda m: tuple((REF_RANK[a], e) for a, e in m)):
@@ -298,6 +337,32 @@ def test_packed_kernel_matches_reference(pq):
     value = UmbralPolynomial(symbols_only).evaluate().constant_value()
     assert type(value) is Fraction
     assert value == ref_evaluate(symbols_only).get((), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_pairs(), st.lists(ref_coefficients, max_size=4), st.integers(min_value=0, max_value=2))
+def test_rational_operands_match_reference(pq, coeffs, n):
+    # the drawn coefficients, moments and polynomial carry denominators, so
+    # each operand is lifted onto a common one; x/2 is a bare atom's monomial
+    # over a denominator, which the bare-atom paths must not take as the atom
+    p, q = pq
+    P, Q = UmbralPolynomial(p), UmbralPolynomial(q)
+    half = {((X, 1),): Fraction(1, 2)}
+    poly = Polynomial(coeffs)
+    for arg, ref in ((P, p), (P + Q, ref_add(p, q)), (UmbralPolynomial(half), half)):
+        want = ref_substitute(poly.coeffs, ref)
+        got = substitute(poly, arg)
+        assert got == UmbralPolynomial(want)
+        assert repr(got) == ref_repr(want)
+    xs, ys = [P, Q, P * Q], [Q, P + Q, P]
+    refs = [p, q, ref_mul(p, q)], [q, ref_add(p, q), p]
+    want = ref_binomial_sum(*refs, n)
+    assert binomial_sum(xs, ys, n) == UmbralPolynomial(want)
+    u = REF_ATOMS[3].binding  # m_1 != 0: the j = 0 term of n = 2 survives E
+    third = {((REF_ATOMS[3], 1),): Fraction(2, 3)}
+    for base, ref in ((P, p), (UmbralPolynomial(half), half), (UmbralPolynomial(third), third)):
+        want = ref_abel_evaluated(n, ref, u)
+        assert abel_expression(n, base, u).evaluate() == UmbralPolynomial(want)
 
 
 @laws

@@ -227,3 +227,12 @@ def test_from_integers_is_the_constructor_on_integer_lists(cls):
         RiordanArray(None, [[1], [0, 1, 0]], 1, "exponential")
     with pytest.raises(ValueError):
         RiordanArray(None, [[1], [0], [0, 0, 1]], 1, "exponential")
+
+
+def test_an_array_reads_an_iterator_of_rows_once():
+    # as the other vector types read an iterator of values
+    rows = [[1] * (n + 1) for n in range(3)]
+    built = RiordanArray(None, ([1] * (n + 1) for n in range(3)), 1, "exponential")
+    assert built.order == 2 and built.rows == tuple(map(tuple, rows))
+    assert built == RiordanArray(None, rows, 1, "exponential")
+    assert Umbra(iter([1, 2])) == Umbra([1, 2]) and Polynomial(iter([0, 1])) == Polynomial.x()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from umbral import verify
 from umbral.polynomials import Polynomial
 from umbral.symbolic import (
     _SLOT_MAX,
@@ -263,3 +264,21 @@ def test_substitute_matches_the_power_sum(coeffs):
         for k, c in enumerate(p.coeffs):
             expected = expected + c * _as_poly(arg) ** k
         assert substitute(p, arg) == expected
+
+
+def test_abel_and_sheffer_suites_hold_on_rational_draws(monkeypatch):
+    # every other draw has moments p/q with q <= 3, so the suites' symbolic
+    # checks evaluate over denominators and substitute rational polynomials
+    integer_draw, draws = verify.random_umbra, []
+
+    def rational_draw(rng, order):
+        draws.append(order)
+        if len(draws) % 2:
+            return integer_draw(rng, order)
+        return Umbra([1] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
+
+    monkeypatch.setattr(verify, "random_umbra", rational_draw)
+    for suite in ("abel", "sheffer"):
+        results = verify.run_suite(suite, 8, 42)
+        assert [r for r in results if not r.passed] == []
+    assert len(draws) > 1
