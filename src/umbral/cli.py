@@ -76,9 +76,11 @@ EXIT_BROKEN_PIPE = 141
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; at this order the slowest
 # of twenty command lines timed, umbra k(inv(egf(1,3/2,2)),inv(egf(1,2/3,1/5))),
-# takes 2.2-3.7 s as a subprocess on a shared 2-core Xeon VM (Python 3.11; eight
-# runs, the spread is the host's load), and riordan bell chi inverse 0.9 s
+# takes 1.7-2.6 s as a subprocess on a shared 2-core VM (Python 3.11; the spread
+# is the host's load), and riordan bell chi inverse 0.5-0.6 s
 ORDER_CEILING = 128
+# verify all takes 2.7-3.0 s at this order; at 64 the median of nine subprocess
+# runs on the same VM was 7.1 s, above the 7 s that would admit it
 VERIFY_ORDER_CEILING = 48
 # far below the interpreter's recursion limit, which parsing and building
 # a spec both recurse into once per level

@@ -351,7 +351,7 @@ class UmbralPolynomial:
             if m & ~own:
                 raise ValueError(f"expression is not univariate in {var!r}: {self!r}")
             coeffs[m >> shift] = c
-        return Polynomial.from_integers([coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)], self._den)
+        return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)], self._den)
 
 
 def atom(a) -> UmbralPolynomial:
@@ -452,7 +452,7 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
         raise ValueError(f"a product exponent may reach {top}, past the slot bound {_SLOT_MAX}")
     slot = len(base._atoms) * _SLOT_BITS
     atoms = base._atoms + (shift,)
-    if len(base._atoms) == 1 and base._terms == {1: 1} and base._den == 1:  # a^(j+1) s^(n-1-j) is one monomial
+    if len(base._atoms) == 1 and base._terms == {1: 1} and base._den == 1:
         return _make(atoms, {j + 1 + ((n - 1 - j) << slot): comb(n - 1, j) for j in range(n)}, top)
     den = base._den**n
     out = {}

@@ -46,7 +46,8 @@ instead against a reference that shares no code with it:
 ``families.integer_product``, the generating functions through
 ``Polynomial`` products) by
 ``tests/test_polynomials.py::test_arithmetic_matches_the_fraction_reference``,
-``rationals.lowest_terms`` (every exact value) by
+``rationals.lowest_terms`` (every exact value, the coefficients of
+``symbolic`` among them) by
 ``tests/test_rationals.py::test_lowest_terms_matches_the_fraction_reference``,
 and ``math.comb`` (every binomial weight) by
 ``tests/test_rationals.py::test_binomial_integer_tops_match_falling_factorial``.
