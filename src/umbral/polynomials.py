@@ -126,8 +126,11 @@ class Polynomial(RationalVector):
             other = Polynomial((other,))
         return super().__eq__(other)
 
-    # a class that defines __eq__ drops the inherited __hash__
-    __hash__ = RationalVector.__hash__
+    def __hash__(self):
+        # a constant equals its scalar, so it hashes as the scalar does
+        if len(self._num) <= 1:
+            return hash(Fraction(sum(self._num), self._den))
+        return super().__hash__()
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

@@ -28,9 +28,10 @@ K = K(gamma, alpha), is expanded through the moments of the two K umbrae
 (Lagrange inversion, and the dot powers n.K(alpha, alpha) read from the
 shared table of :func:`umbral.umbra.dot_powers`), so this module does not
 need the symbolic engine; the tests keep the symbolic expansion of the
-same expectation as its witness.  The coefficient table reads
-gamma + k.alpha only to order N - k, and builds exactly that triangle with
-the fixed-addend kernel :func:`umbral.umbra.iterated_sums`.  The Sheffer
+same expectation as its witness.  The coefficient table is the binomial
+rows of (gamma, alpha) read off the triangle of
+:func:`umbral.umbra.iterated_sums`, by the one helper that
+:func:`umbral.umbra.composition_umbra` applies too.  The Sheffer
 polynomials are the rows of the array read as polynomials by
 :func:`row_polynomials`, so ``sheffer_sequence`` is that step applied to
 ``riordan_array``, and a caller that already holds the array applies it
@@ -47,9 +48,10 @@ from operator import mul
 
 from . import series as ps
 from .polynomials import Polynomial
-from .rationals import RationalVector, factorial, shared_denominator
+from .rationals import RationalVector, factorial
 from .umbra import (
     Umbra,
+    _binomial_rows,
     add,
     augmentation,
     composition_umbra,
@@ -158,18 +160,6 @@ def identity_pair(order: int) -> UmbraPair:
     return UmbraPair(eps, eps)
 
 
-def _coefficient_table(pair: UmbraPair):
-    """Rows of s_{n,k} = C(n,k) E[(gamma + k.alpha)^(n-k)] over one denominator;
-    gamma + k.alpha adds one more uncorrelated copy of alpha to the previous
-    one, and column k reads it only to order N - k."""
-    columns, den = shared_denominator(iterated_sums(pair.gamma, pair.alpha))
-    rows = [
-        tuple(comb(n, k) * c[n - k] * s for k, (c, s) in enumerate(columns[: n + 1]))
-        for n in range(pair.order + 1)
-    ]
-    return rows, den
-
-
 def row_polynomials(array: RiordanArray) -> tuple:
     """Row n of the array as the polynomial sum_k entry(n, k) x^k, n = 0..N;
     for the exponential array of a pair, its Sheffer sequence."""
@@ -228,7 +218,8 @@ def riordan_array(pair: UmbraPair, flavor: str = "exponential") -> RiordanArray:
     """
     if flavor not in ("exponential", "ordinary"):
         raise ValueError(f"unknown Riordan flavor: {flavor!r}")
-    array = RiordanArray(pair, *_coefficient_table(pair), "exponential")
+    rows, den = _binomial_rows(iterated_sums(pair.gamma, pair.alpha))
+    array = RiordanArray(pair, rows, den, "exponential")
     if flavor == "ordinary":
         array = flavor_convert(array)
     return array

@@ -267,6 +267,9 @@ class UmbralPolynomial:
         return self._den == other._den and a == b
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as the scalar does
+        if self._terms.keys() <= {0}:
+            return hash(Fraction(self._terms.get(0, 0), self._den))
         return hash(frozenset(self._decoded().items()))
 
     def __repr__(self):

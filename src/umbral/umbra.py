@@ -11,7 +11,7 @@ generating-function route kept alongside as an independent cross-check:
                         integer moment numerators <->  f^a
     dot(g, u)           --                        <->  f_g(log f_u)
     derivative_umbra    m_n -> n * m_{n-1}        <->  1 + z f(z)
-    composition_umbra   double binomial sum       <->  f_g(z f_u(z))
+    composition_umbra   binomial rows of (1, u)   <->  f_g(z f_u(z))
     inverse_umbra       --                        <->  1 + revert(f - 1)
     k_umbra             gamma(gamma - n.alpha)^(n-1) expansion
                                                   <->  f_g(revert(z f_u(z)))
@@ -24,18 +24,19 @@ Adding one fixed umbra v again and again is one kernel: the weight rows
 w_n[k] = C(n,k) c_{n-k}(v) are built once, and each step is one integer
 dot product per moment it keeps.  ``add`` is a single step of it.
 ``iterated_sums(start, v)`` runs it as a triangle: start + k.v read to
-order N - k, k = 0..N, all that the Sheffer coefficient table reads of
-gamma + k.alpha, so step k drops the moments above N - k.  The table of
-integer dot powers k.u (or k.(-u)), k = 0..N, is ``dot_powers(u, sign)``:
-the same steps from the augmentation, each to full order N, built on
-first use and kept on the umbra (outside ``==`` and ``hash``) for as long
-as the umbra lives.  Every moment route that needs several k.u reads it:
-``composition_umbra`` and ``k_umbra`` here, the Abel form of a Sheffer
-sequence, the symbolic Abel construction and the Abel checks; together
-they read every order of it.  The series oracles (``*_series``, ``gf``
-and everything built on it) and ``dot_scalar`` never read it, so no
-identity takes its oracle from the table and Miller's recurrence stays
-an independent route to k.u.
+order N - k, k = 0..N, all that the rows C(n,k) E[(start + k.v)^(n-k)]
+of the exponential Riordan array of (start, v) read.  Those rows are the
+Sheffer coefficient table of (gamma, alpha), and the rows of
+(augmentation, u) applied to the moments of g are ``composition_umbra``.
+The table of integer dot powers k.u (or k.(-u)), k = 0..N, is
+``dot_powers(u, sign)``: the same steps from the augmentation, each to
+full order N, built on first use and kept on the umbra (outside ``==``
+and ``hash``) for as long as the umbra lives.  ``k_umbra`` and the Abel
+form of a Sheffer sequence read entry k to order k - 1, which needs every
+entry to order N - 1; the symbolic Abel construction and the Abel checks
+read it too.  The series oracles (``*_series``, ``gf`` and everything
+built on it) and ``dot_scalar`` read neither, so no identity takes its
+oracle from them and Miller's recurrence stays an independent route to k.u.
 
 An umbra is a ``rationals.RationalVector`` of its moments (the canonical
 form is described there), so its numerators c_0..c_N over d have c_0 = d.
@@ -156,7 +157,7 @@ def add(u: Umbra, v: Umbra) -> Umbra:
 
 def iterated_sums(start: Umbra, v: Umbra) -> list:
     """start + k.v read to order N - k, for k = 0..N: the triangle that the
-    Sheffer coefficient table reads, each an uncorrelated copy of v added
+    binomial rows of (start, v) read, each an uncorrelated copy of v added
     to the last.
 
     The weight rows of v are built once; step k is one integer dot product
@@ -168,6 +169,18 @@ def iterated_sums(start: Umbra, v: Umbra) -> list:
     for top in range(v.order, 0, -1):
         sums.append(_add_weighted(sums[-1], weights[:top], den))
     return sums
+
+
+def _binomial_rows(sums: list) -> tuple[list, int]:
+    """Rows n = 0..N of C(n,k) * E[(start + k.v)^(n-k)], the exponential
+    Riordan array of (start, v), as integers over one denominator, read off
+    the triangle ``sums = iterated_sums(start, v)``."""
+    columns, den = shared_denominator(sums)
+    rows = [
+        tuple(comb(n, k) * c[n - k] * s for k, (c, s) in enumerate(columns[: n + 1]))
+        for n in range(len(columns))
+    ]
+    return rows, den
 
 
 def _dot_power_table(u: Umbra, sign: int) -> tuple:
@@ -238,19 +251,16 @@ def derivative_umbra(u: Umbra) -> Umbra:
 def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
     """Composition of g with u, by the binomial-type moment expansion.
 
-    m_n = sum_k C(n,k) * m_k(g) * m_{n-k}(k.u); the series route
-    :func:`composition_umbra_series` must and does agree.  The dot powers
-    k.u come from the shared table of :func:`dot_powers`, written over one
-    common denominator D, so every m_n is one integer sum over d_g * D.
+    m_n = sum_k C(n,k) * m_k(g) * m_{n-k}(k.u): the rows of the pair
+    (augmentation, u) read by :func:`_binomial_rows` off :func:`iterated_sums`,
+    over one denominator D, applied to g as ``sheffer.ftra_apply`` applies an
+    array, so every m_n is one integer dot product over d_g * D.  The series route
+    :func:`composition_umbra_series` must and does agree.
     """
     g._check_order(u)
-    dotted, big = shared_denominator(dot_powers(u, 1))
-    columns = [(k, c * s, m) for k, (c, (m, s)) in enumerate(zip(g._num, dotted)) if c]
-    out = [
-        sum(comb(n, k) * w * m[n - k] for k, w, m in columns if k <= n)
-        for n in range(u.order + 1)
-    ]
-    return Umbra.from_integers(out, g._den * big)
+    rows, den = _binomial_rows(iterated_sums(augmentation(u.order), u))
+    c = g._num
+    return Umbra.from_integers([sum(map(mul, row, c)) for row in rows], g._den * den)
 
 
 def composition_umbra_series(g: Umbra, u: Umbra) -> Umbra:

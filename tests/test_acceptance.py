@@ -172,7 +172,7 @@ def test_criterion_7_families():
     assert mittag_leffler(n_max) == gf_oracle("mittag-leffler", n_max)
     assert pidduck(n_max) == gf_oracle("pidduck", n_max)
 
-    assert chebyshev_shifted_basis_failure() is None
+    assert chebyshev_shifted_basis_failure(n_max) is None
     report(7, f"five families match their generating functions, recurrence and reductions, n <= {n_max}")
 
 

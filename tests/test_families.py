@@ -131,8 +131,8 @@ def test_chebyshev_matches_gf():
 
 
 def test_chebyshev_shifted_basis_display():
-    # sum_k binom(n+k+1, n-k) 2^k (x-1)^k at n = 2 gives 4x^2 - 1 = U_2
-    assert chebyshev_shifted_basis_failure() is None
+    # sum_k binom(n+k+1, n-k) 2^k (x-1)^k gives U_n; at n = 2, 4x^2 - 1
+    assert chebyshev_shifted_basis_failure(12) is None
     assert chebyshev_u(2) == Polynomial((-1, 0, 4))
 
 

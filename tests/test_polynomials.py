@@ -35,6 +35,13 @@ def test_scalar_equality_and_eval():
     assert p(2) == 15
 
 
+def test_a_constant_hashes_as_its_scalar():
+    for scalar in (3, Fraction(1, 2), 0):
+        assert hash(Polynomial((scalar,))) == hash(scalar)
+        assert len({Polynomial((scalar,)), scalar}) == 1
+    assert hash(Polynomial()) == hash(0)
+
+
 def test_derivative():
     p = Polynomial((7, 0, 0, 1))  # x^3 + 7
     assert p.derivative() == Polynomial((0, 0, 3))

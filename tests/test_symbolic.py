@@ -117,6 +117,14 @@ def test_derivative_of_constant_is_zero():
     assert expr.formal_derivative(X) == constant(0)
 
 
+def test_a_constant_hashes_as_its_scalar():
+    for scalar in (3, F(1, 2), 0):
+        assert constant(scalar) == scalar
+        assert hash(constant(scalar)) == hash(scalar)
+        assert len({constant(scalar), scalar}) == 1
+    assert hash(atom(X) - atom(X)) == hash(0)
+
+
 # --- Abel polynomials -----------------------------------------------------------
 
 

@@ -257,6 +257,14 @@ def test_composition_two_routes_agree():
         assert composition_umbra(g, u) == composition_umbra_series(g, u)
 
 
+def test_composition_builds_no_dot_power_table():
+    # the composition reads the truncated triangle of iterated sums only
+    g, u = random_umbra(Random(11), 8), random_umbra(Random(12), 8)
+    got = composition_umbra(g, u)
+    assert u._dot_tables is None
+    assert got == composition_umbra_series(g, u)
+
+
 # --- compositional inverse ----------------------------------------------------------
 
 
