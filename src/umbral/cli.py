@@ -42,6 +42,7 @@ from . import families as fam
 from .rationals import format_numerators, format_rational, parse_rational
 from .sheffer import (
     UmbraPair,
+    flavor_convert,
     ftra_apply,
     riordan_array,
     riordan_inverse,
@@ -357,13 +358,15 @@ def _pair_from_specs(gamma_text: str, alpha_text: str, order: int) -> UmbraPair:
 
 def cmd_riordan(args) -> int:
     pair = _pair_from_specs(args.gamma, args.alpha, args.order)
-    array = riordan_array(pair, args.flavor)
+    array = riordan_array(pair)
+    # products commute with the rescaling, so only the printed array converts
+    shown = flavor_convert if args.flavor == "ordinary" else (lambda a: a)
     action = args.action or ["show"]
     verb = action[0]
     if verb == "show":
         if len(action) != 1:
             raise SpecParseError("show takes no arguments", 1)
-        render_matrix(array, args.format)
+        render_matrix(shown(array), args.format)
     elif verb == "inverse":
         if len(action) != 1:
             raise SpecParseError("inverse takes no arguments", 1)
@@ -380,8 +383,8 @@ def cmd_riordan(args) -> int:
     elif verb == "multiply":
         if len(action) != 3:
             raise SpecParseError("multiply needs two umbra specs (second pair)", 1)
-        other = riordan_array(_pair_from_specs(action[1], action[2], args.order), args.flavor)
-        render_matrix(riordan_multiply(array, other), args.format)
+        other = riordan_array(_pair_from_specs(action[1], action[2], args.order))
+        render_matrix(shown(riordan_multiply(array, other)), args.format)
     elif verb == "apply":
         if len(action) != 2:
             raise SpecParseError("apply needs one umbra spec (the sequence)", 1)

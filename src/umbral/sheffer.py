@@ -31,7 +31,8 @@ need the symbolic engine; the tests keep the symbolic expansion of the
 same expectation as its witness.  The coefficient table is the binomial
 rows of (gamma, alpha) read off the triangle of
 :func:`umbral.umbra.iterated_sums`, by the one helper that
-:func:`umbral.umbra.composition_umbra` applies too.  The Sheffer
+:func:`umbral.umbra.composition_umbra` and ``umbral_compose`` read too;
+``ftra_apply`` applies an array by the row kernel of :mod:`umbral.umbra`.  The Sheffer
 polynomials are the rows of the array read as polynomials by
 :func:`row_polynomials`, so ``sheffer_sequence`` is that step applied to
 ``riordan_array``, and a caller that already holds the array applies it
@@ -51,10 +52,10 @@ from .polynomials import Polynomial
 from .rationals import RationalVector, factorial
 from .umbra import (
     Umbra,
+    _apply_rows,
     _binomial_rows,
     add,
     augmentation,
-    composition_umbra,
     dot_powers,
     dot_scalar,
     gf,
@@ -144,6 +145,8 @@ class RiordanArray(RationalVector):
         return tuple(tuple(islice(values, n + 1)) + zero * (size - n - 1) for n in range(size))
 
     def entry(self, n: int, k: int) -> Fraction:
+        if not 0 <= min(n, k) <= max(n, k) <= self.order:
+            raise ValueError(f"entry ({n}, {k}) outside available order {self.order}")
         return self._values[n * (n + 1) // 2 + k] if k <= n else Fraction(0)
 
     def __eq__(self, other):
@@ -210,19 +213,12 @@ def abel_representation(pair: UmbraPair) -> tuple:
     return tuple(polys)
 
 
-def riordan_array(pair: UmbraPair, flavor: str = "exponential") -> RiordanArray:
-    """The Riordan array of a pair, exponential by construction.
-
-    The ordinary flavor is produced by rescaling the exponential one, the
-    same diagonal similarity that makes the two groups isomorphic.
-    """
-    if flavor not in ("exponential", "ordinary"):
-        raise ValueError(f"unknown Riordan flavor: {flavor!r}")
+def riordan_array(pair: UmbraPair) -> RiordanArray:
+    """The exponential Riordan array of a pair: the binomial rows of
+    (gamma, alpha).  The ordinary array is ``flavor_convert(riordan_array(pair))``,
+    the diagonal similarity that makes the two groups isomorphic."""
     rows, den = _binomial_rows(iterated_sums(pair.gamma, pair.alpha))
-    array = RiordanArray(pair, rows, den, "exponential")
-    if flavor == "ordinary":
-        array = flavor_convert(array)
-    return array
+    return RiordanArray(pair, rows, den, "exponential")
 
 
 def riordan_array_series(pair: UmbraPair) -> RiordanArray:
@@ -252,12 +248,14 @@ def riordan_entries_series(pair: UmbraPair):
 
 
 def umbral_compose(p: UmbraPair, q: UmbraPair) -> UmbraPair:
-    """Pair composition mirroring the product of the Riordan arrays."""
+    """Pair composition mirroring the product of the Riordan arrays; the rows
+    of (augmentation, p.alpha) that ``composition_umbra`` reads are built once."""
     if p.order != q.order:
         raise ValueError(f"pair order mismatch: {p.order} vs {q.order}")
+    rows, den = _binomial_rows(iterated_sums(augmentation(p.order), p.alpha))
     return UmbraPair(
-        add(p.gamma, composition_umbra(q.gamma, p.alpha)),
-        add(p.alpha, composition_umbra(q.alpha, p.alpha)),
+        add(p.gamma, _apply_rows(q.gamma, rows, den)),
+        add(p.alpha, _apply_rows(q.alpha, rows, den)),
     )
 
 
@@ -293,7 +291,7 @@ def riordan_inverse(a: RiordanArray) -> RiordanArray:
 
 
 def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
-    """Apply the array to a moment vector: the matrix-vector product.
+    """Apply the array to a moment vector, the matrix-vector product, by umbra's row kernel.
 
     It equals the moments of gamma + seq.bell.alpha'; the riordan-group
     suite checks it against their series f_gamma(z) f_seq(z f_alpha(z)).
@@ -302,10 +300,7 @@ def ftra_apply(a: RiordanArray, seq: Umbra) -> Umbra:
         raise ValueError("the moment transform is stated for exponential arrays")
     if a.order != seq.order:
         raise ValueError(f"order mismatch: array {a.order} vs sequence {seq.order}")
-    c = seq.numerators
-    return Umbra.from_integers(
-        [sum(e * m for e, m in zip(row, c)) for row in a.rows], a.denominator * seq.denominator
-    )
+    return _apply_rows(seq, a.rows, a.denominator)
 
 
 def flavor_convert(a: RiordanArray) -> RiordanArray:

@@ -11,7 +11,7 @@ generating-function route kept alongside as an independent cross-check:
                         integer moment numerators <->  f^a
     dot(g, u)           --                        <->  f_g(log f_u)
     derivative_umbra    m_n -> n * m_{n-1}        <->  1 + z f(z)
-    composition_umbra   binomial rows of (1, u)   <->  f_g(z f_u(z))
+    composition_umbra   rows of (1, u) on g       <->  f_g(z f_u(z))
     inverse_umbra       --                        <->  1 + revert(f - 1)
     k_umbra             gamma(gamma - n.alpha)^(n-1) expansion
                                                   <->  f_g(revert(z f_u(z)))
@@ -20,14 +20,16 @@ The two arguments of ``add`` are always treated as distinct (uncorrelated)
 umbrae, even when the same object is passed twice; correlated powers of a
 single umbra live in :mod:`umbral.symbolic`, never here.
 
-Adding one fixed umbra v again and again is one kernel: the weight rows
-w_n[k] = C(n,k) c_{n-k}(v) are built once, and each step is one integer
-dot product per moment it keeps.  ``add`` is a single step of it.
+One row kernel applies an integer lower-triangular array over D to an
+umbra u: row n dotted with u's numerators, over d_u * D.  Adding one fixed
+umbra v again and again runs it on the weight rows w_n[k] = C(n,k) c_{n-k}(v),
+built once.  ``add`` is a single step of it.
 ``iterated_sums(start, v)`` runs it as a triangle: start + k.v read to
 order N - k, k = 0..N, all that the rows C(n,k) E[(start + k.v)^(n-k)]
 of the exponential Riordan array of (start, v) read.  Those rows are the
-Sheffer coefficient table of (gamma, alpha), and the rows of
-(augmentation, u) applied to the moments of g are ``composition_umbra``.
+Sheffer coefficient table of (gamma, alpha); the kernel applies the rows
+of (augmentation, u) to g in ``composition_umbra``, and an array's rows to
+a moment vector in ``sheffer.ftra_apply``.
 The table of integer dot powers k.u (or k.(-u)), k = 0..N, is
 ``dot_powers(u, sign)``: the same steps from the augmentation, each to
 full order N, built on first use and kept on the umbra (outside ``==``
@@ -140,9 +142,11 @@ def _sum_weights(v: Umbra) -> list:
     return [[comb(n, k) * c[n - k] for k in range(n + 1)] for n in range(len(c))]
 
 
-def _add_weighted(u: Umbra, weights: list, den: int) -> Umbra:
+def _apply_rows(u: Umbra, rows: list, den: int) -> Umbra:
+    """Row n of an integer lower-triangular array over ``den``, dotted with
+    u's numerators, over d_u * den: the one row kernel of the moment side."""
     a = u._num
-    return Umbra.from_integers([sum(map(mul, a, w)) for w in weights], u._den * den)
+    return Umbra.from_integers([sum(map(mul, a, row)) for row in rows], u._den * den)
 
 
 def add(u: Umbra, v: Umbra) -> Umbra:
@@ -152,7 +156,7 @@ def add(u: Umbra, v: Umbra) -> Umbra:
     :func:`dot_powers`, on the integer numerators; the denominators multiply.
     """
     u._check_order(v)
-    return _add_weighted(u, _sum_weights(v), v._den)
+    return _apply_rows(u, _sum_weights(v), v._den)
 
 
 def iterated_sums(start: Umbra, v: Umbra) -> list:
@@ -167,7 +171,7 @@ def iterated_sums(start: Umbra, v: Umbra) -> list:
     weights, den = _sum_weights(v), v._den
     sums = [start]
     for top in range(v.order, 0, -1):
-        sums.append(_add_weighted(sums[-1], weights[:top], den))
+        sums.append(_apply_rows(sums[-1], weights[:top], den))
     return sums
 
 
@@ -190,7 +194,7 @@ def _dot_power_table(u: Umbra, sign: int) -> tuple:
     weights, den = _sum_weights(v), v._den
     table = [augmentation(u.order)]
     for _ in range(u.order):
-        table.append(_add_weighted(table[-1], weights, den))
+        table.append(_apply_rows(table[-1], weights, den))
     return tuple(table)
 
 
@@ -253,14 +257,12 @@ def composition_umbra(g: Umbra, u: Umbra) -> Umbra:
 
     m_n = sum_k C(n,k) * m_k(g) * m_{n-k}(k.u): the rows of the pair
     (augmentation, u) read by :func:`_binomial_rows` off :func:`iterated_sums`,
-    over one denominator D, applied to g as ``sheffer.ftra_apply`` applies an
-    array, so every m_n is one integer dot product over d_g * D.  The series route
-    :func:`composition_umbra_series` must and does agree.
+    over one denominator D, applied to g by :func:`_apply_rows`, the kernel of
+    ``sheffer.ftra_apply``, so every m_n is one integer dot product over
+    d_g * D.  The series route :func:`composition_umbra_series` must and does agree.
     """
     g._check_order(u)
-    rows, den = _binomial_rows(iterated_sums(augmentation(u.order), u))
-    c = g._num
-    return Umbra.from_integers([sum(map(mul, row, c)) for row in rows], g._den * den)
+    return _apply_rows(g, *_binomial_rows(iterated_sums(augmentation(u.order), u)))
 
 
 def composition_umbra_series(g: Umbra, u: Umbra) -> Umbra:

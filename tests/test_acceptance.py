@@ -152,10 +152,10 @@ def test_criterion_6_riordan_group():
 
 def test_criterion_7_families():
     n_max = 10
-    assert chebyshev_recurrence_failure(n_max) is None
+    chebyshev = family_table("chebyshev-u", n_max)[0]
+    assert chebyshev_recurrence_failure(chebyshev) is None
 
     lam, b = Fraction(7, 4), Fraction(3, 2)
-    chebyshev = family_table("chebyshev-u", n_max)[0]
     assert family_table("gegenbauer", n_max, lam=1)[0] == chebyshev
     for kind, options in (
         ("chebyshev-u", {}),
@@ -172,7 +172,7 @@ def test_criterion_7_families():
     assert mittag_leffler(n_max) == gf_oracle("mittag-leffler", n_max)
     assert pidduck(n_max) == gf_oracle("pidduck", n_max)
 
-    assert chebyshev_shifted_basis_failure(n_max) is None
+    assert chebyshev_shifted_basis_failure(chebyshev) is None
     report(7, f"five families match their generating functions, recurrence and reductions, n <= {n_max}")
 
 

@@ -122,7 +122,7 @@ def test_chebyshev_first_values():
 
 
 def test_chebyshev_three_term_recurrence():
-    assert chebyshev_recurrence_failure(10) is None
+    assert chebyshev_recurrence_failure(family_table("chebyshev-u", 10)[0]) is None
 
 
 def test_chebyshev_matches_gf():
@@ -132,7 +132,7 @@ def test_chebyshev_matches_gf():
 
 def test_chebyshev_shifted_basis_display():
     # sum_k binom(n+k+1, n-k) 2^k (x-1)^k gives U_n; at n = 2, 4x^2 - 1
-    assert chebyshev_shifted_basis_failure(12) is None
+    assert chebyshev_shifted_basis_failure(family_table("chebyshev-u", 12)[0]) is None
     assert chebyshev_u(2) == Polynomial((-1, 0, 4))
 
 
@@ -222,7 +222,8 @@ def test_pidduck_matches_gf():
 
 def test_pidduck_mittag_leffler_quotient():
     # egf ratio 1/(1-z) means P_n = sum_j n!/j! M_j
-    assert pidduck_quotient_failure(8) is None
+    rows = family_table("pidduck", 8)[0], family_table("mittag-leffler", 8)[0]
+    assert pidduck_quotient_failure(*rows) is None
 
 
 # --- binomial-basis rows ---------------------------------------------------------------

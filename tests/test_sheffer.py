@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from umbral import sheffer, umbra
 from umbral.polynomials import Polynomial
 from umbral.rationals import binomial, factorial
 from umbral.sheffer import (
@@ -20,6 +21,7 @@ from umbral.sheffer import (
     umbral_compose,
 )
 from umbral.umbra import (
+    Umbra,
     add,
     augmentation,
     bell,
@@ -161,10 +163,18 @@ def test_identity_array():
 
 
 def test_ordinary_pascal_scaling():
-    a = riordan_array(UmbraPair(scalar_umbra(1, 4), augmentation(4)), flavor="ordinary")
+    a = flavor_convert(riordan_array(UmbraPair(scalar_umbra(1, 4), augmentation(4))))
     for n in range(5):
         for k in range(n + 1):
             assert a.entry(n, k) == F(1, factorial(n - k))
+
+
+def test_entry_outside_the_order_is_rejected():
+    a = riordan_array(UmbraPair(ubar(3), bell(3)))
+    for n, k in ((0, -1), (2, -1), (5, 6), (4, 0)):
+        with pytest.raises(ValueError):
+            a.entry(n, k)
+    assert a.entry(1, 3) == 0 and a.entry(3, 3) == 1
 
 
 def test_entries_match_series_extraction():
@@ -172,11 +182,6 @@ def test_entries_match_series_extraction():
     for _ in range(6):
         pair = random_pair(rng, rng.randint(0, 10))
         assert riordan_array(pair).entries == riordan_entries_series(pair)
-
-
-def test_unknown_flavor_rejected():
-    with pytest.raises(ValueError):
-        riordan_array(identity_pair(3), flavor="midway")
 
 
 # --- group structure ------------------------------------------------------------------
@@ -199,6 +204,29 @@ def test_composition_matches_matrix_product():
         composed = riordan_array(umbral_compose(p, q))
         product = riordan_multiply(riordan_array(p), riordan_array(q))
         assert composed.entries == product.entries
+
+
+def test_composed_pair_builds_one_triangle(monkeypatch):
+    def rational_umbra(rng, order):
+        den = rng.randint(2, 7)
+        return Umbra([den] + [rng.randint(-9, 9) for _ in range(order)], den)
+
+    rng = Random(33)
+    for order in (0, 1, 7):
+        p, q = (UmbraPair(rational_umbra(rng, order), rational_umbra(rng, order)) for _ in "pq")
+        calls = []
+        for module in (umbra, sheffer):
+            counted = module.iterated_sums
+            monkeypatch.setattr(
+                module, "iterated_sums", lambda *a, f=counted: calls.append(a) or f(*a)
+            )
+        composed = umbral_compose(p, q)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert composed == UmbraPair(
+            add(p.gamma, composition_umbra(q.gamma, p.alpha)),
+            add(p.alpha, composition_umbra(q.alpha, p.alpha)),
+        )
 
 
 def test_multiply_identity_law():
