@@ -119,9 +119,9 @@ class TruncatedSeries(RationalVector):
     coeffs = RationalVector._values
 
     def __getitem__(self, n: int):
-        if self._fractions is None:
-            return Fraction(self._num[n], self._den)
-        return self._fractions[n]
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient index {n} outside available order {self.order}")
+        return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:

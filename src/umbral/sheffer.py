@@ -54,6 +54,7 @@ from .umbra import (
     Umbra,
     _apply_rows,
     _binomial_rows,
+    _sum_weights,
     add,
     augmentation,
     dot_powers,
@@ -190,14 +191,14 @@ def abel_representation(pair: UmbraPair) -> tuple:
 
         s_n(x) = sum_j C(n-1, j) m_j(S) sum_i C(n-j, i) m_{n-j-i}(K) x^i,
 
-    on integer moment numerators, one division per coefficient; the
-    n.K(alpha, alpha) come from one ``dot_powers`` table, read to order
-    n - 1.  Agrees with :func:`sheffer_sequence`, with which it shares only
-    ``comb`` and the fixed-addend step that :func:`umbral.umbra.dot_powers`
-    and :func:`umbral.umbra.iterated_sums` both repeat; its oracle is the series array.
+    on integer moment numerators, one division per coefficient.  The inner sums
+    read the Appell rows of K (the sum kernel's weight rows, built once), and the
+    n.K(alpha, alpha) one ``dot_powers`` table to order n - 1.  Agrees with
+    :func:`sheffer_sequence`, sharing only ``comb`` and the fixed-addend step that
+    ``dot_powers`` and ``iterated_sums`` repeat; its oracle is the series array.
     """
     kga = k_umbra(pair.gamma, pair.alpha)
-    k, dk = kga.numerators, kga.denominator
+    appell, dk = _sum_weights(kga), kga.denominator
     shifts = dot_powers(k_umbra(pair.alpha, pair.alpha))
     polys = [Polynomial((1,))]
     for n in range(1, pair.order + 1):
@@ -207,8 +208,8 @@ def abel_representation(pair: UmbraPair) -> tuple:
         for j in range(n):
             w = comb(n - 1, j) * s[j]
             if w:
-                for i in range(n - j + 1):
-                    coeffs[i] += w * comb(n - j, i) * k[n - j - i]
+                for i, e in enumerate(appell[n - j]):
+                    coeffs[i] += w * e
         polys.append(Polynomial.from_integers(coeffs, ds * dk))
     return tuple(polys)
 

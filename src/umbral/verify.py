@@ -81,7 +81,7 @@ from .sheffer import (
     sheffer_sequence,
     umbral_compose,
 )
-from .symbolic import UmbralSymbol, X, Y, abel, abel_expression, atom, binomial_sum, substitute
+from .symbolic import UmbralSymbol, X, Y, abel_expression, atom, binomial_sum, substitute
 from .umbra import (
     Umbra,
     add,
@@ -158,21 +158,17 @@ def sheffer_identity_failure(polys, assoc, n_max: int):
     return _binomial_type_failure(lambda n: substitute(polys[n], xy), px, sy, n_max)
 
 
-def _abel_weights(gamma: Umbra, alpha: Umbra, top: int) -> list:
-    """E[gamma (gamma - k.alpha)^(k-1)] for k = 0..top: the Abel polynomials of
-    -1.alpha at gamma, on the symbolic route."""
-    neg_alpha = dot_scalar(-1, alpha)
-    return [abel(k, UmbralSymbol(gamma), neg_alpha) for k in range(top + 1)]
+def _head(u: Umbra, top: int) -> Umbra:  # m_0..m_top: all that a check capped at top reads
+    return Umbra.from_integers(u.numerators[: top + 1], u.denominator)
 
 
 def abel_identity_failure(alpha: Umbra, gamma: Umbra, delta: Umbra):
     """First ``n=… lhs=… rhs=…`` up to the order where E[(delta+gamma)^n] !=
     sum_k C(n,k) E[(delta+k.alpha)^(n-k)] E[gamma(gamma-k.alpha)^(k-1)], else None:
     the left side is the umbra of f_delta f_gamma, the right side the array of
-    (delta, alpha) applied to the Abel weights."""
+    (delta, alpha) applied to the Abel weights, which are the moments of K(gamma, alpha)."""
     lhs = from_series(ps.multiply(gf(delta), gf(gamma)))
-    weights = Umbra(_abel_weights(gamma, alpha, delta.order))
-    rhs = ftra_apply(riordan_array(UmbraPair(delta, alpha)), weights)
+    rhs = ftra_apply(riordan_array(UmbraPair(delta, alpha)), k_umbra(gamma, alpha))
     if lhs == rhs:
         return None
     n = next(n for n, (a, b) in enumerate(zip(lhs.moments, rhs.moments)) if a != b)
@@ -182,9 +178,10 @@ def abel_identity_failure(alpha: Umbra, gamma: Umbra, delta: Umbra):
 def abel_polynomial_form_failure(alpha: Umbra, gamma: Umbra, delta: Umbra, qs):
     """First ``q#i=… lhs=… rhs=…`` where E[q(delta+gamma)] != sum_k
     E[q^(k)(delta+k.alpha)] E[gamma(gamma-k.alpha)^(k-1)] / k!, else None:
-    the left side reads the moments of f_delta f_gamma, the right side
-    expands symbolically."""
-    weights = _abel_weights(gamma, alpha, max(q.degree for q in qs))
+    the left side reads the moments of f_delta f_gamma, the right side expands symbolically on
+    the moments of K(gamma, alpha); each umbra is read only up to the top degree of ``qs``."""
+    alpha, gamma, delta = (_head(u, max(q.degree for q in qs)) for u in (alpha, gamma, delta))
+    weights = k_umbra(gamma, alpha).moments
     dotted = dot_powers(alpha)
     sums = from_series(ps.multiply(gf(delta), gf(gamma))).moments  # E[(delta + gamma)^j]
     for qi, q in enumerate(qs):
@@ -203,7 +200,8 @@ def abel_polynomial_form_failure(alpha: Umbra, gamma: Umbra, delta: Umbra, qs):
 
 def abel_derivative_rule_failure(u: Umbra, n_max: int):
     """First ``n=… lhs=… rhs=…`` in 1..n_max where d/dx A_n(x) != n A_{n-1}(x + u'),
-    u' a fresh copy of ``u``, else None."""
+    u' a fresh copy of ``u``, else None; ``u`` is read only up to n_max."""
+    u = _head(u, n_max)
     for n in range(1, n_max + 1):
         lhs = abel_expression(n, atom(X), u).formal_derivative(X).evaluate().to_univariate()
         base = atom(X) + atom(UmbralSymbol(u))
@@ -215,7 +213,8 @@ def abel_derivative_rule_failure(u: Umbra, n_max: int):
 
 def abel_binomial_identity_failure(u: Umbra, n_max: int):
     """First ``n=…`` up to n_max where A_n(x+y) != sum_k C(n,k) A_k(x) A_{n-k}(y)
-    for the Abel polynomials A_n of ``u``, else None."""
+    for the Abel polynomials A_n of ``u``, else None; ``u`` is read only up to n_max."""
+    u = _head(u, n_max)
     # E factorizes over the distinct shift symbols of A_k(x) and A_{n-k}(y)
     ax = [abel_expression(k, atom(X), u).evaluate() for k in range(n_max + 1)]
     ay = [abel_expression(k, atom(Y), u).evaluate() for k in range(n_max + 1)]
@@ -408,8 +407,8 @@ def suite_sheffer(order: int, seed: int) -> Iterator[tuple]:
 
         # Sheffer identity: s_n(x+y) = sum C(n,k) p_k(x) s_{n-k}(y), with
         # (p_k) the associated sequence of the same alpha
-        assoc = sheffer_sequence(UmbraPair(augmentation(order), pair.alpha))
         n_max = min(order, 8)
+        assoc = sheffer_sequence(UmbraPair(augmentation(n_max), _head(pair.alpha, n_max)))
         bad = sheffer_identity_failure(seq, assoc, n_max)
         yield (
             "sheffer-identity",
@@ -646,7 +645,7 @@ _BRIDGE = "series.to_exponential series.from_exponential"
 _LIBRARY_GF = "umbra.gf umbra.from_series " + _BRIDGE  # umbra functions built on series
 _VERIFY_GF = "series.multiply verify.gf verify.from_series " + _BRIDGE
 _TABLE = "umbra._dot_power_table"
-_WEIGHTS = "verify._abel_weights verify.dot_scalar " + _TABLE
+_WEIGHTS = "verify.k_umbra " + _TABLE
 _INVERSE = "verify.riordan_inverse sheffer.k_umbra " + _TABLE
 _SERIES_ARRAY = "verify.riordan_array_series sheffer.gf series.multiply " + _BRIDGE
 _GF = "families.gf_rows series.power " + _BRIDGE

@@ -24,7 +24,10 @@ recorded while each suite still collected its own results, before the
 suites streamed their checks to ``run_suite``.  The ``verify all`` csv line at
 order 6 was recorded when ``verify --format csv`` began to write one CSV row
 per identity (name, passed as true/false, detail); before, that output was
-the pretty report.  A change that alters one of these outputs on purpose says
+the pretty report.  The ``verify all`` line at order 24, and the order-48
+digest that the CI workflow compares, were recorded while the Abel checks
+still took their weights from the symbolic ``abel`` route and every check
+read its draws to the full order.  A change that alters one of these outputs on purpose says
 so and records the new digest."""
 
 import argparse
@@ -43,6 +46,7 @@ GOLDEN = {
     "verify all --order 6 --seed 42 --format json": "69ecfc2cf3bf9c4cb13900ab6c15925ed2ac5349c187e1b1069a30326d0fd890",
     "verify all --order 6 --seed 42 --format csv": "f41ef122b554418b66f1fa394ddb53a2446a704f2654e135b6a7cbd7f8e37304",
     "verify all --order 12 --seed 42": "416d75779d8a825de2d7ba242b988d06eea12a5e4812254d3e78c141f415686c",
+    "verify all --order 24 --seed 42": "3419c740c7935b3a512c2a1b24801d4486cb1b9a5850368d774991c1778983e9",
     "verify abel --order 12 --seed 42": "e2892a13f5bcbf33104af23ea1e05799f9b81371ff7dd65fa513e0c64488b17f",
     "verify abel --order 12 --seed 42 --format json": (
         "127ff0ce3c436e307b7c711be87eac6bda41fa4c3cf738e88115977ca9e1ad9c"

@@ -37,7 +37,7 @@ COUNTEREXAMPLES = {
         "master-degenerate-slots": "n=1 y=2;",
         "master-degenerate-slots-indeterminate": "n=1;",
     },
-    "verify._abel_weights": {
+    "verify.k_umbra": {
         "abel-identity": "trial=0 n=1 lhs=1 rhs=2 alpha=[1, 3, 0, 3, 0, -3, -1] gamma=",
         "abel-identity-polynomial-form": "q#1=x lhs=-1 rhs=0 alpha=",
     },

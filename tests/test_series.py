@@ -575,6 +575,17 @@ def test_polynomial_coefficients_have_one_form():
     assert mixed.truncate(0) == S(F(1, 2)) and mixed.truncate(0).numerators == (1,)
 
 
+def test_indexing_reads_only_the_coefficients_0_to_the_order():
+    # a negative index or one past the order names the order, and iteration
+    # through indexing stops after the top coefficient
+    x = Polynomial.x()
+    for f in (S(1, F(1, 2), -3), S(1, x, F(2, 3))):
+        assert list(f) == list(f.coeffs) and f[2] == f.coeffs[2]
+        for n in (-1, 3):
+            with pytest.raises(IndexError, match=f"index {n} outside available order 2"):
+                f[n]
+
+
 @canonical_laws
 @given(rational_series(), rational_series())
 def test_equality_and_hash_follow_the_coefficients(f, g):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbral import verify
+from umbral import umbra, verify
 from umbral.polynomials import Polynomial
 from umbral.symbolic import (
     _SLOT_MAX,
@@ -290,3 +290,26 @@ def test_abel_and_sheffer_suites_hold_on_rational_draws(monkeypatch):
         results = verify.run_suite(suite, 8, 42)
         assert [r for r in results if not r.passed] == []
     assert len(draws) > 1
+
+
+def test_capped_checks_read_their_draws_only_to_their_caps(monkeypatch):
+    # at order 24 only the K(gamma, alpha) weights of abel-identity need
+    # full-order dot-power tables; the other abel checks stop at degree 10,
+    # and the sheffer identities read the associated sequences to n = 8
+    tables, assoc = [], []
+    build_table, build_assoc = umbra._dot_power_table, verify.sheffer_sequence
+
+    def table(u, sign):
+        tables.append(u.order)
+        return build_table(u, sign)
+
+    def associated(pair):
+        assoc.append(pair.order)
+        return build_assoc(pair)
+
+    monkeypatch.setattr(umbra, "_dot_power_table", table)
+    monkeypatch.setattr(verify, "sheffer_sequence", associated)
+    assert all(r.passed for r in verify.run_suite("abel", 24, 42))
+    assert tables.count(24) == 25 and max(order for order in tables if order != 24) <= 10
+    assert all(r.passed for r in verify.run_suite("sheffer", 24, 42))
+    assert assoc == [8] * 10
