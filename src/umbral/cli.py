@@ -16,7 +16,7 @@ with rationals as ``p`` or ``p/q``, nested at most ``SPEC_DEPTH_LIMIT``
 forms deep.  Exit codes: 0 success, 2 parse or usage errors, 3
 precondition violations (also ``--order`` or ``--nmax`` above
 ``ORDER_CEILING`` = 128, or a verify order above ``VERIFY_ORDER_CEILING``
-= 48), 4 failed verification, with a repro command per counterexample,
+= 64), 4 failed verification, with a repro command per counterexample,
 141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
 reader closes standard output early, without a traceback.  Output is
 exact in every format; identical command lines (and seeds) produce
@@ -80,9 +80,9 @@ DEFAULT_ORDER = 12
 # takes 1.7-2.6 s as a subprocess on a shared 2-core VM (Python 3.11; the spread
 # is the host's load), and riordan bell chi inverse 0.5-0.6 s
 ORDER_CEILING = 128
-# verify all takes 2.7-3.0 s at this order; at 64 the median of nine subprocess
-# runs on the same VM was 7.1 s, above the 7 s that would admit it
-VERIFY_ORDER_CEILING = 48
+# verify all takes 5.5-5.9 s at this order (median 5.7 s over six subprocess runs
+# on the same VM), under the 7 s that admits it
+VERIFY_ORDER_CEILING = 64
 # far below the interpreter's recursion limit, which parsing and building
 # a spec both recurse into once per level
 SPEC_DEPTH_LIMIT = 100

@@ -531,9 +531,9 @@ def test_verify_reports_a_suite_exception(capsys, monkeypatch):
 
 
 def test_verify_order_ceiling(capsys):
-    code, _, err = run_cli(["verify", "duality", "--order", "49"], capsys)
+    code, _, err = run_cli(["verify", "duality", "--order", "65"], capsys)
     assert code == cli.EXIT_PRECONDITION
-    assert err == "error: verification order 49 above the ceiling 48\n"
+    assert err == "error: verification order 65 above the ceiling 64\n"
 
 
 @pytest.mark.parametrize(
