@@ -27,8 +27,8 @@ per identity (name, passed as true/false, detail); before, that output was
 the pretty report.  The ``verify all`` line at order 24, and the order-48
 digest that the CI workflow compares, were recorded while the Abel checks
 still took their weights from the symbolic ``abel`` route and every check
-read its draws to the full order.  A change that alters one of these outputs on purpose says
-so and records the new digest."""
+read its draws to the full order.  A change that alters one of these
+outputs on purpose says so and records the new digest."""
 
 import argparse
 import hashlib
