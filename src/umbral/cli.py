@@ -77,10 +77,11 @@ EXIT_BROKEN_PIPE = 141
 DEFAULT_ORDER = 12
 # bounds --order on every command and --nmax on family; at this order the slowest
 # of twenty command lines timed, umbra k(inv(egf(1,3/2,2)),inv(egf(1,2/3,1/5))),
-# takes 1.7-2.6 s as a subprocess on a shared 2-core VM (Python 3.11; the spread
-# is the host's load), and riordan bell chi inverse 0.5-0.6 s
+# takes 1.1-1.5 s as a subprocess on a shared 2-core VM (Python 3.11; the spread
+# is the host's load), umbra dotscalar(-1,inv(egf(1,2/3,1/5))) 0.9-1.0 s and
+# riordan bell chi inverse 0.3 s
 ORDER_CEILING = 128
-# verify all takes 5.5-5.9 s at this order (median 5.7 s over six subprocess runs
+# verify all takes 4.4-4.8 s at this order (median 4.5 s over four subprocess runs
 # on the same VM), under the 7 s that admits it
 VERIFY_ORDER_CEILING = 64
 # far below the interpreter's recursion limit, which parsing and building

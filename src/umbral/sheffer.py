@@ -25,12 +25,12 @@ of its moments, and every operation runs on its integer rows.
 
 The Abel form s_n(x) = E[(x + K)(x + K + n.K(alpha, alpha))^(n-1)], with
 K = K(gamma, alpha), is expanded through the moments of the two K umbrae
-(Lagrange inversion, and the dot powers n.K(alpha, alpha) read from the
-shared table of :func:`umbral.umbra.dot_powers`), so this module does not
-need the symbolic engine; the tests keep the symbolic expansion of the
-same expectation as its witness.  The coefficient table is the binomial
-rows of (gamma, alpha) read off the triangle of
-:func:`umbral.umbra.iterated_sums`, by the one helper that
+(Lagrange inversion, and the dot powers n.K(alpha, alpha) to order
+n - 1, read from the shared triangle of :func:`umbral.umbra.dot_powers`),
+so this module does not need the symbolic engine; the tests keep the
+symbolic expansion of the same expectation as its witness.  The
+coefficient table is the binomial rows of (gamma, alpha) read off the
+triangle of :func:`umbral.umbra.iterated_sums`, by the one helper that
 :func:`umbral.umbra.composition_umbra` and ``umbral_compose`` read too;
 ``ftra_apply`` applies an array by the row kernel of :mod:`umbral.umbra`.  The Sheffer
 polynomials are the rows of the array read as polynomials by
@@ -193,9 +193,10 @@ def abel_representation(pair: UmbraPair) -> tuple:
 
     on integer moment numerators, one division per coefficient.  The inner sums
     read the Appell rows of K (the sum kernel's weight rows, built once), and the
-    n.K(alpha, alpha) one ``dot_powers`` table to order n - 1.  Agrees with
-    :func:`sheffer_sequence`, sharing only ``comb`` and the fixed-addend step that
-    ``dot_powers`` and ``iterated_sums`` repeat; its oracle is the series array.
+    n.K(alpha, alpha) entry n of one ``dot_powers`` triangle, which holds it to
+    order n - 1.  Agrees with :func:`sheffer_sequence`, sharing only ``comb``
+    and the fixed-addend step that ``dot_powers`` and ``iterated_sums`` repeat;
+    its oracle is the series array.
     """
     kga = k_umbra(pair.gamma, pair.alpha)
     appell, dk = _sum_weights(kga), kga.denominator

@@ -433,15 +433,16 @@ def abel_expression(n: int, base: UmbralPolynomial, u: Umbra) -> UmbralPolynomia
     """The unevaluated Abel construction base * (base + s)^(n-1), expanded
     by the binomial theorem in s as sum_j C(n-1, j) base^(j+1) s^(n-1-j).
 
-    The displacement s is a fresh symbol bound to n.u, read from the
-    shared table ``dot_powers(u)``, so both occurrences of ``base`` stay
-    correlated while s is independent of everything else.  Minted here, s
-    takes the last slot, so base^(j+1) keeps its packed monomials and the
-    terms of different j never merge; the only products are the powers of
-    ``base``, and on a bare atom a each term a^(j+1) s^(n-1-j) is written
-    directly.  Each base^(j+1) is lifted onto the denominator of base^n.
-    The exponent bound is that of the product, and past the slot it raises
-    ``ValueError`` as the product would.  Returns 1 for n = 0.
+    The displacement s is a fresh symbol bound to n.u read to order n - 1,
+    all that s^(n-1-j) reads: entry n of the shared triangle ``dot_powers(u)``.
+    Both occurrences of ``base`` stay correlated while s is independent of
+    everything else.  Minted here, s takes the last slot, so base^(j+1)
+    keeps its packed monomials and the terms of different j never merge;
+    the only products are the powers of ``base``, and on a bare atom a each
+    term a^(j+1) s^(n-1-j) is written directly.  Each base^(j+1) is lifted
+    onto the denominator of base^n.  The exponent bound is that of the
+    product, and past the slot it raises ``ValueError`` as the product
+    would.  Returns 1 for n = 0.
     """
     if n < 0:
         raise ValueError("Abel polynomials need n >= 0")

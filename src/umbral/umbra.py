@@ -31,14 +31,16 @@ Sheffer coefficient table of (gamma, alpha); the kernel applies the rows
 of (augmentation, u) to g in ``composition_umbra``, and an array's rows to
 a moment vector in ``sheffer.ftra_apply``.
 The table of integer dot powers k.u (or k.(-u)), k = 0..N, is
-``dot_powers(u, sign)``: the same steps from the augmentation, each to
-full order N, built on first use and kept on the umbra (outside ``==``
-and ``hash``) for as long as the umbra lives.  ``k_umbra`` and the Abel
-form of a Sheffer sequence read entry k to order k - 1, which needs every
-entry to order N - 1; the symbolic Abel construction and the Abel checks
-read it too.  The series oracles (``*_series``, ``gf`` and everything
-built on it) and ``dot_scalar`` read neither, so no identity takes its
-oracle from them and Miller's recurrence stays an independent route to k.u.
+``dot_powers(u, sign)``, built on first use and kept on the umbra (outside
+``==`` and ``hash``) for as long as the umbra lives.  Its readers (``k_umbra``,
+the Abel form of a Sheffer sequence and the symbolic Abel construction)
+read entry k only to order k - 1, so the table is that triangle: Miller's
+recurrence gives N.(+-u) to order N - 1, and the same steps run down from
+it, adding -+u, each entry one order shorter than the one above.  An
+upward chain from the augmentation could not shorten its entries, since
+entry k to order k - 1 would need entry k - 1 to the same order.  The
+series oracles (``*_series``, ``gf`` and everything built on it) read
+neither triangle, so no identity takes its oracle from them.
 
 An umbra is a ``rationals.RationalVector`` of its moments (the canonical
 form is described there), so its numerators c_0..c_N over d have c_0 = d.
@@ -188,18 +190,25 @@ def _binomial_rows(sums: list) -> tuple[list, int]:
 
 
 def _dot_power_table(u: Umbra, sign: int) -> tuple:
-    """k.(sign u) for k = 0..N, each to full order N, by repeated sums from
-    the augmentation."""
-    v = u if sign > 0 else dot_scalar(-1, u)
-    weights, den = _sum_weights(v), v._den
-    table = [augmentation(u.order)]
-    for _ in range(u.order):
-        table.append(_apply_rows(table[-1], weights, den))
-    return tuple(table)
+    """k.(sign u) read to order max(k - 1, 0), for k = 0..N: Miller's
+    recurrence gives N.(sign u) to order N - 1, and each entry below is the
+    one above plus -sign u, one order shorter."""
+    top = u.order
+    if top == 0:
+        return (augmentation(0),)
+    head = Umbra.from_integers(u._num[:top], u._den)
+    step = head if sign < 0 else dot_scalar(-1, head)
+    weights, den = _sum_weights(step), step._den
+    table = [dot_scalar(sign * top, head)]
+    for k in range(top - 1, 0, -1):
+        table.append(_apply_rows(table[-1], weights[:k], den))
+    table.append(augmentation(0))
+    return tuple(reversed(table))
 
 
 def dot_powers(u: Umbra, sign: int = 1) -> tuple:
-    """The table k.u (sign 1) or k.(-u) (sign -1) for k = 0..N.
+    """The table k.u (sign 1) or k.(-u) (sign -1) for k = 0..N, entry k read
+    to order max(k - 1, 0): all that E[g (g +- k.u)^(k-1)] reads of it.
 
     Built on first use and kept on ``u``, so every moment route on the same
     umbra shares one table; it lives as long as ``u`` does.
@@ -284,9 +293,9 @@ def k_umbra(g: Umbra, u: Umbra) -> Umbra:
     Expanding by uncorrelation of g and the dotted copy:
     m_n = sum_{j<n} C(n-1, j) * m_{j+1}(g) * m_{n-1-j}(-n.u).
     Equals the Lagrange-inversion series route :func:`k_umbra_series`.
-    The dot powers -n.u come from the shared table ``dot_powers(u, -1)``,
-    written over one common denominator D, so every m_n is one integer sum
-    over d_g * D.
+    The dot powers -n.u, read to order n - 1, come from the shared triangle
+    ``dot_powers(u, -1)``, written over one common denominator D, so every
+    m_n is one integer sum over d_g * D.
     """
     g._check_order(u)
     dotted, big = shared_denominator(dot_powers(u, -1))

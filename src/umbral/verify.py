@@ -91,11 +91,11 @@ from .umbra import (
     composition_umbra_series,
     derivative_umbra,
     dot,
-    dot_powers,
     dot_scalar,
     from_series,
     gf,
     inverse_umbra,
+    iterated_sums,
     k_umbra,
     k_umbra_series,
     scalar_umbra,
@@ -182,7 +182,7 @@ def abel_polynomial_form_failure(alpha: Umbra, gamma: Umbra, delta: Umbra, qs):
     the moments of K(gamma, alpha); each umbra is read only up to the top degree of ``qs``."""
     alpha, gamma, delta = (_head(u, max(q.degree for q in qs)) for u in (alpha, gamma, delta))
     weights = k_umbra(gamma, alpha).moments
-    dotted = dot_powers(alpha)
+    dotted = iterated_sums(augmentation(alpha.order), alpha)  # k.alpha to order N - k, all q^(k) reads
     sums = from_series(ps.multiply(gf(delta), gf(gamma))).moments  # E[(delta + gamma)^j]
     for qi, q in enumerate(qs):
         lhs = sum(c * m for c, m in zip(q.coeffs, sums))
@@ -654,7 +654,7 @@ _BELL_DOT = "verify.dot verify.bell series.compose series.exp series.log " + _LI
 ROUTES = {
     ("abel", "abel-identity"): (_VERIFY_GF, f"verify.ftra_apply {_WEIGHTS} {_ARRAY}"),
     ("abel", "abel-identity-polynomial-form"): (
-        _VERIFY_GF, f"verify.substitute verify.dot_powers {_WEIGHTS}"),
+        _VERIFY_GF, f"verify.substitute verify.iterated_sums {_WEIGHTS}"),
     ("abel", "abel-derivative-rule"): ("law", "verify.abel_expression " + _TABLE),
     ("abel", "abel-binomial-identity"): ("law", "verify.abel_expression " + _TABLE),
     ("lif", "lagrange-inversion-moments"): (

@@ -445,12 +445,33 @@ def umbra_pairs(draw):
 @table_laws
 @given(umbra_pairs(), st.sampled_from((1, -1)))
 def test_dot_powers_match_miller_recurrence(pair, sign):
-    # the table is iterated sums; Miller's recurrence is its independent route
+    # entry k is k.(sign u) read to order max(k - 1, 0), stepped down from the
+    # top; Miller's recurrence and the upward chain of adds are its two witnesses
     u = pair[0]
     table = dot_powers(u, sign)
     assert len(table) == u.order + 1
+    step = u if sign > 0 else dot_scalar(-1, u)
+    chained = augmentation(u.order)
     for k, dotted in enumerate(table):
-        assert dotted == dot_scalar(sign * k, u)
+        head = max(k, 1)
+        assert len(dotted.moments) == head
+        assert dotted == Umbra(dot_scalar(sign * k, u).moments[:head])
+        assert dotted == Umbra(chained.moments[:head])
+        chained = add(chained, step)
+
+
+@table_laws
+@given(st.integers(min_value=0, max_value=16), st.data())
+def test_k_umbra_routes_agree_on_rational_and_inverse_inputs(order, data):
+    # the table's top entry runs Miller's recurrence on the input's denominator;
+    # the route tests elsewhere draw integer moments only
+    tail = st.lists(moment_values, min_size=order, max_size=order)
+    g, u = Umbra([1] + data.draw(tail)), Umbra([1] + data.draw(tail))
+    assert k_umbra(g, u) == k_umbra_series(g, u)
+    if order and u.moment(1):
+        v = inverse_umbra(u)
+        assert k_umbra(g, v) == k_umbra_series(g, v)
+        assert k_umbra(v, v) == k_umbra_series(v, v)
 
 
 @table_laws
