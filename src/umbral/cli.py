@@ -19,8 +19,8 @@ precondition violations (also ``--order`` or ``--nmax`` above
 = 64), 4 failed verification, with a repro command per counterexample,
 141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
 reader closes standard output early, without a traceback.  Output is
-exact in every format; identical command lines (and seeds) produce
-byte-identical output.
+exact in every format, with no limit on the digits of an integer;
+identical command lines (and seeds) produce byte-identical output.
 
 The argument parser is built on the first call of ``main`` and reused by
 every later call in the same process; parsing keeps no state in it, so a
@@ -521,6 +521,8 @@ def _join_rational_options(argv: list) -> list:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+ caps int <-> str at 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     argv = _join_rational_options(sys.argv[1:] if argv is None else argv)
     # riordan's action may follow an option: "riordan G A --order 3 inverse"

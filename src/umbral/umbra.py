@@ -34,13 +34,13 @@ The table of integer dot powers k.u (or k.(-u)), k = 0..N, is
 ``dot_powers(u, sign)``, built on first use and kept on the umbra (outside
 ``==`` and ``hash``) for as long as the umbra lives.  Its readers (``k_umbra``,
 the Abel form of a Sheffer sequence and the symbolic Abel construction)
-read entry k only to order k - 1, so the table is that triangle: Miller's
-recurrence gives N.(+-u) to order N - 1, and the same steps run down from
-it, adding -+u, each entry one order shorter than the one above.  An
-upward chain from the augmentation could not shorten its entries, since
-entry k to order k - 1 would need entry k - 1 to the same order.  The
-series oracles (``*_series``, ``gf`` and everything built on it) read
-neither triangle, so no identity takes its oracle from them.
+read entry k only to order k - 1, so the table is ``iterated_sums`` run
+down from N.(+-u), which Miller's recurrence gives to order N - 1, adding
+-+u: one construction, two starting points.  An upward chain from the
+augmentation could not shorten its entries, since entry k to order k - 1
+would need entry k - 1 to the same order.  The series oracles
+(``*_series``, ``gf`` and everything built on it) read neither triangle,
+so no identity takes its oracle from them.
 
 An umbra is a ``rationals.RationalVector`` of its moments (the canonical
 form is described there), so its numerators c_0..c_N over d have c_0 = d.
@@ -111,6 +111,12 @@ class Umbra(RationalVector):
         if not 0 <= n <= self.order:
             raise ValueError(f"moment index {n} outside available order {self.order}")
         return self.moments[n]
+
+    def truncate(self, order: int) -> "Umbra":
+        """m_0..m_order, over their own least denominator; never extends."""
+        if order > self.order:
+            raise ValueError(f"cannot extend an umbra of order {self.order} to order {order}")
+        return Umbra.from_integers(self._num[: order + 1], self._den)
 
     def _check_order(self, other: "Umbra"):
         if self.order != other.order:
@@ -190,25 +196,21 @@ def _binomial_rows(sums: list) -> tuple[list, int]:
 
 
 def _dot_power_table(u: Umbra, sign: int) -> tuple:
-    """k.(sign u) read to order max(k - 1, 0), for k = 0..N: Miller's
-    recurrence gives N.(sign u) to order N - 1, and each entry below is the
-    one above plus -sign u, one order shorter."""
+    """k.(sign u) read to order max(k - 1, 0), for k = 0..N: the triangle of
+    :func:`iterated_sums` that starts at N.(sign u), read to order N - 1 by
+    Miller's recurrence, and adds -sign u."""
     top = u.order
     if top == 0:
         return (augmentation(0),)
-    head = Umbra.from_integers(u._num[:top], u._den)
+    head = u.truncate(top - 1)
     step = head if sign < 0 else dot_scalar(-1, head)
-    weights, den = _sum_weights(step), step._den
-    table = [dot_scalar(sign * top, head)]
-    for k in range(top - 1, 0, -1):
-        table.append(_apply_rows(table[-1], weights[:k], den))
-    table.append(augmentation(0))
-    return tuple(reversed(table))
+    return (augmentation(0), *reversed(iterated_sums(dot_scalar(sign * top, head), step)))
 
 
 def dot_powers(u: Umbra, sign: int = 1) -> tuple:
     """The table k.u (sign 1) or k.(-u) (sign -1) for k = 0..N, entry k read
-    to order max(k - 1, 0): all that E[g (g +- k.u)^(k-1)] reads of it.
+    to order max(k - 1, 0): all that E[g (g +- k.u)^(k-1)] reads of it;
+    :func:`iterated_sums` run down from N.(sign u).
 
     Built on first use and kept on ``u``, so every moment route on the same
     umbra shares one table; it lives as long as ``u`` does.

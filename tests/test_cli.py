@@ -13,8 +13,9 @@ import pytest
 
 import umbral
 from umbral import cli, verify
+from umbral.families import family_table
 from umbral.rationals import parse_rational
-from umbral.umbra import Umbra, bell, dot, singleton
+from umbral.umbra import Umbra, bell, dot, dot_scalar, singleton
 from umbral.verify import CheckResult
 
 
@@ -168,6 +169,20 @@ def test_umbra_json_roundtrip(capsys):
     payload = json.loads(out)
     moments = tuple(parse_rational(m) for m in payload["moments"])
     assert moments == (1, 1, -2, 12, -120)
+
+
+# a 41-digit denominator: at order 128 the output holds integers of more than 4300 digits
+BIG = 10**41 - 3
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+def test_umbra_prints_integers_of_any_size(capsys, fmt):
+    argv = ["umbra", f"dotscalar(-1,egf(1,1/{BIG}))", "--order", "128", "--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        expected = dot_scalar(-1, Umbra([1, Fraction(1, BIG)] + [0] * 127))
+        assert tuple(map(parse_rational, json.loads(out)["moments"])) == expected.moments
 
 
 # --- riordan command ---------------------------------------------------------
@@ -384,6 +399,17 @@ def test_rendering_reads_numerators_only(capsys, monkeypatch, command, fmt):
     for name in ("render_umbra", "render_matrix", "render_polys"):
         monkeypatch.setattr(cli, name, track(getattr(cli, name)))
     assert run_cli(argv, capsys) == expected
+
+
+def test_family_prints_integers_of_any_size(capsys):
+    b = Fraction(1, 10**200 - 1)
+    argv = ["family", "meixner1", "--b", str(b), "--c", "3", "--nmax", "24", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    polys, _ = family_table("meixner1", 24, b=b, c=Fraction(3))
+    assert [list(map(parse_rational, row)) for row in json.loads(out)["polys"]] == [
+        list(p.coeffs) for p in polys
+    ]
 
 
 def test_family_meixner_invalid_c(capsys):

@@ -308,7 +308,10 @@ def ref_pairs(draw):
 def test_packed_kernel_matches_reference(pq):
     p, q = pq
     P, Q = UmbralPolynomial(p), UmbralPolynomial(q)
-    for got, want in ((P, p), (Q, q), (P + Q, ref_add(p, q)), (P * Q, ref_mul(p, q))):
+    half = Fraction(1, 2)
+    cases = [(P, p), (Q, q), (P + Q, ref_add(p, q)), (P * Q, ref_mul(p, q))]
+    cases.append((half - P, ref_add({(): half}, {m: -c for m, c in p.items()})))
+    for got, want in cases:
         expected = UmbralPolynomial(want)
         assert got == expected
         assert hash(got) == hash(expected)

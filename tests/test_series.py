@@ -511,12 +511,13 @@ def assert_canonical(f):
 def test_every_result_is_in_lowest_terms(f, data):
     g = data.draw(rational_series(order=f.order))
     unit = f - f[0] + 1  # constant term 1
-    results = [f, -f, f + 1, f - g, f * F(2, 3), f * 0, multiply(f, g), f.truncate(0)]
+    results = [f, -f, f + 1, 1 - f, f - g, f * F(2, 3), f * 0, multiply(f, g), f.truncate(0)]
     results += [unit, f.shift_up(), power(unit, F(-3, 2)), compose(f, g.shift_up())]
     if f.order >= 1:
         results += [f.derivative(), revert(unit.shift_up())]
     for result in results:
         assert_canonical(result)
+    assert (1 - f) + f == TruncatedSeries.one(f.order)
 
 
 def as_polynomial(c):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from umbral.families import MasterParams, family_table, gf_rows
 from umbral.polynomials import Polynomial
 from umbral.rationals import binomial, exact, factorial, falling_factorial
-from umbral.series import TruncatedSeries, multiply, power, revert
+from umbral.series import TruncatedSeries, exp, multiply, power, revert
 from umbral.symbolic import X, UmbralPolynomial, constant
 from umbral.umbra import (
     Umbra,
@@ -124,6 +124,10 @@ def test_numerators_over_least_common_denominator():
     assert u.moments == (1, F(1, 2), F(-2, 3), 4)
     assert repr(u) == "Umbra(['1', '1/2', '-2/3', '4'])"
     assert ubar(3).numerators == (1, 1, 2, 6) and ubar(3).denominator == 1
+    # a truncation keeps m_0..m_order over their own least denominator, and never extends
+    assert u.truncate(1).numerators == (2, 1) and u.truncate(3) == u
+    with pytest.raises(ValueError):
+        u.truncate(4)
 
 
 def test_gf_roundtrip():
@@ -203,6 +207,11 @@ def test_dot_with_scalar_umbra_rescales_moments():
     expected = Umbra([g.moment(n) * a**n for n in range(5)])
     assert dot(g, scalar_umbra(a, 4)) == expected
     assert dot(g, scalar_umbra(1, 4)) == g
+
+
+def test_scalar_umbra_is_the_umbra_of_exp_az():
+    for a in (F(1, 2), F(-2, 3), F(7, 5), F(-9, 4), 3):
+        assert scalar_umbra(a, 6) == from_series(exp(S(0, a, 0, 0, 0, 0, 0)))
 
 
 # --- derivative umbra -----------------------------------------------------------
